@@ -294,6 +294,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ),
             ("engine fast-path events/sec", f"{engine['fast_events_per_sec']:,.0f}"),
             ("engine Event-path events/sec", f"{engine['event_events_per_sec']:,.0f}"),
+            (
+                "tracing on: run slowdown / digest us per event",
+                f"{record['tracing']['enabled_slowdown']:.2f}x / "
+                f"{record['tracing']['digest_us_per_event']:.2f}",
+            ),
             ("suite wall (s)", f"{record['suite_wall_s']:.2f}"),
             ("jobs", record["jobs"]),
             (
@@ -362,10 +367,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import (
         CollectingTracer,
         event_to_json,
-        events_to_jsonl,
         filter_events,
         read_jsonl,
         trace_digest,
+        write_jsonl,
     )
 
     flows = args.flow or None
@@ -373,7 +378,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     kinds = args.kind or None
     if args.replay:
         try:
-            records = read_jsonl(args.replay)
+            events: list = read_jsonl(args.replay)
         except (OSError, ValueError) as exc:
             print(f"repro trace: cannot read {args.replay}: {exc}", file=sys.stderr)
             return 2
@@ -389,30 +394,27 @@ def cmd_trace(args: argparse.Namespace) -> int:
             topology=_topology_from_args(args),
             tracer=tracer,
         )
-        records = tracer.to_dicts()
+        events = tracer.events
         source = f"live run ({args.protocols})"
-    total = len(records)
-    records = filter_events(records, flows=flows, links=links, kinds=kinds)
+    total = len(events)
+    events = filter_events(events, flows=flows, links=links, kinds=kinds)
     by_kind: dict[str, int] = {}
-    for record in records:
-        by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
+    for event in events:
+        kind = event["kind"] if args.replay else event.kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
     print_table(
         ["kind", "events"],
         [(kind, str(count)) for kind, count in sorted(by_kind.items())]
-        + [("total (matched/all)", f"{len(records)}/{total}")],
+        + [("total (matched/all)", f"{len(events)}/{total}")],
         title=f"trace of {source}",
     )
-    print(f"digest: {trace_digest(records)}")
-    if args.limit:
-        for record in records[: args.limit]:
-            print(event_to_json(record))
+    # One encoding pass feeds both the digest and the --out file.
+    digest = write_jsonl(events, args.out) if args.out else trace_digest(events)
+    print(f"digest: {digest}")
+    for event in events[: args.limit or 0]:
+        print(event_to_json(event))
     if args.out:
-        from pathlib import Path
-
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(events_to_jsonl(records))
-        print(f"wrote {args.out} ({len(records)} events)")
+        print(f"wrote {args.out} ({len(events)} events)")
     return 0
 
 

@@ -168,7 +168,9 @@ def tracing_overhead(duration_s: float = 3.0) -> dict:
     The disabled number backs the "zero overhead when off" claim in
     ``docs/OBSERVABILITY.md`` (the hot loops guard every emit behind a
     single ``is not None`` test); the enabled number quantifies what a
-    :class:`~repro.obs.CollectingTracer` costs when you do turn it on.
+    :class:`~repro.obs.CollectingTracer` costs when you do turn it on
+    (emission), and ``digest_us_per_event`` what encoding + hashing the
+    recorded events costs afterwards.
     """
     from ..obs import CollectingTracer
 
@@ -184,6 +186,9 @@ def tracing_overhead(duration_s: float = 3.0) -> dict:
         start = time.perf_counter()
         on = run_flows(specs, config, duration_s=duration_s, seed=1, tracer=tracer)
         on_wall = time.perf_counter() - start
+        start = time.perf_counter()
+        tracer.digest()
+        digest_wall = time.perf_counter() - start
     finally:
         cache_mod._ACTIVE = saved
     assert off.dumbbell is not None and on.dumbbell is not None
@@ -195,6 +200,7 @@ def tracing_overhead(duration_s: float = 3.0) -> dict:
         "enabled_events_per_sec": on_rate,
         "trace_events": len(tracer),
         "enabled_slowdown": off_rate / on_rate if on_rate > 0 else float("inf"),
+        "digest_us_per_event": digest_wall / max(len(tracer), 1) * 1e6,
     }
 
 
@@ -500,6 +506,9 @@ def history_entry(record: dict) -> dict:
         ),
         "tracing_enabled_slowdown": record.get("tracing", {}).get(
             "enabled_slowdown"
+        ),
+        "tracing_digest_us_per_event": record.get("tracing", {}).get(
+            "digest_us_per_event"
         ),
         "suite_wall_s": record.get("suite_wall_s"),
     }

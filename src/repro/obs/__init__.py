@@ -39,6 +39,7 @@ from .trace import (
     read_jsonl,
     trace_digest,
     tracing,
+    write_jsonl,
 )
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "events_to_jsonl",
     "trace_digest",
     "read_jsonl",
+    "write_jsonl",
     "filter_events",
     "kind_matches",
     "Counter",

@@ -17,6 +17,14 @@ shortest-repr floats), so the byte stream — and therefore
 :func:`trace_digest` — is identical across hosts and across
 ``REPRO_JOBS`` settings (each run traces inside its own process).
 
+There is one encoder.  Events are flat rows whose layout (kind +
+payload names) is interned in a shape; each (shape, value types) pair
+compiles a formatter with the keys already sorted and escaped, and
+whatever it cannot reproduce byte for byte (non-finite floats,
+bool/None/nested values, ``int``/``float`` subclasses, non-string or
+colliding keys) goes through ``json.JSONEncoder``.  Text is produced,
+hashed and written a few thousand lines at a time.
+
 Sinks:
 
 * :class:`CollectingTracer` — in-memory list of :class:`TraceEvent`.
@@ -38,8 +46,18 @@ import hashlib
 import json
 from collections import deque
 from contextlib import contextmanager
+from functools import lru_cache
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Protocol, runtime_checkable
+from types import NoneType
+from typing import IO, Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
+
+_RECORD = object()  # the "kind" of shapes made from replayed dicts
+_CHUNK_LINES = 4096
+_generic_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_new_event = tuple.__new__
 
 
 @runtime_checkable
@@ -63,33 +81,81 @@ class Tracer(Protocol):
     ) -> None: ...
 
 
-class TraceEvent:
-    """One trace event: what happened, when, and to whom."""
+class _Shape:
+    """Interned layout of a row ``(shape, value, ...)``.
 
-    __slots__ = ("kind", "time_s", "flow", "link", "fields")
+    ``keys[i]`` names ``row[i + 1]``.  A :class:`TraceEvent` row is
+    ``(shape, time_s, flow, link, *payload)`` with its kind held here; a
+    row made from a replayed dict has ``kind is _RECORD`` and carries
+    ``"kind"`` as an ordinary key.  ``formatters`` maps the exact types
+    of a row (``tuple(map(type, row))``) to its line formatter.
+    """
 
-    def __init__(
-        self,
+    __slots__ = ("kind", "keys", "formatters")
+
+    def __init__(self, kind: Any, keys: tuple) -> None:
+        self.kind = kind
+        self.keys = keys
+        self.formatters: dict[tuple, Callable[[tuple], str]] = {}
+
+
+@lru_cache(maxsize=4096)
+def _shape(kind: Any, *names: Any) -> _Shape:
+    # Only all-string layouts are interned: keys that are equal across
+    # types (1, True, 1.0) would share an entry and encode as whichever
+    # came first.  A raise is not cached.
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError(f"trace field names must be strings, got {names!r}")
+    if kind is not _RECORD and not isinstance(kind, str):
+        raise TypeError(f"trace event kind must be a string, got {kind!r}")
+    return _Shape(kind, names if kind is _RECORD else ("t", "flow", "link") + names)
+
+
+class TraceEvent(tuple):
+    """One trace event: what happened, when, and to whom.
+
+    Stored flat — ``(shape, time_s, flow, link, *payload values)`` — so
+    a recorded run holds one tuple per event instead of an object plus
+    a kwargs dict; ``fields`` is rebuilt on access.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         kind: str,
         time_s: float,
         flow: int | None = None,
         link: str | None = None,
         fields: dict[str, Any] | None = None,
-    ) -> None:
-        self.kind = kind
-        self.time_s = time_s
-        self.flow = flow
-        self.link = link
-        self.fields = fields if fields is not None else {}
+    ) -> "TraceEvent":
+        fields = fields or {}
+        return _new_event(cls, (_shape(kind, *fields), time_s, flow, link, *fields.values()))
+
+    def __reduce__(self) -> tuple:
+        return TraceEvent, (self.kind, self.time_s, self.flow, self.link, self.fields)
+
+    kind = property(lambda self: self[0].kind)
+    time_s = property(itemgetter(1))
+    flow = property(itemgetter(2))
+    link = property(itemgetter(3))
+
+    @property
+    def fields(self) -> dict[str, Any]:
+        return dict(zip(self[0].keys[3:], self[4:]))
 
     def to_dict(self) -> dict[str, Any]:
-        """Canonical JSON-safe form (``t``/``kind`` first, payload merged)."""
-        record: dict[str, Any] = {"t": self.time_s, "kind": self.kind}
-        if self.flow is not None:
-            record["flow"] = self.flow
-        if self.link is not None:
-            record["link"] = self.link
-        record.update(self.fields)
+        """Canonical JSON-safe form (``t``/``kind`` first, payload merged).
+
+        The envelope wins over a payload field of the same name.
+        """
+        record: dict[str, Any] = {"t": self[1], "kind": self[0].kind}
+        if self[2] is not None:
+            record["flow"] = self[2]
+        if self[3] is not None:
+            record["link"] = self[3]
+        for key, value in zip(self[0].keys[3:], self[4:]):
+            record.setdefault(key, value)
         return record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -98,37 +164,119 @@ class TraceEvent:
         return f"<TraceEvent t={self.time_s:.6f} {self.kind}{who}>"
 
 
-def event_to_json(record: dict[str, Any]) -> str:
-    """Canonical single-line JSON encoding of one event dict.
+# ----------------------------------------------------------------------
+# The canonical encoder
+# ----------------------------------------------------------------------
+def _row(event: TraceEvent | dict) -> tuple:
+    if isinstance(event, TraceEvent):
+        return event
+    try:
+        shape = _shape(_RECORD, *event)
+    except TypeError:  # non-string keys: a one-off shape, generic encoder
+        shape = _Shape(_RECORD, tuple(event))
+    return (shape, *event.values())
+
+
+def _generic_line(row: tuple) -> str:
+    record = row.to_dict() if isinstance(row, TraceEvent) else dict(zip(row[0].keys, row[1:]))
+    return _generic_encode(record) + "\n"
+
+
+def _compile(shape: _Shape, types: tuple) -> Callable[[tuple], str]:
+    """Line formatter for the rows of ``shape`` whose values have ``types``.
+
+    Emits what the C encoder emits for exact ``int``/``float``/``str``
+    (``repr`` and ``encode_basestring_ascii``) into a template whose
+    keys are already sorted and escaped; a row with a non-finite float
+    takes the generic encoder, as does the whole shape when a key or a
+    type is anything else.
+    """
+    slots: list[tuple[Any, str, str | None]] = []  # key, template slot, argument
+    floats = []
+    is_event = shape.kind is not _RECORD
+    if is_event:
+        slots.append(("kind", _quote(shape.kind).replace("%", "%%"), None))
+    for index, key in enumerate(shape.keys, start=1):
+        kind_of = types[index]
+        if kind_of is NoneType and is_event and index in (2, 3):
+            continue  # no flow / no link: the key is absent, not null
+        if kind_of is str:
+            slots.append((key, "%s", f"q(r[{index}])"))
+        elif kind_of is int or kind_of is float:
+            slots.append((key, "%r", f"r[{index}]"))
+            if kind_of is float:
+                floats.append(f"r[{index}]")
+        else:
+            return _generic_line
+    keys = [key for key, _, _ in slots]
+    if len(set(keys)) != len(keys) or not all(isinstance(key, str) for key in keys):
+        return _generic_line
+    slots.sort()
+    template = "{%s}\n" % ",".join(
+        _quote(key).replace("%", "%%") + ":" + slot for key, slot, _ in slots
+    )
+    source = f"lambda r: {template!r} % ({''.join(arg + ',' for _, _, arg in slots if arg)})"
+    if floats:  # nan and +-inf are the only floats x with x * 0.0 != 0.0
+        source += f" if ({' + '.join(floats)}) * 0.0 == 0.0 else g(r)"
+    return eval(source, {"q": _quote, "g": _generic_line})
+
+
+def _line(row: tuple) -> str:
+    types = tuple(map(type, row))
+    formatter = row[0].formatters.get(types)
+    if formatter is None:
+        formatter = row[0].formatters[types] = _compile(row[0], types)
+    return formatter(row)
+
+
+def _chunks(rows: Iterable[tuple]) -> Iterator[str]:
+    """Canonical JSONL of ``rows``, ``_CHUNK_LINES`` lines at a time."""
+    rows = iter(rows)
+    while chunk := "".join(map(_line, islice(rows, _CHUNK_LINES))):
+        yield chunk
+
+
+def _digest(chunks: Iterable[str], handle: IO[str] | None = None) -> str:
+    """sha256 of the chunk stream, copying it to ``handle`` on the way."""
+    hasher = hashlib.sha256()
+    for chunk in chunks:
+        hasher.update(chunk.encode())
+        if handle is not None:
+            handle.write(chunk)
+    return hasher.hexdigest()
+
+
+def event_to_json(record: TraceEvent | dict[str, Any]) -> str:
+    """Canonical single-line JSON encoding of one event (dict).
 
     Sorted keys and fixed separators: the byte stream depends only on
     the event contents, never on insertion order or platform.
     """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _line(_row(record))[:-1]
 
 
 def events_to_jsonl(events: Iterable[TraceEvent | dict]) -> str:
     """Events as canonical JSONL text (one event per line)."""
-    lines = []
-    for event in events:
-        record = event.to_dict() if isinstance(event, TraceEvent) else event
-        lines.append(event_to_json(record))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_chunks(map(_row, events)))
 
 
 def trace_digest(events: Iterable[TraceEvent | dict]) -> str:
     """sha256 over the canonical JSONL encoding of ``events``."""
-    return hashlib.sha256(events_to_jsonl(events).encode()).hexdigest()
+    return _digest(_chunks(map(_row, events)))
+
+
+def write_jsonl(events: Iterable[TraceEvent | dict], path: str | Path) -> str:
+    """Stream ``events`` to ``path`` as canonical JSONL; returns their digest."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as handle:
+        return _digest(_chunks(map(_row, events)), handle)
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """Load a JSONL trace file back into event dicts."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
+    with Path(path).open() as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 # ----------------------------------------------------------------------
@@ -144,24 +292,28 @@ def kind_matches(kind: str, pattern: str) -> bool:
 
 
 def filter_events(
-    events: Iterable[dict],
+    events: Iterable[TraceEvent | dict],
     *,
     flows: Iterable[int] | None = None,
     links: Iterable[str] | None = None,
     kinds: Iterable[str] | None = None,
-) -> list[dict]:
-    """Event dicts matching every given filter (None = no constraint)."""
+) -> list:
+    """Events (or event dicts) matching every given filter (None = no constraint)."""
     flow_set = None if flows is None else set(flows)
     link_set = None if links is None else set(links)
     kind_list = None if kinds is None else list(kinds)
     kept = []
     for event in events:
-        if flow_set is not None and event.get("flow") not in flow_set:
+        if isinstance(event, TraceEvent):
+            kind, flow, link = event[0].kind, event[2], event[3]
+        else:
+            kind, flow, link = event.get("kind", ""), event.get("flow"), event.get("link")
+        if flow_set is not None and flow not in flow_set:
             continue
-        if link_set is not None and event.get("link") not in link_set:
+        if link_set is not None and link not in link_set:
             continue
         if kind_list is not None and not any(
-            kind_matches(event.get("kind", ""), pattern) for pattern in kind_list
+            kind_matches(kind, pattern) for pattern in kind_list
         ):
             continue
         kept.append(event)
@@ -186,7 +338,12 @@ class CollectingTracer:
         link: str | None = None,
         **fields: Any,
     ) -> None:
-        self.events.append(TraceEvent(kind, time_s, flow, link, fields))
+        # TraceEvent(kind, time_s, flow, link, fields) without the __new__ frame.
+        self.events.append(
+            _new_event(
+                TraceEvent, (_shape(kind, *fields), time_s, flow, link, *fields.values())
+            )
+        )
 
     def __len__(self) -> int:
         return len(self.events)
@@ -195,18 +352,19 @@ class CollectingTracer:
         return [event.to_dict() for event in self.events]
 
     def to_jsonl(self) -> str:
-        return events_to_jsonl(self.events)
+        return "".join(_chunks(self.events))
 
     def digest(self) -> str:
-        return trace_digest(self.events)
+        return _digest(_chunks(self.events))
 
 
 class RingBufferTracer:
     """Keeps only the last ``capacity`` events — flight recorder mode.
 
     Cheap enough to leave armed around a whole supervised trial: the
-    deque discards old events in O(1), and :meth:`snapshot` renders the
-    surviving tail as JSON-safe dicts for a
+    deque discards old events in O(1) (they are only turned into
+    :class:`TraceEvent` rows when read), and :meth:`snapshot` renders
+    the surviving tail as JSON-safe dicts for a
     :class:`~repro.harness.supervise.TrialOutcome` failure record.
     """
 
@@ -215,7 +373,7 @@ class RingBufferTracer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.dropped = 0
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        self._events: deque[tuple] = deque(maxlen=capacity)
 
     def emit(
         self,
@@ -228,17 +386,17 @@ class RingBufferTracer:
     ) -> None:
         if len(self._events) == self.capacity:
             self.dropped += 1
-        self._events.append(TraceEvent(kind, time_s, flow, link, fields))
+        self._events.append((kind, time_s, flow, link, fields))
 
     def __len__(self) -> int:
         return len(self._events)
 
     def events(self) -> list[TraceEvent]:
-        return list(self._events)
+        return [TraceEvent(*item) for item in self._events]
 
     def snapshot(self) -> list[dict]:
         """The retained tail as event dicts, oldest first."""
-        return [event.to_dict() for event in self._events]
+        return [event.to_dict() for event in self.events()]
 
 
 class JsonlTraceSink:
@@ -268,13 +426,7 @@ class JsonlTraceSink:
     ) -> None:
         if self._handle is None:
             raise ValueError("trace sink is closed")
-        record: dict[str, Any] = {"t": time_s, "kind": kind}
-        if flow is not None:
-            record["flow"] = flow
-        if link is not None:
-            record["link"] = link
-        record.update(fields)
-        line = event_to_json(record) + "\n"
+        line = _line(TraceEvent(kind, time_s, flow, link, fields))
         self._handle.write(line)
         self._hasher.update(line.encode())
         self.count += 1

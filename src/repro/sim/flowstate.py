@@ -32,13 +32,24 @@ the harness cache key.
 from __future__ import annotations
 
 import heapq as _heapq
+from functools import cache
 
 from .packet import ACK_BYTES, Packet
 
-try:  # pragma: no cover - exercised implicitly by the gating tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
+
+@cache
+def _numpy():
+    """numpy, imported by the first burst long enough to use it.
+
+    The import costs ~0.14 s and ~13 MiB in every process, and the
+    default configurations never get here (see MIN_NUMPY_BURST).
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - image always ships numpy
+        return None
+    return numpy
+
 
 MIN_NUMPY_BURST = 24
 """Bursts shorter than this stay on the per-packet reference path.
@@ -54,7 +65,7 @@ by raising ``Fidelity.burst_packets``.
 
 
 def numpy_available() -> bool:
-    return _np is not None
+    return _numpy() is not None
 
 
 def _link_is_plain(link) -> bool:
@@ -68,7 +79,7 @@ def _link_is_plain(link) -> bool:
     )
 
 
-def _claim_times(times, busy0: float, tx: float):
+def _claim_times(np, times, busy0: float, tx: float):
     """Vectorized transmitter-claim recurrence.
 
     Returns ``busy`` where ``busy[i]`` is the link's ``_busy_until``
@@ -76,8 +87,8 @@ def _claim_times(times, busy0: float, tx: float):
     ``busy[i] = max(busy[i-1], times[i]) + tx`` with ``busy[-1]=busy0``.
     """
     n = len(times)
-    steps = _np.arange(n, dtype=_np.float64)
-    offsets = _np.maximum.accumulate(_np.maximum(times - steps * tx, busy0))
+    steps = np.arange(n, dtype=np.float64)
+    offsets = np.maximum.accumulate(np.maximum(times - steps * tx, busy0))
     return offsets + (steps + 1.0) * tx
 
 
@@ -95,7 +106,7 @@ def transmit_burst_ff(flow, times, size_bytes: int):
     per-packet reference path.  No state is mutated in that case.
     """
     n = len(times)
-    if _np is None or n < MIN_NUMPY_BURST:
+    if n < MIN_NUMPY_BURST:
         return None
     sim = flow.sim
     fwd = flow.ff_fwd
@@ -106,13 +117,16 @@ def transmit_burst_ff(flow, times, size_bytes: int):
         or not _link_is_plain(rev)
     ):
         return None
+    np = _numpy()
+    if np is None:
+        return None
 
-    t = _np.asarray(times, dtype=_np.float64)
+    t = np.asarray(times, dtype=np.float64)
     tx = size_bytes * 8.0 / fwd.bandwidth_bps
-    busy = _claim_times(t, fwd._busy_until, tx)
+    busy = _claim_times(np, t, fwd._busy_until, tx)
     # Tail-drop risk anywhere in the burst -> per-packet path (it records
     # the drop and the loss detection that follows).
-    occupancy = _np.maximum(0.0, _np.concatenate(([fwd._busy_until], busy[:-1])) - t) * (
+    occupancy = np.maximum(0.0, np.concatenate(([fwd._busy_until], busy[:-1])) - t) * (
         fwd.bandwidth_bps / 8.0
     ) + size_bytes
     if (occupancy > fwd.buffer_bytes + 1e-6).any():
@@ -123,9 +137,9 @@ def transmit_burst_ff(flow, times, size_bytes: int):
         return None
 
     ack_tx = ACK_BYTES * 8.0 / rev.bandwidth_bps
-    ack_busy = _claim_times(deliver, rev._busy_until, ack_tx)
-    ack_occ = _np.maximum(
-        0.0, _np.concatenate(([rev._busy_until], ack_busy[:-1])) - deliver
+    ack_busy = _claim_times(np, deliver, rev._busy_until, ack_tx)
+    ack_occ = np.maximum(
+        0.0, np.concatenate(([rev._busy_until], ack_busy[:-1])) - deliver
     ) * (rev.bandwidth_bps / 8.0) + ACK_BYTES
     if (ack_occ > rev.buffer_bytes + 1e-6).any():
         return None

@@ -15,11 +15,20 @@ def findings_for(paths):
 
 
 def test_disagreeing_sites_conflict():
-    findings = findings_for([CASE])
+    findings = findings_for([CASE / "trace_bad.py"])
     assert [f.rule_id for f in findings] == ["trace-field-mismatch"] * 2
     events = sorted(f.message.split("'")[1] for f in findings)
     assert events == ["fix.mixed", "fix.sample"]
     assert all(f.path.endswith("trace_bad.py") for f in findings)
+
+
+def test_envelope_names_are_rejected_as_payload_fields():
+    findings = findings_for([CASE / "trace_reserved.py"])
+    assert [f.rule_id for f in findings] == ["trace-reserved-field"] * 2
+    assert sorted(f.message.split("'")[1::2][:2] for f in findings) == [
+        ["fix.route", "flow"],
+        ["fix.stamp", "t"],
+    ]
 
 
 def test_discriminated_and_wildcard_sites_are_consistent():

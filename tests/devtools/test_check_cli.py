@@ -82,6 +82,7 @@ def test_list_checks(capsys):
         "worker-unseeded-random",
         "unordered-iteration",
         "trace-field-mismatch",
+        "trace-reserved-field",
         "layer-violation",
         "import-cycle",
     ):

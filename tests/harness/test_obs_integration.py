@@ -8,13 +8,23 @@ ring-buffer flight recorder lands on failure records; and the
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.harness import EMULAB_DEFAULT, FlowSpec, run_flows, run_pair
 from repro.harness.parallel import pmap
-from repro.obs import CollectingTracer, MetricsRegistry, install_tracer, tracing
+from repro.obs import (
+    CollectingTracer,
+    JsonlTraceSink,
+    MetricsRegistry,
+    TeeTracer,
+    install_tracer,
+    read_jsonl,
+    trace_digest,
+    tracing,
+)
 
 CONFIG = EMULAB_DEFAULT
 
@@ -96,6 +106,36 @@ def test_trace_digest_identical_across_jobs():
     parallel = pmap(_traced_digest, [1, 2], jobs=4)
     assert serial == parallel
     assert serial[0] != serial[1]  # different seeds, different traces
+
+
+def _sink_digests(item: tuple[str, str]) -> tuple[str, str, str]:
+    fidelity, directory = item
+    collecting = CollectingTracer()
+    path = Path(directory) / f"{fidelity}.jsonl"
+    with JsonlTraceSink(path) as sink:
+        run_flows(
+            [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)],
+            CONFIG,
+            duration_s=2.5,
+            seed=3,
+            fidelity=fidelity,
+            tracer=TeeTracer(collecting, sink),
+        )
+    assert len(collecting) == sink.count > 1000
+    return collecting.digest(), sink.digest(), trace_digest(read_jsonl(path))
+
+
+def test_every_sink_agrees_in_both_fidelity_modes_and_across_jobs(tmp_path):
+    serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+    serial = pmap(_sink_digests, [(f, str(serial_dir)) for f in ("exact", "hybrid")], jobs=1)
+    parallel = pmap(
+        _sink_digests, [(f, str(parallel_dir)) for f in ("exact", "hybrid")], jobs=4
+    )
+    assert serial == parallel
+    for digests in serial:
+        assert len(set(digests)) == 1, digests
+    for name in ("exact.jsonl", "hybrid.jsonl"):
+        assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
 
 
 # ----------------------------------------------------------------------

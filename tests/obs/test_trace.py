@@ -1,8 +1,14 @@
 """Unit tests for the tracing half of ``repro.obs``."""
 
+import enum
 import json
+import pickle
+import tracemalloc
 
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     CollectingTracer,
@@ -20,6 +26,7 @@ from repro.obs import (
     read_jsonl,
     trace_digest,
     tracing,
+    write_jsonl,
 )
 
 
@@ -32,8 +39,14 @@ def test_trace_event_to_dict_shape():
         "link": "bottleneck",
         "seq": 7,
     }
+    assert (event.kind, event.time_s, event.flow, event.link) == (
+        "link.drop", 1.5, 2, "bottleneck",
+    )
+    assert event.fields == {"seq": 7}
+    assert pickle.loads(pickle.dumps(event)) == event
     bare = TraceEvent("sim.run.begin", 0.0)
     assert bare.to_dict() == {"t": 0.0, "kind": "sim.run.begin"}
+    assert bare.fields == {}
 
 
 def test_event_to_json_is_canonical():
@@ -147,3 +160,144 @@ def test_digest_depends_on_content():
     # Digest is over canonical bytes: dict order is irrelevant.
     assert trace_digest([{"kind": "a", "t": 0.0}]) == trace_digest(one)
     assert json.loads(event_to_json(one[0])) == one[0]
+
+
+# ----------------------------------------------------------------------
+# The compiled encoder is byte-identical to json.dumps
+# ----------------------------------------------------------------------
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _reference(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+_AWKWARD = [
+    -0.0, float("nan"), float("inf"), float("-inf"), 1e-320, 1.7976931348623157e308,
+    2**53 + 1, -(2**64), _Level.HIGH, numpy.float64(1.5), numpy.float64("nan"),
+    True, None, 'q"uo\\te', "caf\u00e9 \u2028 \U0001f600", "50%", "",
+]
+_scalars = st.one_of(
+    st.sampled_from(_AWKWARD),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+_names = st.one_of(
+    st.sampled_from(["t", "kind", "flow", "link", "seq", "rate_bps", "a%b", "caf\u00e9"]),
+    st.text(min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(_names, max_size=6, unique=True),
+    data=st.data(),
+)
+def test_compiled_lines_equal_json_dumps(names, data):
+    # Several rows per shape, so one layout meets several type tuples
+    # (compiled formatter, non-finite fallback, generic fallback).
+    rows = data.draw(
+        st.lists(st.tuples(*[_values for _ in names]), min_size=1, max_size=4)
+    )
+    records = [dict(zip(names, row)) for row in rows]
+    for record in records:
+        assert event_to_json(record) == _reference(record)
+    assert events_to_jsonl(records) == "".join(_reference(r) + "\n" for r in records)
+
+    kind = data.draw(st.one_of(st.sampled_from(["link.drop", "mi.end"]), st.text(max_size=6)))
+    envelope = st.tuples(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.none() | st.integers(min_value=0, max_value=2**65) | st.sampled_from([_Level.LOW]),
+        st.none() | st.text(max_size=6),
+    )
+    events = [
+        TraceEvent(kind, *data.draw(envelope), fields=dict(zip(names, row))) for row in rows
+    ]
+    expected = "".join(_reference(event.to_dict()) + "\n" for event in events)
+    assert events_to_jsonl(events) == expected
+    assert trace_digest(events) == trace_digest([event.to_dict() for event in events])
+
+
+@pytest.mark.parametrize("value", _AWKWARD + [[1, 2.5, "x"], {"k": None}, 7, 0.1, "plain"], ids=repr)
+def test_every_value_type_encodes_like_json_dumps(value):
+    record = {"t": 0.25, "kind": "mi.end", "flow": 2, "value": value, "after": "s"}
+    assert event_to_json(record) == _reference(record)
+    for event in (
+        TraceEvent("mi.end", 0.25, flow=2, fields={"value": value, "after": "s"}),
+        TraceEvent("mi.end", value, flow=value, link=value, fields={"n": 1}),
+    ):
+        assert event_to_json(event) == _reference(event.to_dict())
+
+
+def test_non_string_keys_take_the_generic_encoder():
+    record = {3: "c", 1: "a"}
+    assert event_to_json(record) == _reference(record) == '{"1":"a","3":"c"}'
+    # Equal across types, different on the wire: never share a layout.
+    for key in (1, True, 1.0):
+        assert event_to_json({key: "a"}) == _reference({key: "a"})
+
+
+def test_event_kind_and_field_names_must_be_strings():
+    tracer = CollectingTracer()
+    for kind in (1, None, ("a",)):
+        with pytest.raises(TypeError):
+            tracer.emit(kind, 0.0)
+    with pytest.raises(TypeError):
+        TraceEvent("x", 0.0, fields={1: 2})
+    assert len(tracer) == 0
+
+
+def test_envelope_wins_over_a_payload_field_of_the_same_name(tmp_path):
+    # Regression: a field called `t` used to overwrite the timestamp.
+    collecting, ring = CollectingTracer(), RingBufferTracer()
+    path = tmp_path / "sink.jsonl"
+    with JsonlTraceSink(path) as sink:
+        TeeTracer(collecting, ring, sink).emit("x", 1.5, flow=1, t=99.0, seq=3)
+    expected = {"t": 1.5, "kind": "x", "flow": 1, "seq": 3}
+    assert collecting.to_dicts() == ring.snapshot() == read_jsonl(path) == [expected]
+    assert collecting.to_jsonl() == path.read_text() == _reference(expected) + "\n"
+    assert collecting.digest() == sink.digest() == trace_digest([expected])
+    manual = TraceEvent("x", 1.5, fields={"kind": "y", "flow": 7})
+    assert manual.to_dict() == {"t": 1.5, "kind": "x", "flow": 7}
+
+
+def test_digest_and_file_output_allocate_a_chunk_not_the_trace(tmp_path):
+    tracer = CollectingTracer()
+    for i in range(60_000):
+        tracer.emit(
+            "link.enqueue", i * 1e-3, flow=1, link="bottleneck", node="src",
+            seq=i, size_bytes=1500, backlog_bytes=1500.0 * (i % 200),
+        )
+    text = tracer.to_jsonl()
+    path = tmp_path / "out.jsonl"
+    tracemalloc.start()
+    try:
+        digest = tracer.digest()
+        written = write_jsonl(tracer.events, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == written == trace_digest(read_jsonl(path))
+    assert path.read_text() == text
+    # One chunk is ~4k lines (~0.6 MB of text plus its line strings and
+    # encoded bytes); the whole text is ~9 MB.
+    assert peak < len(text) / 3
+
+
+def test_ring_snapshot_matches_the_collected_tail():
+    collecting, ring = CollectingTracer(), RingBufferTracer(capacity=4)
+    tee = TeeTracer(collecting, ring)
+    for i in range(10):
+        tee.emit("tick", i / 4, flow=i % 2 or None, seq=i, note="n%d" % i)
+    assert ring.snapshot() == collecting.to_dicts()[-4:]
+    assert [event.to_dict() for event in ring.events()] == ring.snapshot()
+    assert ring.dropped == 6

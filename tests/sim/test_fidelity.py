@@ -10,6 +10,10 @@ separately in ``tests/test_fidelity_acceptance.py``.
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness import EMULAB_DEFAULT, FlowSpec, run_flows
@@ -259,6 +263,47 @@ def test_numpy_and_python_burst_planners_agree():
     for sa, sb in zip(with_np.stats, with_py.stats):
         assert sa.packets_sent == pytest.approx(sb.packets_sent, rel=0.01)
         assert sa.delivered_bytes == pytest.approx(sb.delivered_bytes, rel=0.01)
+
+
+def test_numpy_is_imported_by_the_first_long_burst_only():
+    # A fresh interpreter: importing the harness and running the default
+    # hybrid mode (burst cap 16 < MIN_NUMPY_BURST) must not pay for
+    # numpy; a solo 64-packet-burst run imports it, takes the vectorised
+    # planner, and lands on the digest pinned before the import was lazy.
+    pytest.importorskip("numpy")
+    code = """
+import sys
+import repro.harness.runner
+from repro.devtools import stats_digest
+from repro.harness import EMULAB_DEFAULT, FlowSpec, run_flows
+from repro.sim import HYBRID, Fidelity
+
+def run(fidelity):
+    result = run_flows(
+        [FlowSpec("proteus-p")], EMULAB_DEFAULT, duration_s=4.0, seed=7, fidelity=fidelity
+    )
+    return stats_digest(result.stats)
+
+run(HYBRID)
+assert "numpy" not in sys.modules, "default hybrid imported numpy"
+reference = run(Fidelity(mode="hybrid", burst_packets=64, use_numpy=False))
+assert "numpy" not in sys.modules, "use_numpy=False imported numpy"
+vectorised = run(Fidelity(mode="hybrid", burst_packets=64))
+assert "numpy" in sys.modules, "64-packet bursts never reached the numpy planner"
+assert vectorised != reference  # the closed form differs in the low float bits
+print(vectorised)
+"""
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == (
+        "2f7767616aba7a5d6c148c699a65bee8fb22a5b93404c1fb46ec64593e3fe25d"
+    )
 
 
 def test_fidelity_is_part_of_the_cache_key(tmp_path):
