@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..sim import flowstate
 from ..sim.engine import Event, Simulator
+from ..sim.fidelity import BURST_HORIZON_FRAC
 from ..sim.flow import Flow
 from ..sim.packet import ACK_BYTES, MTU_BYTES, Packet
 from ..core.rng import Rng
@@ -146,9 +146,9 @@ class SenderBase:
             size = max(1, int(flow.bytes_unsent))
         now = self.sim.now
         if flow.ff_collapse:
-            seq, _accepted = flow.transmit_ff(size, now)
+            seq = flow.transmit_ff(size, now)
         else:
-            seq, _accepted = flow.transmit(size)
+            seq = flow.transmit(size)
         self._unacked.append((seq, now, size))
         self.inflight_bytes += size
         if self._rto_event is None:
@@ -168,7 +168,7 @@ class SenderBase:
         size = self.mss
         if flow.bytes_unsent < size:
             size = max(1, int(flow.bytes_unsent))
-        seq, _accepted = flow.transmit_ff(size, at_s)
+        seq = flow.transmit_ff(size, at_s)
         self._unacked.append((seq, at_s, size))
         self.inflight_bytes += size
         self._arm_rto()
@@ -451,11 +451,10 @@ class RateSender(SenderBase):
         """
         sim = self.sim
         flow = self.flow
-        fid = sim.fidelity
         now = sim.now
         horizon = stable_until
         if self.srtt is not None:
-            rtt_cap = now + self.srtt * fid.burst_horizon_frac
+            rtt_cap = now + self.srtt * BURST_HORIZON_FRAC
             if rtt_cap < horizon:
                 horizon = rtt_cap
         # An armed RTO may change the rate (timeout backoff) when it
@@ -478,37 +477,20 @@ class RateSender(SenderBase):
         jitter = self._jitter_rng
         cap = self.ff_burst_cap
         inflight_cap = self.inflight_cap
-        # Plan the send times first (same jitter draws, in the same
-        # order, as per-packet sending would make), then try the
-        # vectorized bulk path; anything it cannot handle falls back to
-        # the per-packet reference chain.
-        times: list[float] = []
+        # The same jitter draws, in the same order, as per-packet
+        # sending would make.
+        sent = 0
         t = now
-        unacked = len(self._unacked)
         while True:
-            if inflight_cap is not None and unacked + len(times) >= inflight_cap:
+            if inflight_cap is not None and len(self._unacked) >= inflight_cap:
                 break
             if not flow.has_data():
                 break
-            times.append(t)
+            self._transmit_one_at(t)
+            sent += 1
             t += interval_base * (0.98 + 0.04 * jitter.random())
-            if len(times) >= cap or t > horizon:
+            if sent >= cap or t > horizon:
                 break
-        sent = len(times)
-        seqs = None
-        if fid.use_numpy:
-            seqs = flowstate.transmit_burst_ff(flow, times, self.mss)
-        if seqs is None:
-            for at_s in times:
-                self._transmit_one_at(at_s)
-        else:
-            mss = self.mss
-            append = self._unacked.append
-            for seq, at_s in zip(seqs, times):
-                append((seq, at_s, mss))
-                self.inflight_bytes += mss
-                self.on_sent(seq, mss)
-            self._arm_rto()
         if sent > 1:
             sim.events_virtual += sent - 1  # absorbed pacing ticks
             if sim.tracer is not None:

@@ -42,7 +42,7 @@ from .noise import (
     wifi_noise,
 )
 from .packet import ACK_BYTES, MTU_BYTES, Packet
-from .rng import Rng, make_rng, spawn
+from ..core.rng import Rng, make_rng, spawn
 from .topology import (
     Dumbbell,
     MultiDumbbell,

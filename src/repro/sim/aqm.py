@@ -31,7 +31,7 @@ from collections import deque
 from typing import Callable, Protocol
 
 from .engine import Simulator
-from .link import LinkStats, Receiver
+from .link import LinkBase, Receiver
 from .noise import NoiseModel
 from .packet import Packet
 from ..core.rng import Rng
@@ -235,7 +235,7 @@ RateFunction = Callable[[float], float]
 """Maps simulated time to the link's service rate in bits/s."""
 
 
-class DynamicLink:
+class DynamicLink(LinkBase):
     """Event-based link: explicit queue, AQM hooks, time-varying rate.
 
     Args:
@@ -264,33 +264,17 @@ class DynamicLink:
         rng: Rng | None = None,
         name: str = "dynamic-link",
     ):
-        if delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        self.sim = sim
         if callable(rate_bps):
             self._rate_fn: RateFunction = rate_bps
         else:
             if rate_bps <= 0:
                 raise ValueError("rate_bps must be positive")
             self._rate_fn = lambda _t, _r=rate_bps: _r
-        self.delay_s = delay_s
+        super().__init__(sim, delay_s, loss_rate, noise, rng, name)
         self.discipline = discipline if discipline is not None else TailDropDiscipline(256e3)
-        self.loss_rate = loss_rate
-        self.noise = noise
-        self.rng = rng if rng is not None else Rng(0)
-        self.name = name
-        # Source node in a topology graph ("" for standalone links);
-        # carried on every ``link.*`` trace event as the hop tag.
-        self.node = ""
-        self.stats = LinkStats()
         self._queue: deque[tuple[Packet, Receiver, float]] = deque()
         self._queue_bytes = 0.0
         self._serving = False
-        self._last_delivery = 0.0
-        if sim.invariants is not None:
-            sim.invariants.register_link(self)
 
     # ------------------------------------------------------------------
     def backlog_bytes(self) -> float:
@@ -318,12 +302,6 @@ class DynamicLink:
             raise ValueError("bandwidth_bps must be positive")
         self._rate_fn = lambda _t, _r=bandwidth_bps: _r
         self.stats.rate_changes += 1
-
-    def set_delay_s(self, delay_s: float) -> None:
-        """Change the propagation delay for packets dequeued from now on."""
-        if delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        self.delay_s = delay_s
 
     def send(self, packet: Packet, dst: Receiver) -> bool:
         now = self.sim.now
@@ -447,8 +425,10 @@ class DynamicLink:
             deliver_at = now + self.delay_s
             if self.noise is not None:
                 deliver_at += self.noise.sample(now, self.rng)
-                if deliver_at <= self._last_delivery:
-                    deliver_at = self._last_delivery + 1e-9
+            # FIFO even under noise and mid-run delay decreases, as in
+            # ``Link._admit``: never deliver before an earlier packet.
+            if deliver_at <= self._last_delivery:
+                deliver_at = self._last_delivery + 1e-9
             self._last_delivery = deliver_at
             self.stats.delivered += 1
             if tracer is not None:

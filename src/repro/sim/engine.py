@@ -65,9 +65,16 @@ _BATCH_MAX_EVENTS = 1024
 
 Bounds how long the batched dispatcher can spin at one timestamp before
 control returns to the outer loop, so the invariant checker's stall
-tripwire and the budgeted loop's watchdogs still observe a zero-dt
-self-rescheduling livelock instead of being starved by an endless batch.
+tripwire and the run budgets still observe a zero-dt self-rescheduling
+livelock instead of being starved by an endless batch.
 """
+
+_WALL_CHECK_EVENTS = 1024
+"""Events between host-clock reads while a ``max_wall_s`` budget is armed."""
+
+_NO_BUDGET = 1 << 62
+"""Event count no run reaches: the unarmed watermark.  An int, so the
+per-batch ``fired >= check_at`` compare never mixes int and float."""
 
 
 class SimulationError(RuntimeError):
@@ -171,8 +178,6 @@ class Event:
 # Heap entry layout: (time, seq, fn, args, event-or-None).  ``event`` is
 # None for the fast path; entries never compare past ``seq``.
 _TIME = 0
-_FN = 2
-_ARGS = 3
 _EVENT = 4
 
 
@@ -188,8 +193,8 @@ class Simulator:
         tracer: Optional :class:`repro.obs.Tracer` that links and senders
             consult (``sim.tracer``) to emit trace events.  ``None`` (the
             default) keeps every emission site on its single-branch
-            no-op path; the event loop itself never touches the tracer,
-            so the unbudgeted hot loop is byte-for-byte unchanged.
+            no-op path; the event loop itself only touches the tracer
+            when a budget trips.
         fidelity: Execution-fidelity mode — a
             :class:`repro.sim.fidelity.Fidelity`, a mode name, or
             ``None`` to consult ``REPRO_FIDELITY`` (default ``exact``).
@@ -339,8 +344,7 @@ class Simulator:
         heap = self._heap
         inv = self.invariants
         while heap:
-            entry = heapq.heappop(heap)
-            event = entry[_EVENT]
+            now, _, fn, args, event = heapq.heappop(heap)
             if event is not None:
                 if event.cancelled:
                     if self._cancelled > 0:
@@ -348,8 +352,8 @@ class Simulator:
                     continue
                 # Detach so a late cancel() cannot corrupt live accounting.
                 event.sim = None
-            self.now = entry[_TIME]
-            entry[_FN](*entry[_ARGS])
+            self.now = now
+            fn(*args)
             self.events_fired += 1
             if inv is not None:
                 inv.after_event(self.now)
@@ -396,10 +400,7 @@ class Simulator:
                 max_wall_s=max_wall_s,
             )
         try:
-            if max_events is None and max_wall_s is None:
-                self._run_unbudgeted(until, inv)
-            else:
-                self._run_budgeted(until, inv, max_events, max_wall_s)
+            self._drain(until, inv, max_events, max_wall_s)
             if until is not None and until > self.now:
                 self.now = until
             if inv is not None:
@@ -409,15 +410,25 @@ class Simulator:
         finally:
             self._running = False
 
-    def _run_unbudgeted(self, until: float | None, inv: "InvariantChecker | None") -> None:
-        """The hot loop: no watchdog compares when no budget is armed.
+    def _drain(
+        self,
+        until: float | None,
+        inv: "InvariantChecker | None",
+        max_events: int | None,
+        max_wall_s: float | None,
+    ) -> None:
+        """The event loop, budgeted or not.
 
         Dispatch is batched by timestamp: the first pop opens a batch,
         then every entry sharing its time is drained in a tight inner
-        loop with one clock write, one ``events_fired`` flush, and one
-        invariant hook for the whole batch.  Entries are popped before
-        the ``until`` test (cheaper than peek-then-pop); the rare
-        overshooting entry is pushed back.
+        loop with one clock write and one invariant hook for the whole
+        batch.  Entries are popped before the ``until`` test (cheaper
+        than peek-then-pop); the rare overshooting entry is pushed back.
+
+        Watchdogs cost one integer compare per batch: ``check_at`` is the
+        fired count at which the next budget check is due (never, with no
+        budget armed).  Only a batch that actually forms tests the event
+        budget per event, so it trips at exactly ``max_events``.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -427,6 +438,13 @@ class Simulator:
             # Let the stall tripwire see the clock at least once per
             # threshold's worth of same-time events.
             cap = min(cap, inv.max_stall_events)
+        event_limit = _NO_BUDGET if max_events is None else max_events
+        check_at = event_limit
+        deadline = 0.0
+        if max_wall_s is not None:
+            # Watchdog only: the simulated world never sees this value.
+            deadline = time.perf_counter() + max_wall_s  # repro: noqa[no-wallclock]
+            check_at = min(_WALL_CHECK_EVENTS, event_limit)
         fired = 0
         try:
             while heap:
@@ -439,6 +457,48 @@ class Simulator:
                 if now > until_t:
                     heapq.heappush(heap, entry)
                     break
+                if fired >= check_at:
+                    if fired >= event_limit:
+                        # Back on the heap: pending() still sees it.
+                        heapq.heappush(heap, entry)
+                        if self.tracer is not None:
+                            self.tracer.emit(
+                                "sim.budget.exceeded",
+                                self.now,
+                                budget="events",
+                                events_fired=fired,
+                                max_events=max_events,
+                            )
+                        raise SimBudgetExceeded(
+                            f"event budget exhausted: {fired} events fired in one "
+                            f"run() call with max_events={max_events} "
+                            f"(sim time {self.now:.6f}s, {len(heap)} entries queued)",
+                            events_fired=fired,
+                            max_events=max_events,
+                            max_wall_s=max_wall_s,
+                        )
+                    assert max_wall_s is not None
+                    wall_now = time.perf_counter()  # repro: noqa[no-wallclock]
+                    if wall_now > deadline:
+                        heapq.heappush(heap, entry)
+                        if self.tracer is not None:
+                            self.tracer.emit(
+                                "sim.budget.exceeded",
+                                self.now,
+                                budget="wall",
+                                events_fired=fired,
+                                max_wall_s=max_wall_s,
+                            )
+                        raise SimBudgetExceeded(
+                            f"wall-clock budget exhausted: {max_wall_s:g}s of host "
+                            f"time in one run() call after {fired} events "
+                            f"(sim time {self.now:.6f}s)",
+                            events_fired=fired,
+                            max_events=max_events,
+                            wall_s=wall_now - (deadline - max_wall_s),
+                            max_wall_s=max_wall_s,
+                        )
+                    check_at = min(fired + _WALL_CHECK_EVENTS, event_limit)
                 if event is not None:
                     # Detach so a late cancel() cannot corrupt accounting.
                     event.sim = None
@@ -448,7 +508,12 @@ class Simulator:
                 fired += 1
                 # Exact equality is the point: only events sharing this
                 # timestamp belong to the batch.
-                while heap and heap[0][_TIME] == now and fired - batch_start < cap:  # repro: noqa[no-float-eq]
+                while (
+                    heap
+                    and heap[0][_TIME] == now  # repro: noqa[no-float-eq]
+                    and fired - batch_start < cap
+                    and fired < event_limit
+                ):
                     _, _, fn, args, event = pop(heap)
                     if event is not None:
                         if event.cancelled:
@@ -465,110 +530,6 @@ class Simulator:
             # external reader observes the counter only after run()/step()
             # returns or an exception has propagated through here.
             self.events_fired += fired
-
-    def _run_budgeted(
-        self,
-        until: float | None,
-        inv: "InvariantChecker | None",
-        max_events: int | None,
-        max_wall_s: float | None,
-    ) -> None:
-        """As :meth:`_run_unbudgeted` plus event/wall budget checks.
-
-        A separate loop so the unbudgeted path pays zero extra compares
-        per event (the engine microbenchmark gates that).
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        batch_cap = _BATCH_MAX_EVENTS
-        if inv is not None and inv.max_stall_events is not None:
-            batch_cap = min(batch_cap, inv.max_stall_events)
-        fired = 0
-        deadline = None
-        next_wall_check = 1024
-        if max_wall_s is not None:
-            # Watchdog only: the simulated world never sees this value.
-            deadline = time.perf_counter() + max_wall_s  # repro: noqa[no-wallclock]
-        while heap:
-            entry = heap[0]
-            event = entry[_EVENT]
-            if event is not None and event.cancelled:
-                pop(heap)
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-                continue
-            if until is not None and entry[_TIME] > until:
-                break
-            if max_events is not None and fired >= max_events:
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "sim.budget.exceeded",
-                        self.now,
-                        budget="events",
-                        events_fired=fired,
-                        max_events=max_events,
-                    )
-                raise SimBudgetExceeded(
-                    f"event budget exhausted: {fired} events fired in one "
-                    f"run() call with max_events={max_events} "
-                    f"(sim time {self.now:.6f}s, {len(heap)} entries queued)",
-                    events_fired=fired,
-                    max_events=max_events,
-                    max_wall_s=max_wall_s,
-                )
-            pop(heap)
-            if event is not None:
-                event.sim = None
-            now = entry[_TIME]
-            self.now = now
-            batch = 0
-            try:
-                entry[_FN](*entry[_ARGS])
-                batch = 1
-                # Same-timestamp batch, additionally bounded by the event
-                # budget so exhaustion is raised at exactly ``max_events``.
-                # Exact-timestamp batch membership, same as the
-                # unbudgeted loop.
-                while heap and heap[0][_TIME] == now and batch < batch_cap:  # repro: noqa[no-float-eq]
-                    if max_events is not None and fired + batch >= max_events:
-                        break
-                    entry = pop(heap)
-                    event = entry[_EVENT]
-                    if event is not None:
-                        if event.cancelled:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        event.sim = None
-                    entry[_FN](*entry[_ARGS])
-                    batch += 1
-            finally:
-                self.events_fired += batch
-                fired += batch
-            if inv is not None:
-                inv.after_event(now, batch)
-            if deadline is not None and fired >= next_wall_check:
-                next_wall_check = fired + 1024
-                wall_now = time.perf_counter()  # repro: noqa[no-wallclock]
-                if wall_now > deadline:
-                    assert max_wall_s is not None
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            "sim.budget.exceeded",
-                            self.now,
-                            budget="wall",
-                            events_fired=fired,
-                            max_wall_s=max_wall_s,
-                        )
-                    raise SimBudgetExceeded(
-                        f"wall-clock budget exhausted: {max_wall_s:g}s of host "
-                        f"time in one run() call after {fired} events "
-                        f"(sim time {self.now:.6f}s)",
-                        events_fired=fired,
-                        max_events=max_events,
-                        wall_s=wall_now - (deadline - max_wall_s),
-                        max_wall_s=max_wall_s,
-                    )
 
     def pending(self) -> int:
         """Number of queued live (non-cancelled) events — O(1).

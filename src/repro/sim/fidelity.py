@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 FIDELITY_MODES = ("exact", "hybrid")
 
-_DEFAULT_BURST_PACKETS = 16
+BURST_PACKETS = 16
 """Upper bound on packets fast-forwarded per burst.
 
 At 50 Mbps and 1500-byte packets a 16-packet burst spans ~3.8 ms —
@@ -45,7 +45,7 @@ comfortably inside one monitor interval (>= 10 ms), so rate staleness
 within a burst is bounded well below one control decision.
 """
 
-_DEFAULT_HORIZON_F = 0.25
+BURST_HORIZON_FRAC = 0.25
 """Burst horizon as a fraction of the sender's smoothed RTT.
 
 Bounds how far ahead of other flows a bursting sender may virtually
@@ -65,7 +65,7 @@ at 12 s: 16-packet bursts let the scavenger hold ~17 Mbps where
 packet-exact yields to ~9; 4-packet bursts track the exact ensemble
 mean within ~10% while keeping nearly all of the tick-absorption win).
 Flows that are the *sole* user of both their links have nobody to
-distort and burst to the full ``Fidelity.burst_packets``."""
+distort and burst to the full :data:`BURST_PACKETS`."""
 
 
 @dataclass(frozen=True)
@@ -75,45 +75,24 @@ class Fidelity:
     Args:
         mode: ``"exact"`` (reference packet-level path everywhere) or
             ``"hybrid"`` (collapsed legs + paced bursts where eligible).
-        burst_packets: Max packets per fast-forward burst (hybrid only).
-        burst_horizon_frac: Max burst span as a fraction of the
-            sender's smoothed RTT (hybrid only).
-        use_numpy: Vectorize burst planning with numpy when available
-            (pure-Python planner remains the reference implementation
-            and is used for small bursts either way).
     """
 
     mode: str = "exact"
-    burst_packets: int = _DEFAULT_BURST_PACKETS
-    burst_horizon_frac: float = _DEFAULT_HORIZON_F
-    use_numpy: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in FIDELITY_MODES:
             raise ValueError(
                 f"unknown fidelity mode {self.mode!r}; expected one of {FIDELITY_MODES}"
             )
-        if self.burst_packets < 1:
-            raise ValueError("burst_packets must be >= 1")
-        if not 0.0 < self.burst_horizon_frac <= 1.0:
-            raise ValueError("burst_horizon_frac must be in (0, 1]")
 
     @property
     def hybrid(self) -> bool:
         return self.mode == "hybrid"
 
     def key(self) -> dict:
-        """Canonical cache-key payload — every knob that changes
-        simulation results.  ``use_numpy`` is included: the vectorized
-        burst planner computes the same schedule via closed-form
-        arithmetic, which can differ from the sequential reference in
-        the lowest float bits."""
-        return {
-            "mode": self.mode,
-            "burst_packets": self.burst_packets,
-            "burst_horizon_frac": float(self.burst_horizon_frac).hex(),
-            "use_numpy": bool(self.use_numpy),
-        }
+        """Canonical cache-key payload.  The burst constants above are
+        source, which the cache key's source-tree digest already covers."""
+        return {"mode": self.mode}
 
 
 EXACT = Fidelity(mode="exact")
@@ -166,7 +145,6 @@ def activate_fastforward(sim, flows) -> int:
             users.setdefault(id(link), []).append(f)
     link_ok = {lid: all(caps[id(f)] for f in fl) for lid, fl in users.items()}
     enabled = 0
-    fid = sim.fidelity
     for f in flows:
         fwd_id = id(f.forward_path.links[0])
         rev_id = id(f.reverse_path.links[0])
@@ -180,11 +158,7 @@ def activate_fastforward(sim, flows) -> int:
                 # cap (see _SHARED_BURST_CAP) to bound the pre-claim
                 # distortion of competing flows' queueing delay.
                 solo = len(users[fwd_id]) == 1 and len(users[rev_id]) == 1
-                f.sender.ff_burst_cap = (
-                    fid.burst_packets
-                    if solo
-                    else min(fid.burst_packets, _SHARED_BURST_CAP)
-                )
+                f.sender.ff_burst_cap = BURST_PACKETS if solo else _SHARED_BURST_CAP
     return enabled
 
 
@@ -200,10 +174,5 @@ def resolve_fidelity(mode: "Fidelity | str | None" = None) -> Fidelity:
         return mode
     if mode is None:
         mode = os.environ.get("REPRO_FIDELITY", "").strip() or "exact"
-    if mode == "exact":
-        return EXACT
-    if mode == "hybrid":
-        return HYBRID
-    raise ValueError(
-        f"unknown fidelity mode {mode!r}; expected one of {FIDELITY_MODES}"
-    )
+    # Fidelity() rejects unknown names; hand back the shared singleton.
+    return HYBRID if Fidelity(mode).hybrid else EXACT

@@ -14,7 +14,7 @@ import heapq
 from typing import Callable, Protocol
 
 from .engine import Simulator
-from .link import Link
+from .link import Link, Receiver
 from .packet import ACK_BYTES, Packet
 from .trace import FlowStats
 
@@ -48,13 +48,11 @@ class Path:
 
         Equal to :meth:`base_delay` on static links; diverges only when a
         timeline raises a link's delay mid-run (``min_delay_s`` tracks the
-        floor on links that support dynamics).
+        floor on both link classes).
         """
-        return sum(
-            getattr(link, "min_delay_s", link.delay_s) for link in self.links
-        )
+        return sum(link.min_delay_s for link in self.links)
 
-    def send(self, packet: Packet, dst: "ReceiverLike") -> bool:
+    def send(self, packet: Packet, dst: Receiver) -> bool:
         """Send ``packet`` toward ``dst``. Returns False on first-hop drop."""
         links = self.links
         if len(links) == 1:
@@ -62,16 +60,12 @@ class Path:
         return links[0].send(packet, _Hop(links, 1, dst))
 
 
-class ReceiverLike(Protocol):
-    def receive(self, packet: Packet) -> None: ...
-
-
 class _Hop:
     """Forwards a packet onto the next link of a multi-link path."""
 
     __slots__ = ("links", "index", "dst")
 
-    def __init__(self, links: list[Link], index: int, dst: ReceiverLike):
+    def __init__(self, links: list[Link], index: int, dst: Receiver):
         self.links = links
         self.index = index
         self.dst = dst
@@ -258,12 +252,11 @@ class Flow:
         if was_idle:
             self.sender.on_data_available()
 
-    def transmit(self, size_bytes: int) -> tuple[int, bool]:
-        """Send one data packet of ``size_bytes``; returns (seq, accepted).
+    def transmit(self, size_bytes: int) -> int:
+        """Send one data packet of ``size_bytes``; returns its seq.
 
-        ``accepted`` is False when the first hop tail-dropped the packet.
-        The sender still tracks the sequence number so the drop is detected
-        like any other loss (via the ACK gap).
+        A first-hop drop is not reported: the sender tracks the sequence
+        number and detects the drop like any other loss (via the ACK gap).
         """
         self._next_seq += 1
         seq = self._next_seq
@@ -276,10 +269,10 @@ class Flow:
         self.stats.record_send()
         if self.bytes_unsent != float("inf"):
             self.bytes_unsent -= size_bytes
-        accepted = self.forward_path.send(packet, self.receiver)
-        return seq, accepted
+        self.forward_path.send(packet, self.receiver)
+        return seq
 
-    def transmit_ff(self, size_bytes: int, at_s: float) -> tuple[int, bool]:
+    def transmit_ff(self, size_bytes: int, at_s: float) -> int:
         """Collapsed transmit at virtual time ``at_s`` (hybrid fidelity).
 
         Sends the data packet analytically through the (single-link)
@@ -293,11 +286,12 @@ class Flow:
         For healthy static links with no tracer attached the whole
         chain — both link legs, the receiver bookkeeping, and the ACK
         scheduling — is fused inline below with no intermediate packet
-        object; the arithmetic is identical to ``Link.send_ff`` +
-        ``FlowReceiver.receive_ff``, which remain the reference (and
-        only) path whenever a link needs per-packet decisions.
+        object.  It is the one inlined specialisation of
+        ``Link._admit`` + ``FlowReceiver.receive_ff``, which remain the
+        reference (and only) path whenever a link needs per-packet
+        decisions; the exact-vs-hybrid digest tests pin the two together.
 
-        Returns ``(seq, accepted)`` exactly like :meth:`transmit`.
+        Returns the seq exactly like :meth:`transmit`.
         """
         sim = self.sim
         fwd = self.ff_fwd
@@ -326,7 +320,7 @@ class Flow:
             and rev.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
             and not rev._down
         ):
-            # ---- forward leg (Link.send_ff fast path, inlined) ----
+            # ---- forward leg (Link._admit, inlined) ----
             fwd_stats = fwd.stats
             fwd_stats.offered += 1
             bw = fwd.bandwidth_bps
@@ -336,7 +330,7 @@ class Flow:
             ) + size_bytes
             if occupancy > fwd.buffer_bytes + 1e-6:
                 fwd_stats.tail_drops += 1
-                return seq, False
+                return seq
             if occupancy > fwd_stats.max_backlog_bytes:
                 fwd_stats.max_backlog_bytes = occupancy
             start = busy if busy > at_s else at_s
@@ -366,7 +360,7 @@ class Flow:
             ) + ACK_BYTES
             if occupancy > rev.buffer_bytes + 1e-6:
                 rev_stats.tail_drops += 1
-                return seq, True
+                return seq
             if occupancy > rev_stats.max_backlog_bytes:
                 rev_stats.max_backlog_bytes = occupancy
             start = busy if busy > deliver_at else deliver_at
@@ -393,7 +387,7 @@ class Flow:
                 sim._heap,
                 (ack_arrive, sim._seq, self.sender.handle_ack_packet, (ack,), None),
             )
-            return seq, True
+            return seq
         packet = Packet(
             flow_id=self.flow_id,
             seq=seq,
@@ -401,10 +395,9 @@ class Flow:
             sent_time=at_s,
         )
         deliver_at = fwd.send_ff(packet, at_s)
-        if deliver_at is None:
-            return seq, False
-        self.receiver.receive_ff(packet, deliver_at)
-        return seq, True
+        if deliver_at is not None:
+            self.receiver.receive_ff(packet, deliver_at)
+        return seq
 
     def requeue_bytes(self, nbytes: int) -> None:
         """Return lost bytes to the unsent pool (models retransmission)."""

@@ -70,7 +70,65 @@ class LinkStats:
         self.max_backlog_bytes = 0.0
 
 
-class Link:
+class LinkBase:
+    """What every link has: identity, counters, delay, wire loss, noise.
+
+    :class:`Link` (analytic queue) and
+    :class:`~repro.sim.aqm.DynamicLink` (event-based queue) differ in how
+    they queue and serialize; everything else lives here once.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        delay_s: float,
+        loss_rate: float,
+        noise: NoiseModel | None,
+        rng: Rng | None,
+        name: str,
+    ):
+        if delay_s < 0:
+            raise ValueError("delay_s must be non-negative")
+        if not 0.0 <= loss_rate < 1.0:
+            raise ValueError("loss_rate must be in [0, 1)")
+        self.sim = sim
+        self.delay_s = delay_s
+        # Smallest propagation delay this link ever had: the RTT-floor
+        # invariant must use it, because samples taken before a mid-run
+        # delay increase legitimately sit below the *current* delay.
+        self.min_delay_s = delay_s
+        self.loss_rate = loss_rate
+        self.noise = noise
+        self.rng = rng if rng is not None else Rng(0)
+        self.name = name
+        # Source node in a topology graph ("" for standalone links);
+        # carried on every ``link.*`` trace event as the hop tag.
+        self.node = ""
+        self.stats = LinkStats()
+        self._last_delivery = 0.0
+        if sim.invariants is not None:
+            sim.invariants.register_link(self)
+
+    def set_delay_s(self, delay_s: float) -> None:
+        """Change the propagation delay of deliveries computed from now on.
+
+        Packets already given a delivery time keep it; the FIFO guard of
+        each link class stops later packets from overtaking them after a
+        decrease.
+        """
+        if delay_s < 0:
+            raise ValueError("delay_s must be non-negative")
+        self.delay_s = delay_s
+        if delay_s < self.min_delay_s:
+            self.min_delay_s = delay_s
+
+
+# ``Link._admit`` result for a packet accepted, then lost on the wire: falsy
+# like ``None`` (refused) yet distinct from it; real delivery times are > 0.
+_WIRE_LOST = 0.0
+
+
+class Link(LinkBase):
     """Unidirectional bandwidth/delay/buffer pipe.
 
     Args:
@@ -105,29 +163,11 @@ class Link:
     ):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be positive")
-        if delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        self.sim = sim
+        super().__init__(sim, delay_s, loss_rate, noise, rng, name)
         self.bandwidth_bps = bandwidth_bps
-        self.delay_s = delay_s
-        # Smallest propagation delay this link ever had: the RTT-floor
-        # invariant must use it, because samples taken before a mid-run
-        # delay increase legitimately sit below the *current* delay.
-        self.min_delay_s = delay_s
         self.buffer_bytes = buffer_bytes
-        self.loss_rate = loss_rate
-        self.noise = noise
         self.loss_model = loss_model
-        self.rng = rng if rng is not None else Rng(0)
-        self.name = name
-        # Source node in a topology graph ("" for standalone links);
-        # carried on every ``link.*`` trace event as the hop tag.
-        self.node = ""
-        self.stats = LinkStats()
         self._busy_until = 0.0
-        self._last_delivery = 0.0
         self._down = False
         # Hybrid-fidelity fast-forward state (see repro.sim.fidelity).
         # ``ff_barrier_s`` is the next time at which this link's behaviour
@@ -135,8 +175,6 @@ class Link:
         # would cross it fall back to packet-exact delivery.  Maintained
         # by the TimelineDriver; ``inf`` on static links.
         self.ff_barrier_s = float("inf")
-        if sim.invariants is not None:
-            sim.invariants.register_link(self)
 
     # ------------------------------------------------------------------
     def backlog_bytes(self) -> float:
@@ -167,7 +205,7 @@ class Link:
         ``now + residual_bits / new_rate``.  Byte occupancy is invariant
         under the remap, so the buffer bound still holds.  Deliveries
         already scheduled keep their times; the FIFO guard in
-        :meth:`send` prevents later packets from overtaking them when
+        :meth:`_admit` prevents later packets from overtaking them when
         the rate increases.
         """
         if bandwidth_bps <= 0:
@@ -177,14 +215,6 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self._busy_until = now + residual_bits / bandwidth_bps
         self.stats.rate_changes += 1
-
-    def set_delay_s(self, delay_s: float) -> None:
-        """Change the propagation delay for packets enqueued from now on."""
-        if delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        self.delay_s = delay_s
-        if delay_s < self.min_delay_s:
-            self.min_delay_s = delay_s
 
     def set_down(self, down: bool) -> None:
         """Begin (True) or end (False) an outage window.
@@ -196,17 +226,20 @@ class Link:
         self._down = bool(down)
 
     # ------------------------------------------------------------------
-    def send(self, packet: Packet, dst: Receiver) -> bool:
-        """Enqueue ``packet`` for delivery to ``dst``.
+    def _admit(self, packet: Packet, now: float) -> "float | None":
+        """Offer ``packet`` to the queue at time ``now``: the link rule.
 
-        Returns True if the packet was accepted (it may still be randomly
-        lost on the wire) and False on a tail drop or outage drop.
+        The one statement of outage, tail drop, transmitter claim, wire
+        loss, noise and the FIFO guard, with every counter update, RNG
+        draw and ``link.*`` trace emission.  Returns the delivery time,
+        ``_WIRE_LOST`` when the packet was accepted but never
+        arrives, or ``None`` when it was refused (outage or tail drop).
         """
-        now = self.sim.now
         tracer = self.sim.tracer
-        self.stats.offered += 1
+        stats = self.stats
+        stats.offered += 1
         if self._down:
-            self.stats.outage_drops += 1
+            stats.outage_drops += 1
             if tracer is not None:
                 tracer.emit(
                     "link.drop",
@@ -217,11 +250,16 @@ class Link:
                     reason="outage",
                     seq=packet.seq,
                 )
-            return False
-        backlog = max(0.0, self._busy_until - now) * self.bandwidth_bps / 8.0
+            return None
+        size = packet.size_bytes
+        bw = self.bandwidth_bps
+        busy = self._busy_until
+        backlog = (busy - now) * bw / 8.0 if busy > now else 0.0
+        # Peak occupancy includes the packet being offered.
+        occupancy = backlog + size
         # Epsilon absorbs float error in the analytic backlog computation.
-        if backlog + packet.size_bytes > self.buffer_bytes + 1e-6:
-            self.stats.tail_drops += 1
+        if occupancy > self.buffer_bytes + 1e-6:
+            stats.tail_drops += 1
             if tracer is not None:
                 tracer.emit(
                     "link.drop",
@@ -233,13 +271,11 @@ class Link:
                     seq=packet.seq,
                     backlog_bytes=backlog,
                 )
-            return False
-        # Peak occupancy includes the packet just accepted.
-        if backlog + packet.size_bytes > self.stats.max_backlog_bytes:
-            self.stats.max_backlog_bytes = backlog + packet.size_bytes
+            return None
+        if occupancy > stats.max_backlog_bytes:
+            stats.max_backlog_bytes = occupancy
 
-        start = self._busy_until if self._busy_until > now else now
-        self._busy_until = start + packet.size_bytes * 8.0 / self.bandwidth_bps
+        self._busy_until = busy = (busy if busy > now else now) + size * 8.0 / bw
         if tracer is not None:
             tracer.emit(
                 "link.enqueue",
@@ -248,27 +284,17 @@ class Link:
                 link=self.name,
                 node=self.node,
                 seq=packet.seq,
-                size_bytes=packet.size_bytes,
-                backlog_bytes=backlog + packet.size_bytes,
+                size_bytes=size,
+                backlog_bytes=occupancy,
             )
 
         if self.loss_model is not None:
+            lost = self.loss_model.is_lost(self.rng)
+        else:
+            lost = self.loss_rate > 0.0 and self.rng.random() < self.loss_rate
+        if lost:
             # The packet still consumed transmitter time, but never arrives.
-            if self.loss_model.is_lost(self.rng):
-                self.stats.random_losses += 1
-                if tracer is not None:
-                    tracer.emit(
-                        "link.drop",
-                        now,
-                        flow=packet.flow_id,
-                        link=self.name,
-                    node=self.node,
-                        reason="wire",
-                        seq=packet.seq,
-                    )
-                return True
-        elif self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stats.random_losses += 1
+            stats.random_losses += 1
             if tracer is not None:
                 tracer.emit(
                     "link.drop",
@@ -279,9 +305,9 @@ class Link:
                     reason="wire",
                     seq=packet.seq,
                 )
-            return True
+            return _WIRE_LOST
 
-        deliver_at = self._busy_until + self.delay_s
+        deliver_at = busy + self.delay_s
         if self.noise is not None:
             deliver_at += self.noise.sample(now, self.rng)
         # FIFO even under noise and mid-run rate/delay changes: never
@@ -289,7 +315,7 @@ class Link:
         if deliver_at <= self._last_delivery:
             deliver_at = self._last_delivery + 1e-9
         self._last_delivery = deliver_at
-        self.stats.delivered += 1
+        stats.delivered += 1
         if tracer is not None:
             tracer.emit(
                 "link.dequeue",
@@ -298,156 +324,40 @@ class Link:
                 link=self.name,
                 node=self.node,
                 seq=packet.seq,
-                depart_s=self._busy_until,
+                depart_s=busy,
                 deliver_at_s=deliver_at,
             )
-        # Deliveries are fire-and-forget and dominate the heap; the fast
-        # path skips the cancellable-Event allocation entirely.
-        self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
-        return True
+        return deliver_at
+
+    def send(self, packet: Packet, dst: Receiver) -> bool:
+        """Enqueue ``packet`` for delivery to ``dst``.
+
+        Returns True if the packet was accepted (it may still be randomly
+        lost on the wire) and False on a tail drop or outage drop.
+        """
+        deliver_at = self._admit(packet, self.sim.now)
+        if deliver_at:
+            # Deliveries are fire-and-forget and dominate the heap; the fast
+            # path skips the cancellable-Event allocation entirely.
+            self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
+        return deliver_at is not None
 
     def send_ff(self, packet: Packet, at_s: float) -> "float | None":
         """Analytic send at virtual time ``at_s``: no delivery event.
 
         The hybrid-fidelity collapse path (see :mod:`repro.sim.fidelity`)
         runs the receiver's bookkeeping inline instead of scheduling a
-        delivery, so it needs the delivery timestamp as a value.  This is
+        delivery, so it needs the delivery timestamp as a value: this is
         :meth:`send` with the clock read replaced by ``at_s`` and the
-        final ``schedule_fast_at`` dropped — every counter, queue update,
-        RNG draw, and trace emission is the same computation in the same
-        order.  Returns the delivery time, or ``None`` when the packet
-        never arrives (outage, tail drop, or wire loss).
+        ``schedule_fast_at`` dropped.  Returns the delivery time, or
+        ``None`` when the packet never arrives (outage, tail drop, or
+        wire loss).
 
         Callers are responsible for fast-forward eligibility: ``at_s``
         at or after this link's ``ff_barrier_s`` is a contract violation
         (the link's parameters may change at the barrier).
         """
-        tracer = self.sim.tracer
-        if (
-            tracer is None
-            and self.loss_model is None
-            and self.noise is None
-            and self.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
-            and not self._down
-        ):
-            # Healthy static link, nobody watching: the arithmetic-only
-            # spine of the general path below (same results, no draws to
-            # keep in step because there are none).
-            stats = self.stats
-            stats.offered += 1
-            bw = self.bandwidth_bps
-            busy = self._busy_until
-            size = packet.size_bytes
-            occupancy = (
-                (busy - at_s) * bw / 8.0 if busy > at_s else 0.0
-            ) + size
-            if occupancy > self.buffer_bytes + 1e-6:
-                stats.tail_drops += 1
-                return None
-            if occupancy > stats.max_backlog_bytes:
-                stats.max_backlog_bytes = occupancy
-            start = busy if busy > at_s else at_s
-            self._busy_until = busy = start + size * 8.0 / bw
-            deliver_at = busy + self.delay_s
-            if deliver_at <= self._last_delivery:
-                deliver_at = self._last_delivery + 1e-9
-            self._last_delivery = deliver_at
-            stats.delivered += 1
-            return deliver_at
-        now = at_s
-        self.stats.offered += 1
-        if self._down:
-            self.stats.outage_drops += 1
-            if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="outage",
-                    seq=packet.seq,
-                )
-            return None
-        backlog = max(0.0, self._busy_until - now) * self.bandwidth_bps / 8.0
-        if backlog + packet.size_bytes > self.buffer_bytes + 1e-6:
-            self.stats.tail_drops += 1
-            if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="tail",
-                    seq=packet.seq,
-                    backlog_bytes=backlog,
-                )
-            return None
-        if backlog + packet.size_bytes > self.stats.max_backlog_bytes:
-            self.stats.max_backlog_bytes = backlog + packet.size_bytes
-
-        start = self._busy_until if self._busy_until > now else now
-        self._busy_until = start + packet.size_bytes * 8.0 / self.bandwidth_bps
-        if tracer is not None:
-            tracer.emit(
-                "link.enqueue",
-                now,
-                flow=packet.flow_id,
-                link=self.name,
-                node=self.node,
-                seq=packet.seq,
-                size_bytes=packet.size_bytes,
-                backlog_bytes=backlog + packet.size_bytes,
-            )
-
-        if self.loss_model is not None:
-            if self.loss_model.is_lost(self.rng):
-                self.stats.random_losses += 1
-                if tracer is not None:
-                    tracer.emit(
-                        "link.drop",
-                        now,
-                        flow=packet.flow_id,
-                        link=self.name,
-                    node=self.node,
-                        reason="wire",
-                        seq=packet.seq,
-                    )
-                return None
-        elif self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stats.random_losses += 1
-            if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="wire",
-                    seq=packet.seq,
-                )
-            return None
-
-        deliver_at = self._busy_until + self.delay_s
-        if self.noise is not None:
-            deliver_at += self.noise.sample(now, self.rng)
-        if deliver_at <= self._last_delivery:
-            deliver_at = self._last_delivery + 1e-9
-        self._last_delivery = deliver_at
-        self.stats.delivered += 1
-        if tracer is not None:
-            tracer.emit(
-                "link.dequeue",
-                now,
-                flow=packet.flow_id,
-                link=self.name,
-                node=self.node,
-                seq=packet.seq,
-                depart_s=self._busy_until,
-                deliver_at_s=deliver_at,
-            )
-        return deliver_at
+        return self._admit(packet, at_s) or None
 
     def peek_round_trip_ff(
         self, size_bytes: int, at_s: float, reverse: "Link", ack_bytes: int

@@ -14,8 +14,10 @@ from repro.cli import main as cli_main
 from repro.devtools import stats_digest
 from repro.harness import (
     TOPOLOGIES,
+    DelayStep,
     FlowSpec,
     LinkConfig,
+    Timeline,
     TopologySpec,
     load_topology,
     pmap,
@@ -157,6 +159,46 @@ def test_parking_lot_scavenger_yields_across_congested_hops():
         if event.kind.startswith("link.") and event.link.startswith("hop")
     }
     assert {"n0", "n1", "n2"} <= nodes
+
+
+# ----------------------------------------------------------------------
+# Regressions: delay steps on an event-based (AQM) bottleneck
+# ----------------------------------------------------------------------
+def test_delay_increase_on_aqm_hop_keeps_the_rtt_floor():
+    # The RTT-floor invariant (armed suite-wide) must use the smallest
+    # delay the DynamicLink ever had: samples from before the step sit
+    # below the new base RTT.  Raised InvariantError before the link
+    # classes shared ``min_delay_s`` tracking.
+    result = run_flows(
+        [FlowSpec("cubic")],
+        LinkConfig(bandwidth_mbps=20.0, rtt_ms=30.0, buffer_kb=150.0),
+        duration_s=4.0,
+        topology=TOPOLOGIES["dumbbell-codel"](),
+        timeline=Timeline((DelayStep(at_s=2.0, delay_ms=60.0),)),
+    )
+    bottleneck = result.dumbbell.links["bottleneck"]
+    assert bottleneck.min_delay_s < bottleneck.delay_s
+    assert result.stats[0].min_rtt() < 0.060
+
+
+def test_delay_decrease_on_aqm_hop_does_not_reorder():
+    # Packets dequeued after the step must not overtake those already
+    # propagating at the old delay: the sender reads any reordering as
+    # loss (13 phantom losses here before the FIFO guard was made
+    # unconditional) although no link dropped anything.
+    result = run_flows(
+        [FlowSpec("vegas")],
+        LinkConfig(bandwidth_mbps=20.0, rtt_ms=60.0, buffer_kb=1500.0),
+        duration_s=3.0,
+        topology=TOPOLOGIES["dumbbell-codel"](),
+        timeline=Timeline((DelayStep(at_s=2.0, delay_ms=2.0),)),
+    )
+    link_drops = sum(
+        link.stats.tail_drops + link.stats.aqm_drops + link.stats.random_losses
+        for link in result.dumbbell.links.values()
+    )
+    assert link_drops == 0
+    assert len(result.stats[0].loss_times) == link_drops
 
 
 def test_summary_reports_topology_and_per_link_stats():

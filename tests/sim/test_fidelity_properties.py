@@ -4,10 +4,11 @@ The hybrid mode's correctness argument is structural — collapsed legs
 reproduce the packet-exact arithmetic, and every dynamic hazard (loss,
 outage, noise) forces the reference path — so the right test is not a
 handful of hand-picked scenarios but the conservation invariants under
-*arbitrary* timelines.  Hypothesis drives random bandwidth steps, i.i.d.
-and Gilbert-Elliott loss, and outages through a two-flow dumbbell in
-both fidelity modes with the runtime :class:`InvariantChecker` armed;
-any conservation, clock, queue, or RTT violation raises mid-run.
+*arbitrary* timelines.  Hypothesis drives random bandwidth and delay
+steps (up and down), i.i.d. and Gilbert-Elliott loss, and outages
+through a two-flow dumbbell in both fidelity modes with the runtime
+:class:`InvariantChecker` armed; any conservation, clock, queue, or RTT
+violation raises mid-run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.harness import (
     EMULAB_DEFAULT,
     BandwidthStep,
+    DelayStep,
     FlowSpec,
     GilbertLoss,
     LossStep,
@@ -41,6 +43,13 @@ _bandwidth_steps = st.builds(
     at_s=_times,
     bandwidth_mbps=st.floats(min_value=4.0, max_value=40.0, allow_nan=False),
 )
+# Either side of the 15 ms the bottleneck starts with, so the FIFO guard
+# (decrease) and the min_delay_s RTT floor (increase) are both in play.
+_delay_steps = st.builds(
+    DelayStep,
+    at_s=_times,
+    delay_ms=st.floats(min_value=2.0, max_value=60.0, allow_nan=False),
+)
 _loss_steps = st.builds(
     LossStep,
     at_s=_times,
@@ -59,7 +68,7 @@ _gilbert_steps = st.builds(
 )
 
 _timelines = st.lists(
-    st.one_of(_bandwidth_steps, _loss_steps, _outages, _gilbert_steps),
+    st.one_of(_bandwidth_steps, _delay_steps, _loss_steps, _outages, _gilbert_steps),
     min_size=0,
     max_size=4,
 ).map(lambda steps: Timeline(tuple(steps), label="property"))
