@@ -12,15 +12,15 @@ installed ``repro`` package.  Re-running an unchanged benchmark is a
 cache hit; *any* source edit changes the digest and invalidates every
 entry cleanly (stale entries are simply never addressed again).
 
-Floats are serialised via ``float.hex()`` — exact representation, no
-rounding — so a cache round-trip is byte-identical to recomputation and
-the determinism digest gate (``repro.devtools.trace_digest``) cannot
-tell them apart.  A corrupt or truncated cache entry is treated as a
-miss and recomputed, never an error; on first detection the torn file is
-**quarantined** (moved aside to ``<key>.corrupt``) so every later run
-under the same key is a clean miss instead of a re-read/re-parse/re-fail
-cycle.  Quarantines are counted in :meth:`ResultCache.stats` and
-surfaced by ``repro bench``.
+Key payloads and scalar fields serialise floats via ``float.hex()``, the
+per-sample series as base64 of their packed little-endian bytes — both
+exact, so a cache round-trip is byte-identical to recomputation and the
+determinism digest gate (``repro.devtools.trace_digest``) cannot tell
+them apart.  A corrupt or truncated entry is a miss and is recomputed,
+never an error; on first detection the torn file is **quarantined**
+(moved aside to ``<key>.corrupt``) so every later run under the same key
+is a clean miss, not a re-read/re-parse/re-fail cycle.  Quarantines are
+counted in :meth:`ResultCache.stats` and surfaced by ``repro bench``.
 
 The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 ``REPRO_CACHE_DIR``), or call :func:`enable_cache` programmatically.
@@ -29,16 +29,20 @@ The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 
 from __future__ import annotations
 
+import binascii
 import hashlib
+import itertools
 import json
 import os
+import sys
 from array import array
 from pathlib import Path
 from typing import Any, Iterable
 
 from ..sim.trace import FlowStats
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_TMP_SEQ = itertools.count()  # per-process suffix of store()'s temp names
 
 # ----------------------------------------------------------------------
 # Source-tree digest
@@ -73,12 +77,8 @@ def reset_source_digest_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# FlowStats (de)serialisation — exact float round-trip via float.hex()
+# FlowStats (de)serialisation — exact: float.hex() scalars, packed series
 # ----------------------------------------------------------------------
-def _hex_list(values: Iterable[float]) -> list[str]:
-    return [float(v).hex() for v in values]
-
-
 def hex_floats(value: Any) -> Any:
     """Recursively replace floats with exact ``float.hex()`` strings.
 
@@ -126,20 +126,39 @@ def _opt_unhex(value: str | None) -> float | None:
     return None if value is None else float.fromhex(value)
 
 
+def _pack(series: array) -> str:
+    """Base64 of the series' little-endian bytes (raw doubles / int64)."""
+    if sys.byteorder == "big":
+        series = array(series.typecode, series)
+        series.byteswap()
+    return binascii.b2a_base64(series.tobytes(), newline=False).decode("ascii")
+
+
+def _unpack(typecode: str, text: str) -> array:
+    """Inverse of :func:`_pack`; ValueError unless ``text`` is its output."""
+    raw = binascii.a2b_base64(text)  # lenient: skips non-alphabet characters
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+        raise ValueError("series is not canonical base64")
+    series = array(typecode, raw)  # ValueError unless a whole number of items
+    if sys.byteorder == "big":
+        series.byteswap()
+    return series
+
+
 def stats_to_record(stats: FlowStats) -> dict:
     """JSON-safe dict capturing one flow's full measurement record."""
     return {
         "flow_id": stats.flow_id,
         "start_time": float(stats.start_time).hex(),
         "end_time": _opt_hex(stats.end_time),
-        "ack_times": _hex_list(stats.ack_times),
-        "acked_bytes": list(stats.acked_bytes),
-        "rtts": _hex_list(stats.rtts),
+        "ack_times": _pack(stats.ack_times),
+        "acked_bytes": _pack(stats.acked_bytes),
+        "rtts": _pack(stats.rtts),
         "total_acked_bytes": stats.total_acked_bytes,
         "delivered_bytes": stats.delivered_bytes,
         "first_delivery": _opt_hex(stats.first_delivery),
         "last_delivery": _opt_hex(stats.last_delivery),
-        "loss_times": _hex_list(stats.loss_times),
+        "loss_times": _pack(stats.loss_times),
         "packets_sent": stats.packets_sent,
     }
 
@@ -149,14 +168,16 @@ def stats_from_record(record: dict) -> FlowStats:
     stats = FlowStats(flow_id=record["flow_id"])
     stats.start_time = float.fromhex(record["start_time"])
     stats.end_time = _opt_unhex(record["end_time"])
-    stats.ack_times = array("d", (float.fromhex(v) for v in record["ack_times"]))
-    stats.acked_bytes = array("q", record["acked_bytes"])
-    stats.rtts = array("d", (float.fromhex(v) for v in record["rtts"]))
+    stats.ack_times = _unpack("d", record["ack_times"])
+    stats.acked_bytes = _unpack("q", record["acked_bytes"])
+    stats.rtts = _unpack("d", record["rtts"])
+    if not len(stats.ack_times) == len(stats.acked_bytes) == len(stats.rtts):
+        raise ValueError("ACK series differ in length")
     stats.total_acked_bytes = record["total_acked_bytes"]
     stats.delivered_bytes = record["delivered_bytes"]
     stats.first_delivery = _opt_unhex(record["first_delivery"])
     stats.last_delivery = _opt_unhex(record["last_delivery"])
-    stats.loss_times = array("d", (float.fromhex(v) for v in record["loss_times"]))
+    stats.loss_times = _unpack("d", record["loss_times"])
     stats.packets_sent = record["packets_sent"]
     return stats
 
@@ -169,11 +190,10 @@ class ResultCache:
 
     Entries are one JSON file per key at ``root/<k[:2]>/<k>.json`` (the
     two-char fan-out keeps directories small on big sweeps).  Writes are
-    atomic (tempfile + rename) so a crashed run never leaves a torn entry
-    that a later run would trust.  An entry that turns out corrupt anyway
-    (truncated by a full disk, hand-edited, ...) is quarantined to
-    ``<key>.corrupt`` on first read so it is detected once, not on every
-    subsequent run.
+    atomic (a temp file per write + rename) so neither a crash nor a
+    racing store of the same key leaves a torn entry.  One that is corrupt
+    anyway (full disk, hand edit, ...) is quarantined to ``<key>.corrupt``
+    on first read so it is detected once, not on every subsequent run.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -219,54 +239,34 @@ class ResultCache:
     # -- raw records ---------------------------------------------------
     def load(self, key: str) -> dict | None:
         """The record stored under ``key``; None on miss or corruption."""
-        path = self._path(key)
         try:
-            with path.open("r") as handle:
-                record = json.load(handle)
+            record = json.loads(self._path(key).read_bytes())
         except OSError:
             return None  # missing or unreadable: a plain miss
         except ValueError:
-            self._quarantine(key)  # torn JSON: move aside, then miss
-            return None
+            record = None  # torn JSON
         if not isinstance(record, dict) or record.get("schema") != SCHEMA_VERSION:
-            self._quarantine(key)  # wrong shape under the right key
+            self._quarantine(key)  # torn, or wrong shape under the right key
             return None
         return record
 
     def store(self, key: str, record: dict) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps({"schema": SCHEMA_VERSION, **record}))
-        tmp.replace(path)
+        tmp = path.with_name(f"{key}.{os.getpid()}-{next(_TMP_SEQ)}.tmp")
+        try:
+            tmp.write_bytes(json.dumps({"schema": SCHEMA_VERSION, **record}).encode())
+            tmp.replace(path)
+        finally:
+            tmp.unlink(missing_ok=True)  # still there only if the write failed
         self.stores += 1
 
     # -- run-level helpers --------------------------------------------
-    def load_stats(self, key: str) -> list[FlowStats] | None:
-        """Rebuilt per-flow stats for ``key``; None on miss/corruption."""
-        record = self.load(key)
-        if record is None:
-            self.misses += 1
-            return None
-        try:
-            stats = [stats_from_record(entry) for entry in record["stats"]]
-        except (KeyError, TypeError, ValueError, OverflowError):
-            self._quarantine(key)
-            self.misses += 1
-            return None  # corrupt entry: quarantined, fall back to recompute
-        self.hits += 1
-        return stats
-
-    def store_stats(self, key: str, stats: Iterable[FlowStats]) -> None:
-        self.store(key, {"stats": [stats_to_record(s) for s in stats]})
-
     def load_run(self, key: str) -> tuple[list[FlowStats], dict | None] | None:
         """Rebuilt stats plus the stored metrics snapshot for ``key``.
 
-        Returns ``(stats, snapshot)`` on a hit (``snapshot`` is None for
-        records written by :meth:`store_stats`, which carry no metrics),
-        or None on miss/corruption — same hit/miss/quarantine accounting
-        as :meth:`load_stats`.
+        ``(stats, snapshot)`` on a hit (``snapshot`` None when none was
+        stored); None on a miss or a corrupt entry, which is quarantined.
         """
         record = self.load(key)
         if record is None:
