@@ -228,7 +228,7 @@ def cmd_many(args: argparse.Namespace) -> int:
         flow_kb=args.flow_kb,
         duration_s=args.duration,
         seed=args.seed,
-        **({"topology": topology} if topology is not None else {}),
+        topology=topology,
     )
     window = result.measurement_window()
     scav = [result.throughput_mbps(i, window) for i in range(args.scavengers)]

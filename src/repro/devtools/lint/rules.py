@@ -355,26 +355,28 @@ class UnitSuffix(Rule):
 # ----------------------------------------------------------------------
 @register
 class NoBareSubprocessResult(Rule):
-    """Ban bare ``future.result()`` outside ``harness/supervise.py``.
+    """Ban bare ``future.result()`` outside ``harness/parallel.py``.
 
     A bare ``.result()`` on a pool future re-raises worker exceptions
     with a traceback that dead-ends in pool plumbing, turns one dead
     worker into an aborted sweep, and silently loses which submission
-    failed.  All pool results must flow through the supervised accessors
-    in :mod:`repro.harness.supervise` (``pool_map_result``,
-    ``pool_call_result``, ...), which attribute, classify, and recover.
+    failed.  The one place that reads pool futures is
+    :func:`repro.harness.parallel.dispatch_round`, which hands each
+    item's value or exception to a policy that attributes
+    (``run_all``), re-raises (``pmap``) or records and retries
+    (``supervised_map``) it.
     """
 
     id = "no-bare-subprocess-result"
     name = "no bare subprocess result"
     description = (
-        "future.result() outside harness/supervise.py; route pool "
-        "results through the supervised accessors"
+        "future.result() outside harness/parallel.py; run pool work "
+        "through pmap, run_all or supervised_map"
     )
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: LintContext) -> bool:
-        return not ctx.is_file("harness", "supervise.py")
+        return not ctx.is_file("harness", "parallel.py")
 
     def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[tuple[ast.AST, str]]:
         assert isinstance(node, ast.Call)
@@ -382,7 +384,7 @@ class NoBareSubprocessResult(Rule):
         if isinstance(func, ast.Attribute) and func.attr == "result":
             yield node, (
                 "bare '.result()' on a future loses failure attribution "
-                "and crash recovery; use repro.harness.supervise"
+                "and crash recovery; use repro.harness.parallel or .supervise"
             )
 
 

@@ -11,8 +11,7 @@ asserts exactly that.
 
 Concurrency is controlled by the ``REPRO_JOBS`` environment variable
 (default ``os.cpu_count()``); ``REPRO_JOBS=1`` is an *exact* serial
-fallback — no pool, no pickling, same call stack — so CI and debugging
-behave identically to the pre-parallel harness.
+fallback — no pool, no pickling, same call stack.
 
 Experiment callables that cannot be pickled (lambdas, closures, bound
 locals — common in tests) silently fall back to the serial path rather
@@ -25,23 +24,26 @@ Worker processes run with ``REPRO_JOBS=1`` so nested harness calls
 (e.g. :func:`repro.harness.runner.run_pair` inside a trial) never fork a
 pool-per-worker fan-out bomb.
 
-Failure semantics differ by method: :meth:`ParallelExecutor.map`
-re-raises a worker exception unchanged (byte-compatible with the serial
-comprehension), while :meth:`ParallelExecutor.run_all` — whose calls are
-heterogeneous — wraps it in :class:`ParallelCallError` carrying the call
-index and repr so the failing ``(fn, args)`` is attributable.  Both
-route ``future.result()`` through :mod:`repro.harness.supervise` (the
-``no-bare-subprocess-result`` lint rule enforces that repo-wide);
-fault-*tolerant* execution with retries, crash recovery and manifest
-journaling lives there too.
+:func:`dispatch_round` is the one place in the package that builds a
+process pool and reads a future (the ``no-bare-subprocess-result`` lint
+rule exempts this file only): a fresh pool per batch, each item's *value
+or exception* handed back in submission order.  Three policies sit on
+it: :meth:`ParallelExecutor.map` re-raises a worker exception unchanged
+(as the serial comprehension would); :meth:`ParallelExecutor.run_all` —
+whose calls are heterogeneous — wraps it in :class:`ParallelCallError`
+naming the call; :func:`repro.harness.supervise.supervised_map` records
+it, retries and journals.  The two that raise stop at the first failure,
+which cancels every call that has not started.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from typing import Any, TypeVar
 
 T = TypeVar("T")
@@ -53,9 +55,9 @@ _FORCE_SERIAL_ENV = {"REPRO_JOBS": "1"}
 class ParallelCallError(RuntimeError):
     """A pool-dispatched call failed; names *which* call.
 
-    ``future.result()`` re-raises a worker exception with a traceback
-    that ends inside the pool plumbing — useless for telling apart the
-    forty identical-looking calls of a sweep.  This wrapper carries the
+    A worker exception re-raised in the driver carries a traceback that
+    ends inside the pool plumbing — useless for telling apart the forty
+    identical-looking calls of a sweep.  This wrapper carries the
     submission index and the call's repr; the original exception is
     chained as ``__cause__``.
     """
@@ -94,9 +96,66 @@ def _is_picklable(obj: Any) -> bool:
     return True
 
 
+def pool_helps(jobs: int, fn: Callable[..., Any], items: Sequence[Any]) -> bool:
+    """Whether a batch is worth a pool and can cross into one.
+
+    Only ``fn`` and the *first* item are test-pickled (the whole batch
+    would double every sweep's serialisation cost); a later item that
+    cannot cross shows up as its own future's exception.
+    """
+    return jobs > 1 and len(items) > 1 and _is_picklable(fn) and _is_picklable(items[0])
+
+
 def _init_worker() -> None:  # pragma: no cover - runs in the child
     """Pin workers to serial so nested harness calls never fork again."""
     os.environ.update(_FORCE_SERIAL_ENV)
+
+
+def dispatch_round(
+    fn: Callable[[T], R], items: Sequence[T], jobs: int
+) -> Iterator[tuple[R | None, Exception | None]]:
+    """Run ``fn`` over ``items`` on a fresh pool; yield ``(value, exception)``.
+
+    One pair per item, in submission order regardless of which worker
+    finishes first.  The exception is whatever the future holds: the
+    worker's own, a pickling error for an item that could not cross the
+    process boundary, or ``BrokenProcessPool`` once a worker has died —
+    which fails every unfinished future at once, and every item not yet
+    submitted with it.
+
+    Use under :func:`contextlib.closing`: closing the generator early
+    cancels the calls that have not started, so a consumer that stops at
+    the first failure does not wait for the rest of the batch.
+    """
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(items)), initializer=_init_worker
+    )
+    try:
+        futures = []
+        broken: Exception | None = None
+        try:
+            for item in items:
+                futures.append(pool.submit(fn, item))
+        except BrokenProcessPool as exc:
+            broken = exc  # a worker died while the batch was still going in
+        for future in futures:
+            try:
+                value = future.result()
+            except Exception as exc:
+                yield None, exc
+            else:
+                yield value, None
+        for _ in items[len(futures):]:
+            yield None, broken
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _apply(call: tuple[Callable[..., R], tuple]) -> R:
+    """``fn(*args)`` for one :meth:`ParallelExecutor.run_all` pair
+    (module-level so it pickles into workers)."""
+    fn, args = call
+    return fn(*args)
 
 
 class ParallelExecutor:
@@ -111,41 +170,41 @@ class ParallelExecutor:
     def __init__(self, jobs: int | None = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
 
-    # ------------------------------------------------------------------
+    def _ordered(self, fn: Callable[[T], R], items: list[T], calls: bool) -> list[R]:
+        """``[fn(x) for x in items]``, over the pool when it can help.
+
+        The first failing item ends the batch.  Its exception re-raises
+        unchanged, unless the items are the ``(fn, args)`` pairs of
+        :meth:`run_all` (``calls``): then it is attributed to its pair.
+        """
+        if not pool_helps(self.jobs, fn, items):
+            return [fn(item) for item in items]
+        results = []
+        with closing(dispatch_round(fn, items, self.jobs)) as outcomes:
+            for index, (item, (value, exc)) in enumerate(zip(items, outcomes)):
+                if exc is None:
+                    results.append(value)
+                elif not _is_picklable(item):
+                    results.append(fn(item))  # it never reached a worker
+                elif calls:
+                    raise ParallelCallError(
+                        f"run_all call #{index} ({call_repr(*item)}) raised {exc!r}",
+                        index=index,
+                    ) from exc
+                else:
+                    raise exc
+        return results
+
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """``[fn(x) for x in items]`` with deterministic result order.
 
         Results are ordered by input position regardless of which worker
         finishes first.  Falls back to the serial comprehension when the
         pool would not help (one job, one item) or when ``fn``/``items``
-        cannot cross a process boundary.
+        cannot cross a process boundary.  A worker exception re-raises
+        unchanged, as the comprehension would raise it.
         """
-        materialized = list(items)
-        if (
-            self.jobs <= 1
-            or len(materialized) <= 1
-            or not _is_picklable(fn)
-            # Probe only the first item: pickling the whole materialized
-            # list up front doubled the serialisation cost of every
-            # sweep.  A later item that cannot cross the process
-            # boundary is handled per-item below.
-            or not _is_picklable(materialized[0])
-        ):
-            return [fn(item) for item in materialized]
-        # Lazy import: supervise builds on this module.
-        from .supervise import pool_map_result
-
-        workers = min(self.jobs, len(materialized))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker
-        ) as pool:
-            futures = [pool.submit(fn, item) for item in materialized]
-            # Collected in submission order, so results stay ordered by
-            # input position regardless of completion order.
-            return [
-                pool_map_result(future, fn, item)
-                for future, item in zip(futures, materialized)
-            ]
+        return self._ordered(fn, list(items), calls=False)
 
     def run_all(self, calls: Sequence[tuple[Callable[..., R], tuple]]) -> list[R]:
         """Run ``fn(*args)`` for each ``(fn, args)`` pair, ordered as given.
@@ -156,26 +215,7 @@ class ParallelExecutor:
         and repr (original exception chained); the serial path re-raises
         unchanged because its traceback already reaches the call site.
         """
-        materialized = list(calls)
-        if (
-            self.jobs <= 1
-            or len(materialized) <= 1
-            or not _is_picklable(materialized[0])
-        ):
-            return [fn(*args) for fn, args in materialized]
-        from .supervise import pool_call_result
-
-        workers = min(self.jobs, len(materialized))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker
-        ) as pool:
-            futures = [pool.submit(fn, *args) for fn, args in materialized]
-            return [
-                pool_call_result(future, index, fn, args)
-                for index, (future, (fn, args)) in enumerate(
-                    zip(futures, materialized)
-                )
-            ]
+        return self._ordered(_apply, list(calls), calls=True)
 
 
 def pmap(fn: Callable[[T], R], items: Iterable[T], jobs: int | None = None) -> list[R]:

@@ -8,8 +8,7 @@ given its seed.
 point takes its scenario arguments positionally (the flow specs /
 protocol names and the :class:`~repro.harness.scenarios.LinkConfig`) and
 everything else — duration, seed, timeline, tracer, metrics registry —
-as keyword arguments.  Positional use of the legacy tail arguments still
-works for one release but warns ``DeprecationWarning``.
+as keyword-only arguments.
 
 **Observability** (see ``docs/OBSERVABILITY.md``): pass
 ``tracer=``/``metrics=`` (or install a process-global tracer with
@@ -23,7 +22,6 @@ shape.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import asdict, dataclass, field
 
 from ..obs import MetricsRegistry, PeriodicSampler, active_tracer
@@ -67,50 +65,6 @@ def reset_scale_cache() -> None:
     """Re-read ``REPRO_SCALE`` on the next :func:`scale` call (test hook)."""
     global _SCALE
     _SCALE = None
-
-
-# ----------------------------------------------------------------------
-# One-release compatibility shim for formerly-positional arguments
-# ----------------------------------------------------------------------
-_UNSET: object = object()
-"""Sentinel distinguishing "not passed" from an explicit None/value."""
-
-
-def _apply_legacy_positional(
-    fn_name: str, legacy: tuple, slots: tuple[str, ...], values: dict
-) -> None:
-    """Map deprecated positional tail arguments onto their keyword slots.
-
-    ``legacy`` holds whatever the caller passed positionally beyond the
-    scenario arguments; ``slots`` names those positions in their
-    pre-redesign order; ``values`` maps slot name -> value from the
-    keyword form (``_UNSET`` when absent).  Mutates ``values`` in place.
-    Positional use warns ``DeprecationWarning`` once per call site;
-    passing the same argument both ways raises ``TypeError`` exactly
-    like a normal double-assignment would.
-    """
-    if not legacy:
-        return
-    if len(legacy) > len(slots):
-        raise TypeError(
-            f"{fn_name}() takes at most {len(slots)} legacy positional "
-            f"argument(s) ({', '.join(slots)}), got {len(legacy)}"
-        )
-    named = ", ".join(slots[: len(legacy)])
-    warnings.warn(
-        f"passing {named} positionally to {fn_name}() is deprecated; "
-        f"use keyword arguments (e.g. {fn_name}(..., {slots[0]}=...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    for slot, value in zip(slots, legacy):
-        if values[slot] is not _UNSET:
-            raise TypeError(f"{fn_name}() got multiple values for argument {slot!r}")
-        values[slot] = value
-
-
-def _resolve(value, default):
-    return default if value is _UNSET else value
 
 
 @dataclass
@@ -304,10 +258,10 @@ def _applied_events(timeline: Timeline, duration_s: float) -> list[LinkEvent]:
 def run_flows(
     specs: list[FlowSpec],
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 30.0,
+    seed: int = 1,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
     sample_period_s: float | None = None,
@@ -318,9 +272,8 @@ def run_flows(
 ) -> RunResult:
     """Run ``specs`` over a dumbbell built from ``config``.
 
-    All arguments after ``config`` are keyword-only (positional use is
-    deprecated and warns for one release).  ``duration_s`` defaults to
-    30 simulated seconds.
+    All arguments after ``config`` are keyword-only.  ``duration_s``
+    defaults to 30 simulated seconds.
 
     ``topology`` swaps the classic single-bottleneck dumbbell for a
     declarative multi-hop graph (see
@@ -365,13 +318,6 @@ def run_flows(
     always simulates live (observation needs the events), though its
     result is still stored for later unobserved calls.
     """
-    values = {"duration_s": duration_s, "seed": seed, "timeline": timeline}
-    _apply_legacy_positional(
-        "run_flows", legacy, ("duration_s", "seed", "timeline"), values
-    )
-    duration_s = _resolve(values["duration_s"], 30.0)
-    seed = _resolve(values["seed"], 1)
-    timeline = _resolve(values["timeline"], None)
     if not specs:
         raise ValueError("need at least one flow")
     if tracer is None:
@@ -509,10 +455,10 @@ def _run_flows_live(
 def run_single(
     protocol: str,
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 30.0,
+    seed: int = 1,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
     fidelity: Fidelity | str | None = None,
@@ -523,16 +469,12 @@ def run_single(
 
     Extra keyword arguments are forwarded to the protocol constructor.
     """
-    values = {"duration_s": duration_s, "seed": seed, "timeline": timeline}
-    _apply_legacy_positional(
-        "run_single", legacy, ("duration_s", "seed", "timeline"), values
-    )
     return run_flows(
         [FlowSpec(protocol, kwargs=kwargs)],
         config,
-        duration_s=_resolve(values["duration_s"], 30.0),
-        seed=_resolve(values["seed"], 1),
-        timeline=_resolve(values["timeline"], None),
+        duration_s=duration_s,
+        seed=seed,
+        timeline=timeline,
         tracer=tracer,
         metrics=metrics,
         fidelity=fidelity,
@@ -634,12 +576,12 @@ def run_pair(
     primary: str,
     scavenger: str,
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    scavenger_start_s: float | None = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    jobs: int | None = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 30.0,
+    scavenger_start_s: float | None = None,
+    seed: int = 1,
+    jobs: int | None = None,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
     fidelity: Fidelity | str | None = None,
@@ -659,24 +601,6 @@ def run_pair(
     every event reaches the caller's tracer (worker processes cannot
     stream into it).
     """
-    values = {
-        "duration_s": duration_s,
-        "scavenger_start_s": scavenger_start_s,
-        "seed": seed,
-        "jobs": jobs,
-        "timeline": timeline,
-    }
-    _apply_legacy_positional(
-        "run_pair",
-        legacy,
-        ("duration_s", "scavenger_start_s", "seed", "jobs", "timeline"),
-        values,
-    )
-    duration_s = _resolve(values["duration_s"], 30.0)
-    scavenger_start_s = _resolve(values["scavenger_start_s"], None)
-    seed = _resolve(values["seed"], 1)
-    jobs = _resolve(values["jobs"], None)
-    timeline = _resolve(values["timeline"], None)
     if tracer is None:
         tracer = active_tracer()
     fidelity = resolve_fidelity(fidelity)
@@ -690,42 +614,23 @@ def run_pair(
         last_start + DEFAULT_WARMUP_FRACTION * (duration_s - last_start),
         duration_s,
     )
-    if tracer is not None:
-        solo_mbps, solo_rtt = _pair_solo_metrics(
-            primary, config, duration_s, seed, window, timeline, tracer, fidelity,
-            topology,
-        )
-        with_scavenger, scavenger_mbps, util, paired_rtt = _pair_joint_metrics(
-            primary, scavenger, config, duration_s, scavenger_start_s, seed,
-            timeline, tracer, fidelity, topology,
-        )
-    else:
-        (solo_mbps, solo_rtt), (with_scavenger, scavenger_mbps, util, paired_rtt) = (
-            ParallelExecutor(jobs).run_all(
-                [
-                    (
-                        _pair_solo_metrics,
-                        (primary, config, duration_s, seed, window, timeline,
-                         None, fidelity, topology),
-                    ),
-                    (
-                        _pair_joint_metrics,
-                        (
-                            primary,
-                            scavenger,
-                            config,
-                            duration_s,
-                            scavenger_start_s,
-                            seed,
-                            timeline,
-                            None,
-                            fidelity,
-                            topology,
-                        ),
-                    ),
-                ]
-            )
-        )
+    calls = [
+        (
+            _pair_solo_metrics,
+            (primary, config, duration_s, seed, window, timeline, tracer,
+             fidelity, topology),
+        ),
+        (
+            _pair_joint_metrics,
+            (primary, scavenger, config, duration_s, scavenger_start_s, seed,
+             timeline, tracer, fidelity, topology),
+        ),
+    ]
+    # A tracer pins both runs to this process (jobs=1 is the exact
+    # serial path): workers cannot stream into it.
+    (solo_mbps, solo_rtt), (with_scavenger, scavenger_mbps, util, paired_rtt) = (
+        ParallelExecutor(jobs if tracer is None else 1).run_all(calls)
+    )
     ratio = with_scavenger / solo_mbps if solo_mbps > 0 else 0.0
     result = PairResult(
         primary_solo_mbps=solo_mbps,
@@ -776,11 +681,11 @@ def run_streaming(
     videos,
     protocol: str,
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    forced_level: int | None = _UNSET,  # type: ignore[assignment]
-    background: list[FlowSpec] | None = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 60.0,
+    forced_level: int | None = None,
+    background: list[FlowSpec] | None = None,
+    seed: int = 1,
     tracer=None,
 ) -> list[StreamingResult]:
     """Stream ``videos`` concurrently over ``protocol`` (Figs 11a, 12, 13).
@@ -791,22 +696,6 @@ def run_streaming(
     """
     from ..apps.streaming import StreamingSession
 
-    values = {
-        "duration_s": duration_s,
-        "forced_level": forced_level,
-        "background": background,
-        "seed": seed,
-    }
-    _apply_legacy_positional(
-        "run_streaming",
-        legacy,
-        ("duration_s", "forced_level", "background", "seed"),
-        values,
-    )
-    duration_s = _resolve(values["duration_s"], 60.0)
-    forced_level = _resolve(values["forced_level"], None)
-    background = _resolve(values["background"], None)
-    seed = _resolve(values["seed"], 1)
     if tracer is None:
         tracer = active_tracer()
     sim = Simulator(tracer=tracer)
@@ -855,33 +744,17 @@ def run_homogeneous(
     protocol: str,
     n_flows: int,
     config: LinkConfig,
-    *legacy,
-    stagger_s: float = _UNSET,  # type: ignore[assignment]
-    measure_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    stagger_s: float = 5.0,
+    measure_s: float = 30.0,
+    seed: int = 1,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
     fidelity: Fidelity | str | None = None,
     topology: TopologySpec | None = None,
 ) -> RunResult:
     """``n`` same-protocol flows with staggered starts (Figs 5, 17, 18)."""
-    values = {
-        "stagger_s": stagger_s,
-        "measure_s": measure_s,
-        "seed": seed,
-        "timeline": timeline,
-    }
-    _apply_legacy_positional(
-        "run_homogeneous",
-        legacy,
-        ("stagger_s", "measure_s", "seed", "timeline"),
-        values,
-    )
-    stagger_s = _resolve(values["stagger_s"], 5.0)
-    measure_s = _resolve(values["measure_s"], 30.0)
-    seed = _resolve(values["seed"], 1)
-    timeline = _resolve(values["timeline"], None)
     if n_flows < 1:
         raise ValueError("n_flows must be positive")
     specs = [
@@ -909,9 +782,9 @@ def run_many(
     n_flows: int = 1000,
     n_scavengers: int = 4,
     flow_kb: float = 50.0,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    topology: TopologySpec | None = _UNSET,  # type: ignore[assignment]
+    duration_s: float = 30.0,
+    seed: int = 1,
+    topology: TopologySpec | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
     fidelity: Fidelity | str | None = None,
@@ -923,19 +796,18 @@ def run_many(
     The datacenter-ish stress shape: ``n_flows`` short ``primary``
     transfers (default ~50 KB, roughly a web object) arrive at uniform
     random times across the run while ``n_scavengers`` unbounded
-    ``scavenger`` flows occupy the same shared core from t=0.  Default
-    topology is the ``shared-core`` multi-dumbbell preset, so arrivals
-    spread across access groups via the topology's per-index default
-    endpoints.
+    ``scavenger`` flows occupy the same shared core from t=0.
+    ``topology=None`` is the ``shared-core`` multi-dumbbell preset, so
+    arrivals spread across access groups via the topology's per-index
+    default endpoints.
 
     Arrival times come from a dedicated ``Rng("many:<seed>")`` stream —
     they are part of the flow specs, hence deterministic per seed and
     fully captured by the cache key.  Delegates to :func:`run_flows`
     for caching, observability, and jobs parity.
     """
-    duration_s = _resolve(duration_s, 30.0)
-    seed = _resolve(seed, 1)
-    topology = _resolve(topology, TOPOLOGIES["shared-core"]())
+    if topology is None:
+        topology = TOPOLOGIES["shared-core"]()
     if n_flows < 1:
         raise ValueError("n_flows must be positive")
     if n_scavengers < 0:

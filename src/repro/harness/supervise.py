@@ -1,30 +1,32 @@
 """Fault-tolerant, resumable trial execution.
 
 The paper's evaluation is a large scenario x seed matrix ("the mean of
-at least 10 trials in each scenario", 22 figures), and PR 3 made
-pathological simulations — outages, Gilbert-Elliott burst loss — a
-first-class workload.  Running thousands of such trials unattended
+at least 10 trials in each scenario", 22 figures), and pathological
+simulations — outages, Gilbert-Elliott burst loss, adversarial genomes —
+are a first-class workload.  Running thousands of such trials unattended
 means individual trials *will* misbehave: a protocol bug livelocks the
-engine, a worker process dies, a poisoned input raises.  Before this
-module, any one of those aborted the whole sweep and threw away every
-completed trial.
+engine, a worker process dies, a poisoned input raises.  None of those
+may abort the sweep or throw away a completed trial.
 
-Three layers fix that:
+Three layers see to that:
 
 * **Supervision** — every trial ends in a :class:`TrialOutcome`
   (``ok`` / ``failed`` / ``timed-out`` / ``crashed-worker``) carrying the
   seed, the canonical config payload, the error repr and traceback, and
   the attempt count.  A failure is a *record*, not an abort.
-* **Retry with crash recovery** — :func:`supervised_map` fans trials
-  over a process pool like :class:`~repro.harness.parallel.ParallelExecutor`,
-  but a ``BrokenProcessPool`` or worker exception only fails the
-  affected items: they are retried on a fresh pool with capped
+* **Retry with crash recovery** — :func:`supervised_map` works in
+  rounds of one :func:`_attempt` per unfinished item.  ``_attempt`` runs
+  wherever it is called — in a pool worker
+  (:func:`repro.harness.parallel.dispatch_round`) or, for ``jobs=1`` and
+  unpicklable work, in the driver — so the traceback and flight-recorder
+  ring are taken next to the failure and ``retries=N`` means ``N+1``
+  executions for every ``jobs``.  Rounds are separated by a capped
   exponential backoff (seeded jitter via :class:`repro.core.rng.Rng` —
-  no wall-clock reads in the decision path) and, if still failing,
-  re-run once serially in-process so the real traceback is captured.
-  Items whose workers *crashed* (SIGKILL, ``os._exit``) are never
-  re-run in-process — a crashing input must not take the driver down —
-  and surface as ``crashed-worker`` outcomes instead.
+  no wall-clock reads in the decision path).  A dead worker (SIGKILL,
+  ``os._exit``) fails every unfinished call of its pool; the calls that
+  can have been executing are re-run alone in a one-worker pool, and an
+  item that kills that too is a ``crashed-worker``, never run in the
+  driver.
 * **Checkpoint/resume** — outcomes are journaled to a
   :class:`SweepManifest`: an append-only JSONL file keyed by the result
   cache's content address (:func:`repro.harness.cache.payload_key`,
@@ -48,22 +50,17 @@ import os
 import time
 import traceback as traceback_mod
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-from ..sim.engine import SimBudgetExceeded
 from ..core.rng import Rng
+from ..obs import RingBufferTracer, tracing
+from ..sim.engine import SimBudgetExceeded
 from .cache import hex_floats, payload_key
-from .parallel import (
-    ParallelCallError,
-    _init_worker,
-    _is_picklable,
-    call_repr,
-    default_jobs,
-)
+from .parallel import default_jobs, dispatch_round, pool_helps
 
 MANIFEST_SCHEMA = 1
 
@@ -71,45 +68,6 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_TIMED_OUT = "timed-out"
 STATUS_CRASHED = "crashed-worker"
-
-
-# ----------------------------------------------------------------------
-# Wrapped future.result() — the only module allowed to call it bare
-# (enforced by the ``no-bare-subprocess-result`` lint rule).
-# ----------------------------------------------------------------------
-def pool_map_result(future, fn: Callable, item: Any) -> Any:
-    """Result of a :meth:`ParallelExecutor.map` future.
-
-    Mid-stream pickling failures — an item deeper in the stream that
-    cannot cross the process boundary — degrade to an in-process call
-    for that item alone.  Genuine worker exceptions re-raise unchanged,
-    keeping the pool path byte-compatible with the serial comprehension.
-    """
-    try:
-        return future.result()
-    except Exception:
-        if _is_picklable(item):
-            raise
-        return fn(item)
-
-
-def pool_call_result(future, index: int, fn: Callable, args: tuple) -> Any:
-    """Result of a :meth:`ParallelExecutor.run_all` future.
-
-    Worker exceptions are wrapped in
-    :class:`~repro.harness.parallel.ParallelCallError` carrying the call
-    index and repr (original chained as ``__cause__``); an unpicklable
-    call runs in-process instead.
-    """
-    try:
-        return future.result()
-    except Exception as exc:
-        if not _is_picklable((fn, args)):
-            return fn(*args)
-        raise ParallelCallError(
-            f"run_all call #{index} ({call_repr(fn, args)}) raised {exc!r}",
-            index=index,
-        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -143,18 +101,16 @@ class RetryPolicy:
     in the decision path (the host clock is only *slept on*, never
     branched on).
 
-    ``final_serial`` controls the last-resort in-process re-run of items
-    that still fail after pool retries: it yields a real traceback for
-    the failure record.  It never applies to ``crashed-worker`` items —
-    re-running an input that SIGKILLs its process would kill the driver.
+    An *event*-budget watchdog trip is a pure function of the trial's
+    input, so it is final on its first attempt; everything else — an
+    exception, a host-dependent wall-budget trip, a dead worker — is
+    retried until ``max_attempts()`` executions have been charged.
 
     ``trace_ring`` (when > 0) attaches a
     :class:`~repro.obs.RingBufferTracer` of that capacity around every
-    *in-process* attempt, so a failing or timed-out trial's outcome
-    carries the last N trace events before the failure (the flight
-    recorder — see ``docs/OBSERVABILITY.md``).  Pool workers cannot
-    stream into the driver's ring, so the capture happens on the serial
-    paths, which is exactly where final failure records are produced.
+    attempt, in the process that executes it, so a failing or timed-out
+    trial's outcome carries the last N trace events before the failure
+    (the flight recorder — see ``docs/OBSERVABILITY.md``).
     """
 
     retries: int | None = None
@@ -163,7 +119,6 @@ class RetryPolicy:
     backoff_cap_s: float = 2.0
     jitter_fraction: float = 0.25
     seed: int = 0
-    final_serial: bool = True
     trace_ring: int = 0
 
     def max_attempts(self) -> int:
@@ -398,82 +353,35 @@ def trial_payload(experiment: Callable, seed: int, extra: dict | None = None) ->
     return payload
 
 
-def _remote_traceback(exc: BaseException) -> str | None:
-    """The worker-side traceback text concurrent.futures smuggles over."""
-    cause = exc.__cause__
-    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
-        return str(cause)
-    return None
+def _attempt(task: tuple[Callable[[Any], Any], Any, int]) -> tuple:
+    """Execute ``fn(item)`` once, in whichever process this is called in.
 
-
-def _classify(exc: BaseException) -> str:
-    if isinstance(exc, SimBudgetExceeded):
-        return STATUS_TIMED_OUT
-    if isinstance(exc, BrokenProcessPool):
-        return STATUS_CRASHED
-    return STATUS_FAILED
-
-
-def _serial_attempts(
-    fn: Callable[[Any], Any],
-    item: Any,
-    index: int,
-    key: str,
-    seed: int | None,
-    payload: dict | None,
-    policy: RetryPolicy,
-    prior_attempts: int,
-    attempts_budget: int,
-) -> TrialOutcome:
-    """Run ``fn(item)`` in-process up to ``attempts_budget`` more times.
-
-    With ``policy.trace_ring`` set, each attempt runs under a fresh
-    process-global ring-buffer tracer; the *last failing* attempt's ring
-    is attached to the failure outcome (a succeeding attempt discards
-    its ring — successes carry no trace).
+    ``task`` is ``(fn, item, trace_ring)``; the answer is the plain,
+    picklable ``(status, value, error, traceback, trace, final)``.  The
+    traceback and the flight-recorder ring (``trace_ring`` > 0) are taken
+    here, next to the failure.  ``final`` says another attempt cannot end
+    differently: success, or an *event* budget — which trips on the same
+    event every time, unlike a wall budget.
     """
-    attempts = prior_attempts
-    status, error, tb = STATUS_FAILED, None, None
-    trace: list[dict] | None = None
-    for _ in range(max(1, attempts_budget)):
-        if attempts > prior_attempts:
-            time.sleep(policy.backoff_s(attempts, index))
-        attempts += 1
-        ring = None
-        if policy.trace_ring > 0:
-            from ..obs import RingBufferTracer, tracing
-
-            ring = RingBufferTracer(capacity=policy.trace_ring)
-        try:
-            if ring is not None:
-                with tracing(ring):
-                    value = fn(item)
-            else:
-                value = fn(item)
-        except Exception as exc:
-            status = _classify(exc)
-            error = repr(exc)
-            tb = traceback_mod.format_exc()
-            trace = ring.snapshot() if ring is not None else None
+    fn, item, trace_ring = task
+    ring = RingBufferTracer(capacity=trace_ring) if trace_ring > 0 else None
+    try:
+        if ring is None:
+            value = fn(item)
         else:
-            return TrialOutcome(
-                status=STATUS_OK,
-                key=key,
-                value=value,
-                seed=seed,
-                payload=payload,
-                attempts=attempts,
-            )
-    return TrialOutcome(
-        status=status,
-        key=key,
-        seed=seed,
-        payload=payload,
-        error=error,
-        traceback=tb,
-        attempts=attempts,
-        trace=trace,
-    )
+            with tracing(ring):
+                value = fn(item)
+    except Exception as exc:
+        timed_out = isinstance(exc, SimBudgetExceeded)
+        return (
+            STATUS_TIMED_OUT if timed_out else STATUS_FAILED,
+            None,
+            repr(exc),
+            traceback_mod.format_exc(),
+            None if ring is None else ring.snapshot(),
+            timed_out and exc.wall_s is None,
+        )
+    return STATUS_OK, value, None, None, None, True
 
 
 def supervised_map(
@@ -506,12 +414,11 @@ def supervised_map(
     pointlessly retried on resume; ``crashed-worker`` should stay out of
     the set — a dead worker says nothing about the workload.
 
-    Execution: picklable workloads fan out over a process pool
-    (``jobs``/``REPRO_JOBS``); worker exceptions, watchdog trips and
-    dead workers mark only the affected items, which are retried on a
-    fresh pool per :class:`RetryPolicy` and finally (except after
-    crashes) re-run serially in-process.  ``jobs=1`` or unpicklable
-    workloads run the same supervision loop serially.
+    Execution: every round gives each unfinished item one
+    :func:`_attempt` — in pool workers (``jobs``/``REPRO_JOBS``) when the
+    workload pickles, in the driver otherwise.  An exception, a watchdog
+    trip or a dead worker marks only the affected item; it goes into the
+    next round until :class:`RetryPolicy` says it is final.
     """
     materialized = list(items)
     n = len(materialized)
@@ -533,9 +440,7 @@ def supervised_map(
         payloads = list(payloads)
         if len(payloads) != n:
             raise ValueError(f"{len(payloads)} payloads for {n} items")
-    seed_list: list[int | None] = (
-        list(seeds) if seeds is not None else [p.get("seed") for p in payloads]
-    )
+    seed_list = seeds if seeds is not None else [p.get("seed") for p in payloads]
     keys = [payload_key(hex_floats(payload)) for payload in payloads]
     policy = policy or RetryPolicy()
     max_attempts = policy.max_attempts()
@@ -547,10 +452,7 @@ def supervised_map(
 
     outcomes: list[TrialOutcome | None] = [None] * n
     pending: list[int] = []
-    if journal is not None:
-        existing = journal.load()
-    else:
-        existing = {}
+    existing = {} if journal is None else journal.load()
     for i, key in enumerate(keys):
         record = existing.get(key)
         if record is not None and record.get("status") in resume_statuses:
@@ -561,159 +463,69 @@ def supervised_map(
                 pass  # corrupt record: treat as not completed
         pending.append(i)
 
-    def finish(i: int, outcome: TrialOutcome) -> None:
-        outcomes[i] = outcome
-        if journal is not None:
-            journal.append(outcome)
-
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    pool_ok = (
-        jobs > 1
-        and len(pending) > 1
-        and _is_picklable(fn)
-        and _is_picklable(materialized[pending[0]])
-    )
+    use_pool = pool_helps(jobs, fn, [materialized[i] for i in pending])
+    tasks = {i: (fn, materialized[i], policy.trace_ring) for i in pending}
+    attempts = dict.fromkeys(pending, 0)
 
-    if not pool_ok:
-        for i in pending:
-            finish(
-                i,
-                _serial_attempts(
-                    fn,
-                    materialized[i],
-                    i,
-                    keys[i],
-                    seed_list[i],
-                    payloads[i],
-                    policy,
-                    prior_attempts=0,
-                    attempts_budget=max_attempts,
-                ),
+    def settle(i: int, answer: tuple) -> None:
+        status, value, error, tb, trace, final = answer
+        attempts[i] += 1
+        if final or attempts[i] >= max_attempts:
+            outcomes[i] = TrialOutcome(
+                status=status,
+                key=keys[i],
+                value=value,
+                seed=seed_list[i],
+                payload=payloads[i],
+                error=error,
+                traceback=tb,
+                attempts=attempts[i],
+                trace=trace,
             )
-        return [outcome for outcome in outcomes if outcome is not None]
+            if journal is not None:
+                journal.append(outcomes[i])
 
-    attempts = [0] * n
-    last_failure: dict[int, tuple[str, str | None, str | None]] = {}
-    round_index = 0
-    while True:
-        retryable = [
-            i for i in pending if outcomes[i] is None and attempts[i] < max_attempts
-        ]
-        if not retryable:
-            break
-        if round_index > 0:
-            # One deterministic, jittered pause per retry round; per-item
-            # backoff applies on the serial paths.
-            time.sleep(policy.backoff_s(round_index, retryable[0]))
-        round_index += 1
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(retryable)), initializer=_init_worker
-        ) as pool:
-            futures = {}
-            try:
-                for i in retryable:
-                    futures[i] = pool.submit(fn, materialized[i])
-            except BrokenProcessPool as exc:
-                # The pool died during submission; charge a crash attempt
-                # to every item that never got a future.
-                for i in retryable:
-                    if i not in futures:
-                        attempts[i] += 1
-                        last_failure[i] = (STATUS_CRASHED, repr(exc), None)
-            for i in list(futures):
-                try:
-                    value = pool_trial_result(futures[i])
-                except BrokenProcessPool as exc:
-                    # The pool is dead: this and every still-unfinished
-                    # future fails the same way.  Blame is ambiguous, so
-                    # each affected item gets a crash attempt recorded
-                    # and the loop restarts on a fresh pool.
-                    attempts[i] += 1
-                    last_failure[i] = (STATUS_CRASHED, repr(exc), None)
-                except Exception as exc:
-                    if not _is_picklable(materialized[i]):
-                        # Mid-stream pickling failure: the item never
-                        # reached a worker.  Degrade to the serial
-                        # supervision loop for this item alone.
-                        finish(
-                            i,
-                            _serial_attempts(
-                                fn,
-                                materialized[i],
-                                i,
-                                keys[i],
-                                seed_list[i],
-                                payloads[i],
-                                policy,
-                                prior_attempts=attempts[i],
-                                attempts_budget=max_attempts - attempts[i],
-                            ),
-                        )
-                        continue
-                    attempts[i] += 1
-                    last_failure[i] = (
-                        _classify(exc),
-                        repr(exc),
-                        _remote_traceback(exc),
-                    )
+    def run(batch: list[int], workers: int) -> list[int]:
+        """Attempt each item of ``batch`` once and settle the answers as
+        they arrive; returns the items a broken pool left undecided."""
+        if not use_pool:
+            for i in batch:
+                settle(i, _attempt(tasks[i]))
+            return []
+        undecided = []
+        answers = dispatch_round(_attempt, [tasks[i] for i in batch], workers)
+        with closing(answers):
+            for i, (answer, exc) in zip(batch, answers):
+                if exc is None:
+                    settle(i, answer)
+                elif not isinstance(exc, BrokenProcessPool):
+                    # _attempt raises nothing: the item or its answer did
+                    # not pickle.  This item alone runs in the driver.
+                    settle(i, _attempt(tasks[i]))
+                elif len(batch) > 1:
+                    undecided.append(i)
                 else:
-                    attempts[i] += 1
-                    finish(
-                        i,
-                        TrialOutcome(
-                            status=STATUS_OK,
-                            key=keys[i],
-                            value=value,
-                            seed=seed_list[i],
-                            payload=payloads[i],
-                            attempts=attempts[i],
-                        ),
-                    )
+                    settle(i, (STATUS_CRASHED, None, repr(exc), None, None, False))
+        return undecided
 
-    # Pool retries exhausted: one last in-process attempt for items that
-    # failed with an exception (real traceback, attributable record);
-    # crashed items are recorded as-is — re-running a worker-killer
-    # in-process would take the driver down with it.
-    for i in pending:
-        if outcomes[i] is not None:
-            continue
-        status, error, tb = last_failure.get(i, (STATUS_FAILED, None, None))
-        if policy.final_serial and status != STATUS_CRASHED:
-            finish(
-                i,
-                _serial_attempts(
-                    fn,
-                    materialized[i],
-                    i,
-                    keys[i],
-                    seed_list[i],
-                    payloads[i],
-                    policy,
-                    prior_attempts=attempts[i],
-                    attempts_budget=1,
-                ),
-            )
-        else:
-            finish(
-                i,
-                TrialOutcome(
-                    status=status,
-                    key=keys[i],
-                    seed=seed_list[i],
-                    payload=payloads[i],
-                    error=error,
-                    traceback=tb,
-                    attempts=attempts[i],
-                ),
-            )
+    todo, rounds = pending, 0
+    while todo:
+        if rounds:
+            # One deterministic, jittered pause per retry round.
+            time.sleep(policy.backoff_s(rounds, todo[0]))
+        rounds += 1
+        # A dead worker breaks every unfinished future of its pool, which
+        # proves nothing about an item in shared company.  Workers take
+        # calls in submission order, so those that can have been executing
+        # are the first ``jobs`` undecided ones: each runs again alone in a
+        # one-worker pool, where a break is its own.  The rest never
+        # started and go into the next round.
+        for i in run(todo, jobs)[:jobs]:
+            attempts[i] += 1
+            run([i], 1)
+        todo = [i for i in todo if outcomes[i] is None]
     return [outcome for outcome in outcomes if outcome is not None]
-
-
-def pool_trial_result(future) -> Any:
-    """Bare future result for the supervised loop (exceptions classified
-    by the caller).  Lives here so the ``no-bare-subprocess-result``
-    lint rule can scope bare ``.result()`` calls to this module."""
-    return future.result()
 
 
 # ----------------------------------------------------------------------

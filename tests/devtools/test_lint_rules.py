@@ -138,11 +138,11 @@ def test_no_bare_subprocess_result():
     ]
 
 
-def test_no_bare_subprocess_result_exempts_supervise():
+def test_no_bare_subprocess_result_exempts_parallel():
     engine = LintEngine()
     src = "def take(future):\n    return future.result()\n"
-    assert engine.lint_source(src, "harness/supervise.py") == []
-    flagged = engine.lint_source(src, "harness/parallel.py")
+    assert engine.lint_source(src, "harness/parallel.py") == []
+    flagged = engine.lint_source(src, "harness/supervise.py")
     assert [v.rule_id for v in flagged] == ["no-bare-subprocess-result"]
 
 

@@ -176,18 +176,23 @@ def test_ring_buffer_attached_to_failure_outcome():
     from repro.harness.supervise import RetryPolicy, supervised_map
 
     policy = RetryPolicy(retries=0, trace_ring=3)
-    outcomes = supervised_map(_failing_experiment, [7], jobs=1, policy=policy)
-    assert len(outcomes) == 1
-    outcome = outcomes[0]
-    assert not outcome.ok
-    assert outcome.trace is not None
-    # Ring capacity 3: only the last 3 of 5 emitted events survive.
-    assert [event["step"] for event in outcome.trace] == [2, 3, 4]
-    # The trace round-trips through the manifest record.
-    rebuilt = type(outcome).from_record(
-        json.loads(json.dumps(outcome.to_record()))
-    )
-    assert rebuilt.trace == outcome.trace
+    # The ring is filled where the attempt runs: in the driver (jobs=1)
+    # or in a pool worker (two items, so that they leave the driver).
+    for jobs in (1, 2):
+        outcomes = supervised_map(
+            _failing_experiment, [7, 8], jobs=jobs, policy=policy
+        )
+        assert len(outcomes) == 2
+        outcome = outcomes[0]
+        assert not outcome.ok
+        assert outcome.trace is not None
+        # Ring capacity 3: only the last 3 of 5 emitted events survive.
+        assert [event["step"] for event in outcome.trace] == [2, 3, 4]
+        # The trace round-trips through the manifest record.
+        rebuilt = type(outcome).from_record(
+            json.loads(json.dumps(outcome.to_record()))
+        )
+        assert rebuilt.trace == outcome.trace
 
 
 def test_successful_trials_carry_no_trace():

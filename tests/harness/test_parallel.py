@@ -1,6 +1,8 @@
 """Tests for the process-pool experiment executor."""
 
+import os
 import threading
+import time
 
 import pytest
 
@@ -92,6 +94,23 @@ def test_worker_exception_propagates():
 
 def _reciprocal(x: int) -> float:
     return 1.0 / x
+
+
+def _leave_marker(item) -> None:
+    directory, index = item
+    if index == 0:
+        raise ZeroDivisionError("item 0")
+    time.sleep(0.05)
+    open(os.path.join(directory, str(index)), "w").close()
+
+
+def test_map_fails_fast(tmp_path):
+    # The first item's exception must not wait for the sweep behind it:
+    # calls that have not started when it surfaces are cancelled.
+    items = [(str(tmp_path), index) for index in range(21)]
+    with pytest.raises(ZeroDivisionError):
+        pmap(_leave_marker, items, jobs=2)
+    assert len(os.listdir(tmp_path)) < 10
 
 
 def _take_lock_free(item) -> int:

@@ -1,4 +1,4 @@
-"""The unified results API: keyword-only shims and the Result protocol."""
+"""The unified results API: keyword-only entry points, Result protocol."""
 
 import json
 
@@ -14,6 +14,7 @@ from repro.harness import (
     run_homogeneous,
     run_pair,
     run_single,
+    run_streaming,
     synthesize_snapshot,
     write_result_json,
 )
@@ -27,49 +28,27 @@ def short_run():
 
 
 # ----------------------------------------------------------------------
-# One-release deprecation shim for formerly-positional arguments
+# Everything after the scenario arguments is keyword-only
 # ----------------------------------------------------------------------
-def test_positional_tail_warns_and_matches_keyword(short_run):
-    with pytest.deprecated_call():
-        legacy = run_flows([FlowSpec("cubic")], CONFIG, 6.0, 3)
-    assert legacy.throughputs_mbps() == short_run.throughputs_mbps()
-    assert legacy.duration_s == short_run.duration_s
-
-
-def test_positional_and_keyword_conflict_is_an_error():
-    with pytest.raises(TypeError, match="multiple values"), pytest.deprecated_call():
-        run_flows([FlowSpec("cubic")], CONFIG, 6.0, duration_s=6.0)
-
-
-def test_too_many_positionals_is_an_error():
-    with pytest.raises(TypeError, match="at most"):
-        run_flows([FlowSpec("cubic")], CONFIG, 6.0, 3, None, "extra")
-
-
-def test_run_single_shim():
-    with pytest.deprecated_call():
-        legacy = run_single("cubic", CONFIG, 5.0, 2)
-    keyword = run_single("cubic", CONFIG, duration_s=5.0, seed=2)
-    assert legacy.throughputs_mbps() == keyword.throughputs_mbps()
-
-
-def test_run_homogeneous_shim():
-    with pytest.deprecated_call():
-        legacy = run_homogeneous("cubic", 2, CONFIG, 1.0, 4.0, 2)
-    keyword = run_homogeneous(
-        "cubic", 2, CONFIG, stagger_s=1.0, measure_s=4.0, seed=2
-    )
-    assert legacy.throughputs_mbps() == keyword.throughputs_mbps()
-
-
-def test_run_pair_shim():
-    with pytest.deprecated_call():
-        legacy = run_pair("cubic", "proteus-s", CONFIG, 6.0, 1.0, 2, 1)
-    keyword = run_pair(
-        "cubic", "proteus-s", CONFIG,
-        duration_s=6.0, scavenger_start_s=1.0, seed=2, jobs=1,
-    )
-    assert legacy == keyword
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_flows([FlowSpec("cubic")], CONFIG, 6.0, 3),
+        lambda: run_flows([FlowSpec("cubic")], CONFIG, 6.0, duration_s=6.0),
+        lambda: run_flows([FlowSpec("cubic")], CONFIG, 6.0, 3, None, "extra"),
+        lambda: run_single("cubic", CONFIG, 5.0, 2),
+        lambda: run_homogeneous("cubic", 2, CONFIG, 1.0, 4.0, 2),
+        lambda: run_pair("cubic", "proteus-s", CONFIG, 6.0, 1.0, 2, 1),
+        lambda: run_streaming([], "cubic", CONFIG, 6.0),
+    ],
+    ids=[
+        "run_flows", "run_flows-and-keyword", "run_flows-too-many",
+        "run_single", "run_homogeneous", "run_pair", "run_streaming",
+    ],
+)
+def test_positional_tail_is_a_type_error(call):
+    with pytest.raises(TypeError, match="positional argument"):
+        call()
 
 
 def test_keyword_calls_do_not_warn(recwarn, short_run):

@@ -3,6 +3,7 @@ recovery, and manifest checkpoint/resume."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -75,14 +76,35 @@ def _crash_if_poison(item):
     return 7
 
 
-def _livelock_trial(_seed: int):
+def _crash_or_linger(item):
+    """The poison dies at once; a bystander is still in flight when it does."""
+    if item == "poison":
+        os._exit(13)
+    time.sleep(0.5)
+    return item
+
+
+def _livelock_trial(_seed: int, max_events=200, max_wall_s=None):
     sim = Simulator(check_invariants=False)
 
     def spin():
         sim.schedule_fast(0.0, spin)
 
     sim.schedule_fast(0.0, spin)
-    sim.run(max_events=200)
+    sim.run(max_events=max_events, max_wall_s=max_wall_s)
+
+
+def _wall_livelock_trial(seed: int):
+    _livelock_trial(seed, max_events=None, max_wall_s=0.02)
+
+
+def _mixed_trial(x: int):
+    """ok, raising and event-budget trials in one batch."""
+    if x == 3:
+        raise ValueError("poisoned input")
+    if x == 4:
+        _livelock_trial(x)
+    return 2 * x
 
 
 def _digest_trial(seed: int) -> str:
@@ -170,7 +192,7 @@ def test_poisoned_item_fails_without_aborting_siblings(jobs):
     ]
     assert [o.value for o in outcomes if o.ok] == [2, 4, 8]
     failed = outcomes[2]
-    assert failed.attempts == FAST.max_attempts() + (1 if jobs > 1 else 0)
+    assert failed.attempts == FAST.max_attempts()
     assert "poisoned input" in failed.error
     assert "ValueError" in failed.traceback  # real traceback captured
     assert not failed.ok
@@ -195,6 +217,36 @@ def test_timed_out_status_from_watchdog_trip():
 def test_timed_out_crosses_process_boundary():
     outcomes = supervised_map(_livelock_trial, [1, 2], jobs=2, policy=NO_RETRY)
     assert {o.status for o in outcomes} == {STATUS_TIMED_OUT}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_event_budget_trip_is_final_on_first_attempt(jobs):
+    # The same input trips the same event budget every time: no retry,
+    # no backoff sleep, under the default policy.
+    outcomes = supervised_map(_livelock_trial, [1, 2], jobs=jobs)
+    assert [o.status for o in outcomes] == [STATUS_TIMED_OUT] * 2
+    assert [o.attempts for o in outcomes] == [1, 1]
+
+
+def test_wall_budget_trip_is_retried():
+    # How far a run gets in a wall budget depends on the host.
+    outcomes = supervised_map(_wall_livelock_trial, [1], jobs=1, policy=FAST)
+    assert outcomes[0].status == STATUS_TIMED_OUT
+    assert outcomes[0].attempts == FAST.max_attempts()
+
+
+def test_failure_records_do_not_depend_on_jobs(tmp_path):
+    manifests = []
+    for jobs in (1, 2):
+        manifests.append(tmp_path / f"jobs{jobs}.jsonl")
+        outcomes = supervised_map(
+            _mixed_trial, [1, 2, 3, 4], jobs=jobs, policy=FAST,
+            manifest=manifests[-1],
+        )
+        assert [o.status for o in outcomes] == [
+            STATUS_OK, STATUS_OK, STATUS_FAILED, STATUS_TIMED_OUT,
+        ]
+    assert manifests[0].read_bytes() == manifests[1].read_bytes()
 
 
 def test_unpicklable_fn_runs_serial_supervised():
@@ -233,6 +285,18 @@ def test_always_crashing_item_never_rerun_in_driver():
     assert outcomes[0].attempts == FAST.max_attempts()
     assert [o.status for o in outcomes[1:]] == [STATUS_OK, STATUS_OK]
     assert [o.value for o in outcomes[1:]] == [7, 7]
+
+
+def test_bystanders_are_not_blamed_for_a_neighbours_crash():
+    # Every pool the poison shares dies under the bystanders' feet; only
+    # the item that also kills a pool of its own is a crashed-worker.
+    items = ["a", "poison", "b", "c"]
+    outcomes = supervised_map(_crash_or_linger, items, jobs=4, policy=FAST)
+    assert [o.status for o in outcomes] == [
+        STATUS_OK, STATUS_CRASHED, STATUS_OK, STATUS_OK,
+    ]
+    assert [o.value for o in outcomes if o.ok] == ["a", "b", "c"]
+    assert outcomes[1].attempts == FAST.max_attempts()
 
 
 # ----------------------------------------------------------------------
