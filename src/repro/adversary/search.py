@@ -48,7 +48,6 @@ from ..obs.trace import active_tracer
 from .genome import ScenarioGenome, crossover, mutate, sample_genome
 from .objectives import (
     DEFAULT_MAX_EVENTS,
-    DEFAULT_THRESHOLDS,
     OBJECTIVES,
     eval_item,
     evaluate_genome,
@@ -88,12 +87,6 @@ class CampaignConfig:
             raise ValueError("budget must be >= 1")
         if self.generation_size < 1 or self.elite_count < 1:
             raise ValueError("generation_size and elite_count must be >= 1")
-
-    @property
-    def resolved_threshold(self) -> float:
-        if self.threshold is not None:
-            return self.threshold
-        return DEFAULT_THRESHOLDS[self.objective]
 
     def to_dict(self) -> dict:
         return {

@@ -257,92 +257,6 @@ def cmd_protocols(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    # Imported here so scenario commands never pay for the bench suite.
-    import json
-
-    from .harness.bench import (
-        append_history,
-        check_regression,
-        profile_scenario,
-        run_bench,
-        update_baseline,
-    )
-
-    record = run_bench(
-        quick=args.quick,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_root=args.cache_dir,
-        fidelity=args.fidelity,
-    )
-    engine = record["engine"]
-    cache = record["cache"]
-    scenario = record["scenario"]
-    print_table(
-        ["metric", "value"],
-        [
-            ("fidelity", record["fidelity"]),
-            ("scenario events/sec (effective)", f"{record['events_per_sec']:,.0f}"),
-            (
-                "scenario events fired/virtual",
-                f"{scenario['events']:,}/{scenario['events_virtual']:,}",
-            ),
-            (
-                f"scale events/sec ({record['scale']['n_flows']} flows)",
-                f"{record['scale']['events_per_sec']:,.0f}",
-            ),
-            ("engine fast-path events/sec", f"{engine['fast_events_per_sec']:,.0f}"),
-            ("engine Event-path events/sec", f"{engine['event_events_per_sec']:,.0f}"),
-            (
-                "tracing on: run slowdown / digest us per event",
-                f"{record['tracing']['enabled_slowdown']:.2f}x / "
-                f"{record['tracing']['digest_us_per_event']:.2f}",
-            ),
-            ("suite wall (s)", f"{record['suite_wall_s']:.2f}"),
-            ("jobs", record["jobs"]),
-            (
-                "cache hits/misses",
-                f"{cache['hits']}/{cache['misses']}" if cache["enabled"] else "off",
-            ),
-            (
-                "cache quarantined",
-                str(cache.get("quarantined", 0)) if cache["enabled"] else "off",
-            ),
-        ]
-        + [
-            (f"{name} wall (s)", f"{fig['wall_s']:.2f}")
-            for name, fig in record["figures"].items()
-        ],
-        title="repro bench" + (" --quick" if args.quick else ""),
-    )
-    n_runs = append_history(args.out, record)
-    print(f"appended run {n_runs} to {args.out}")
-    if args.profile:
-        report = profile_scenario(
-            duration_s=1.5 if args.quick else 3.0, fidelity=args.fidelity
-        )
-        with open(args.profile, "w") as fh:
-            fh.write(report)
-        print(f"wrote profile to {args.profile}")
-    if args.update_baseline:
-        update_baseline(args.update_baseline, record)
-        print(f"updated baseline floors in {args.update_baseline}")
-    if args.check_against:
-        try:
-            baseline = json.loads(open(args.check_against).read())
-        except (OSError, ValueError) as exc:
-            print(f"repro bench: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        failures = check_regression(record, baseline, tolerance=args.tolerance)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"no regression vs {args.check_against}")
-    return 0
-
-
 def _specs_from_args(args: argparse.Namespace) -> list:
     """FlowSpecs from a ``--protocols`` comma list with staggered starts."""
     from .harness import FlowSpec
@@ -688,27 +602,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    # Imported here so simulation commands never pay for the lint engine.
-    from .devtools.lint import describe_rules, format_json, format_text, lint_paths
-
-    if args.list_rules:
-        print(describe_rules())
-        return 0
-    paths = args.paths if args.paths else ["src"]
-    try:
-        violations = lint_paths(paths)
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(format_json(violations))
-    else:
-        print(format_text(violations))
-    return 1 if violations else 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
+    """``repro check``, and ``repro lint`` (= ``--check lint``, no baseline)."""
     # Imported here so simulation commands never pay for the analyzers.
     from .devtools.analysis import (
         Baseline,
@@ -733,7 +628,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         project = Project.load(paths)
     except FileNotFoundError as exc:
-        print(f"repro check: {exc}", file=sys.stderr)
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
     if args.update_schema:
         if docs_dir is None:
@@ -830,65 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("protocols", help="list protocol names")
     p_list.set_defaults(fn=cmd_protocols)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="performance benchmark suite (see docs/PERFORMANCE.md)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="reduced scale for CI smoke runs"
-    )
-    p_bench.add_argument(
-        "--out",
-        default="BENCH_sim.json",
-        help="trajectory history JSON; each run appends a machine-tagged entry",
-    )
-    p_bench.add_argument(
-        "--fidelity",
-        default=None,
-        choices=["exact", "hybrid"],
-        help="execution fidelity of the scenario bench "
-        "(default: REPRO_FIDELITY, else exact)",
-    )
-    p_bench.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help="write a cProfile top-20 report of the scenario bench to PATH",
-    )
-    p_bench.add_argument(
-        "--update-baseline",
-        default=None,
-        nargs="?",
-        const="benchmarks/perf/baseline.json",
-        metavar="PATH",
-        help="write derated floors from this run to the committed baseline "
-        "(default PATH: benchmarks/perf/baseline.json)",
-    )
-    p_bench.add_argument(
-        "--check-against",
-        default=None,
-        metavar="BASELINE",
-        help="fail (exit 1) if events/sec regresses >30%% vs this JSON",
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="override the regression tolerance (default 0.30); CI uses "
-        "0.05 for the tracing-disabled overhead gate",
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default REPRO_JOBS)"
-    )
-    p_bench.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    p_bench.add_argument(
-        "--cache-dir", default=None, help="cache root (default .repro-cache)"
-    )
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -1076,23 +912,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="determinism/unit-safety static analyzer (see docs/DEVTOOLS.md)",
+        help="the per-file determinism/unit-safety rules alone: alias for "
+        "'check --check lint' with no baseline (see docs/DEVTOOLS.md)",
     )
     p_lint.add_argument(
         "paths", nargs="*", help="files or directories (default: src)"
     )
-    p_lint.add_argument(
-        "--list-rules", action="store_true", help="describe the rules and exit"
+    p_lint.set_defaults(
+        fn=cmd_check,
+        check=["lint"],
+        format="text",
+        baseline=None,
+        docs_dir=None,
+        update_baseline=False,
+        update_schema=False,
+        list_checks=False,
     )
-    p_lint.add_argument(
-        "--json", action="store_true", help="emit violations as JSON"
-    )
-    p_lint.set_defaults(fn=cmd_lint)
 
     p_check = sub.add_parser(
         "check",
-        help="whole-program static analysis: units, races, tracepoints, "
-        "layering (see docs/DEVTOOLS.md)",
+        help="static analysis: per-file lint rules, units, races, "
+        "tracepoints, layering (see docs/DEVTOOLS.md)",
     )
     p_check.add_argument(
         "paths", nargs="*", help="files or directories (default: src)"

@@ -8,8 +8,8 @@ not perturb existing ones.
 
 This module is the only place in the source tree allowed to touch the
 stdlib ``random`` module directly; the ``no-bare-random`` lint rule
-(see :mod:`repro.devtools.lint`) enforces that everything else receives
-an injected :class:`Rng`.
+(see :mod:`repro.devtools.analysis.rules`) enforces that everything
+else receives an injected :class:`Rng`.
 """
 
 from __future__ import annotations

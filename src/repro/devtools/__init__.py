@@ -3,9 +3,10 @@
 ``repro.devtools`` hosts tooling that keeps the simulator trustworthy
 rather than code that runs inside simulations:
 
-* :mod:`repro.devtools.lint` — an AST-based static analyzer with
-  repo-specific determinism and unit-safety rules, exposed as the
-  ``repro lint`` CLI subcommand;
+* :mod:`repro.devtools.analysis` — the static-analysis engine behind
+  ``repro check``: per-file determinism and unit-safety rules (the
+  ``lint`` analyzer; ``repro lint`` is an alias) and whole-program
+  analyzers, over one parsed project;
 * :mod:`repro.devtools.determinism` — trace fingerprinting used by the
   determinism regression gate in the test suite.
 
@@ -15,12 +16,5 @@ self-contained.
 """
 
 from .determinism import stats_digest, trace_digest
-from .lint import LintEngine, Violation, lint_paths
 
-__all__ = [
-    "LintEngine",
-    "Violation",
-    "lint_paths",
-    "stats_digest",
-    "trace_digest",
-]
+__all__ = ["stats_digest", "trace_digest"]

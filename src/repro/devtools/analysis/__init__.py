@@ -1,9 +1,11 @@
-"""Whole-program static analysis behind ``repro check``.
+"""The static-analysis engine behind ``repro check`` (and ``repro lint``).
 
-Where ``repro lint`` judges one file at a time, the analyzers here share
-a single parsed :class:`~repro.devtools.analysis.loader.Project` and
+The analyzers share a single parsed
+:class:`~repro.devtools.analysis.loader.Project`; all but ``lint``
 reason across module boundaries:
 
+* ``lint`` — the per-file rules of :mod:`~repro.devtools.analysis.rules`
+  (determinism, unit suffixes, API surface), one tree walk per file;
 * ``units`` — dataflow over the ``_s/_ms/_bps/_bytes/_pkts`` suffix
   convention, including cross-module call sites;
 * ``races`` — determinism hazards in code reachable from the
@@ -18,7 +20,7 @@ Importing this package registers all analyzers in
 
 from __future__ import annotations
 
-from . import layering, races, tracepoints, units  # noqa - analyzer registration
+from . import layering, races, rules, tracepoints, units  # noqa - analyzer registration
 from .base import ANALYZERS, Analyzer, Baseline, BaselineEntry
 from .loader import Project
 from .runner import (

@@ -1,16 +1,15 @@
 """Analyzer framework for ``repro check``: findings, registry, baseline.
 
-Findings reuse the lint engine's :class:`~repro.devtools.lint.base.
-Violation` shape (path/line/col/rule/message) so suppression, sorting and
-text/JSON rendering are shared, and each analyzer declares the check ids
-it can emit (``repro check --list-checks``).
+Every finding is a :class:`Violation` (path/line/col/rule/message), so
+suppression, sorting and rendering are written once, and each analyzer
+declares the check ids it can emit (``repro check --list-checks``).
 
 The **baseline** is the incremental-adoption valve: a committed JSON
 file of *justified* exceptions.  A finding is baselined when an entry's
 ``rule`` matches, its ``path`` suffix-matches the finding's path, and
 its ``match`` string (if any) occurs in the message.  Baselined findings
-don't fail the build; entries that match nothing are reported as stale
-so the file can only shrink honestly.
+don't fail the build; entries the run could have matched but did not
+are reported as stale so the file can only shrink honestly.
 """
 
 from __future__ import annotations
@@ -19,10 +18,49 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence, TypeVar
 
-from ..lint.base import Violation
 from .loader import ModuleInfo, Project
+
+
+@dataclass(frozen=True, order=True)
+class Violation:
+    """One finding: where, which rule, and why."""
+
+    path: str
+    line: int  # 1-based
+    col: int  # 1-based
+    rule_id: str
+    message: str
+
+    def render(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
+
+
+T = TypeVar("T")
+
+
+class Registry(dict[str, T]):
+    """Id -> instance of self-registering classes (rules, analyzers)."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def register(self, cls: type[T]) -> type[T]:
+        """Class decorator: instantiate ``cls`` and file it under its ``id``."""
+        item = cls()
+        item_id = item.id  # type: ignore[attr-defined]
+        if not item_id:
+            raise ValueError(f"{self.kind} {cls.__name__} has no id")
+        if item_id in self:
+            raise ValueError(f"duplicate {self.kind} id {item_id}")
+        self[item_id] = item
+        return cls
+
+    def all(self) -> list[T]:
+        """Every registered instance, ordered by id."""
+        return [self[item_id] for item_id in sorted(self)]
 
 
 class Analyzer:
@@ -31,6 +69,8 @@ class Analyzer:
     id: str = ""
     description: str = ""
     check_ids: tuple[str, ...] = ()
+    # Optional one-liner per check id for ``--list-checks``.
+    check_help: dict[str, str] = {}
 
     def analyze(self, project: Project) -> Iterator[Violation]:
         raise NotImplementedError  # pragma: no cover - abstract
@@ -48,29 +88,7 @@ class Analyzer:
         )
 
 
-class AnalyzerRegistry:
-    def __init__(self) -> None:
-        self.analyzers: dict[str, Analyzer] = {}
-
-    def register(self, analyzer_cls: type[Analyzer]) -> type[Analyzer]:
-        analyzer = analyzer_cls()
-        if not analyzer.id:
-            raise ValueError(f"analyzer {analyzer_cls.__name__} has no id")
-        if analyzer.id in self.analyzers:
-            raise ValueError(f"duplicate analyzer id {analyzer.id}")
-        self.analyzers[analyzer.id] = analyzer
-        return analyzer_cls
-
-    def all(self) -> list[Analyzer]:
-        return [self.analyzers[key] for key in sorted(self.analyzers)]
-
-    def select(self, ids: Sequence[str] | None) -> list[Analyzer]:
-        if ids is None:
-            return self.all()
-        return [self.analyzers[analyzer_id] for analyzer_id in ids]
-
-
-ANALYZERS = AnalyzerRegistry()
+ANALYZERS: Registry[Analyzer] = Registry("analyzer")
 register_analyzer = ANALYZERS.register
 
 
@@ -86,13 +104,16 @@ class BaselineEntry:
     reason: str
     match: str = ""
 
+    def matches_path(self, path: str) -> bool:
+        normalized = path.replace("\\", "/")
+        return normalized == self.path or normalized.endswith("/" + self.path)
+
     def covers(self, finding: Violation) -> bool:
-        if finding.rule_id != self.rule:
-            return False
-        normalized = finding.path.replace("\\", "/")
-        if not (normalized == self.path or normalized.endswith("/" + self.path)):
-            return False
-        return self.match in finding.message
+        return (
+            finding.rule_id == self.rule
+            and self.matches_path(finding.path)
+            and self.match in finding.message
+        )
 
     def to_dict(self) -> dict:
         record = {"rule": self.rule, "path": self.path, "reason": self.reason}
@@ -124,9 +145,20 @@ class Baseline:
         return cls(entries=entries, path=path)
 
     def apply(
-        self, findings: Sequence[Violation]
+        self,
+        findings: Sequence[Violation],
+        check_ids: Collection[str],
+        paths: Collection[str],
     ) -> tuple[list[Violation], list[Violation], list[BaselineEntry]]:
-        """Split ``findings`` into (kept, baselined); also stale entries."""
+        """Split ``findings`` into (kept, baselined); also stale entries.
+
+        ``check_ids`` are the ids the analyzers that ran can emit and
+        ``paths`` the files they saw.  An unused entry is stale only if
+        this run could have matched it: its rule ran, and its file was
+        loaded — or exists nowhere any more (judged from the working
+        directory, where baseline paths are rooted), so a run over one
+        analyzer or one subtree does not condemn the rest of the file.
+        """
         kept: list[Violation] = []
         baselined: list[Violation] = []
         used: set[BaselineEntry] = set()
@@ -137,7 +169,16 @@ class Baseline:
             else:
                 baselined.append(finding)
                 used.add(entry)
-        stale = [entry for entry in self.entries if entry not in used]
+        stale = [
+            entry
+            for entry in self.entries
+            if entry not in used
+            and entry.rule in check_ids
+            and (
+                any(entry.matches_path(path) for path in paths)
+                or not Path(entry.path).exists()
+            )
+        ]
         return kept, baselined, stale
 
     def write(self, path: str | Path) -> None:

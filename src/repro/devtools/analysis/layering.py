@@ -24,7 +24,7 @@ The declared DAG (low → high)::
 * ``cli`` and ``devtools`` see everything.
 
 Only module-scope imports count.  Imports inside function bodies are
-deliberate lazy escapes (the CLI loading the bench suite on demand) and
+deliberate lazy escapes (the CLI loading the analyzers on demand) and
 are exempt.  ``if TYPE_CHECKING:`` imports count for layer *direction*
 (typing-only coupling is still coupling) but not for *cycles* — they
 are invisible at runtime, and guarding a within-layer cycle behind
@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..lint.base import Violation
-from .base import Analyzer, register_analyzer
+from .base import Analyzer, Violation, register_analyzer
 from .loader import ModuleInfo, Project
 
 #: package (second component of the dotted module name) -> layer name

@@ -3,11 +3,11 @@
 ``repro check`` is *whole-program*: the unit-dataflow pass follows a
 call from ``harness/runner.py`` into a ``sim/link.py`` signature, the
 race pass walks a call graph that crosses module boundaries, and the
-layering pass needs every import edge at once.  So unlike the per-file
-lint engine, the analyzers here share a single :class:`Project` — every
-``.py`` file parsed once, plus a symbol table of modules, top-level
-functions, classes (with dataclass fields), and resolved import
-aliases.
+layering pass needs every import edge at once.  So every analyzer —
+the per-file lint rules included — shares a single :class:`Project`:
+every ``.py`` file parsed once, plus a symbol table of modules,
+top-level functions, classes (with dataclass fields), and resolved
+import aliases.
 
 Module names are derived structurally: walk up from each file while an
 ``__init__.py`` is present, so ``src/repro/sim/link.py`` loads as
@@ -15,21 +15,116 @@ Module names are derived structurally: walk up from each file while an
 loads as ``repro.sim.a`` — analyzers never special-case where a tree
 happens to sit on disk.
 
-Suppression reuses the lint engine's :class:`~repro.devtools.lint.base.
-LintContext` (``# repro: noqa[check-id]`` and
-``# repro: noqa-file[check-id]`` work identically for lint rules and
-check analyzers).
+Each module carries a :class:`LintContext`: path scoping for the
+per-file rules, and suppression for every check id — line-scoped via
+``# repro: noqa[check-id]`` (or a blanket ``# repro: noqa``) on the
+flagged line, file-scoped via ``# repro: noqa-file[check-id]`` anywhere
+in the file.  File-level suppression always names explicit ids — there
+is deliberately no blanket ``noqa-file``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..lint.base import LintContext
-from ..lint.engine import iter_python_files
+#: Directory names skipped when expanding a directory argument.  Fixture
+#: corpora are deliberate rule violations — checking a whole test tree
+#: must not trip over them.  Naming a file (or a fixtures dir) directly
+#: still works: the skip only applies during expansion.
+SKIP_DIR_NAMES = frozenset({"fixtures", "__pycache__"})
+
+
+def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    found: set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            found.update(
+                candidate
+                for candidate in path.rglob("*.py")
+                if not SKIP_DIR_NAMES
+                & set(candidate.relative_to(path).parts[:-1])
+            )
+        elif path.suffix == ".py":
+            found.add(path)
+        else:
+            raise FileNotFoundError(f"not a Python file or directory: {path}")
+    return sorted(found)
+
+
+# The lookahead keeps a `noqa-file[...]` marker from doubling as a
+# blanket line-level `noqa` on its own line.
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?!-file)(?:\[([A-Za-z0-9_,\s\-]+)\])?")
+_NOQA_FILE_RE = re.compile(r"#\s*repro:\s*noqa-file\[([A-Za-z0-9_,\s\-]+)\]")
+
+ALL_RULES = "*"
+"""Sentinel stored in a noqa map entry for a blanket suppression."""
+
+
+class LintContext:
+    """Per-file state: path scoping for the rules, suppression for every check."""
+
+    def __init__(self, path: Path, source: str):
+        self.path = path
+        self.source = source
+        self.parts = tuple(part for part in path.parts if part not in (".", ".."))
+        self._noqa: dict[int, set[str]] | None = None
+        self._noqa_file: set[str] | None = None
+
+    def in_package(self, *names: str) -> bool:
+        """True when the file lives under any of the named directories."""
+        return any(name in self.parts[:-1] for name in names)
+
+    def is_file(self, *tail: str) -> bool:
+        """True when the file path ends with the given components."""
+        return self.parts[-len(tail):] == tail
+
+    # ------------------------------------------------------------------
+    def noqa_map(self) -> dict[int, set[str]]:
+        """Line number -> suppressed rule ids (or ``ALL_RULES``)."""
+        if self._noqa is None:
+            mapping: dict[int, set[str]] = {}
+            for lineno, line in enumerate(self.source.splitlines(), start=1):
+                match = _NOQA_RE.search(line)
+                if match is None:
+                    continue
+                ids = match.group(1)
+                if ids is None:
+                    mapping[lineno] = {ALL_RULES}
+                else:
+                    mapping[lineno] = {
+                        part.strip() for part in ids.split(",") if part.strip()
+                    }
+            self._noqa = mapping
+        return self._noqa
+
+    def file_suppressions(self) -> set[str]:
+        """Rule ids suppressed file-wide via ``# repro: noqa-file[...]``."""
+        if self._noqa_file is None:
+            ids: set[str] = set()
+            for line in self.source.splitlines():
+                match = _NOQA_FILE_RE.search(line)
+                if match is not None:
+                    ids.update(
+                        part.strip()
+                        for part in match.group(1).split(",")
+                        if part.strip()
+                    )
+            self._noqa_file = ids
+        return self._noqa_file
+
+    def is_suppressed(self, line: int, rule_id: str) -> bool:
+        if rule_id in self.file_suppressions():
+            return True
+        suppressed = self.noqa_map().get(line)
+        if suppressed is None:
+            return False
+        return ALL_RULES in suppressed or rule_id in suppressed
 
 
 @dataclass
@@ -38,7 +133,6 @@ class ModuleInfo:
 
     name: str  # dotted module name, e.g. "repro.sim.link"
     path: Path
-    source: str
     tree: ast.Module
     ctx: LintContext
     # local alias -> absolute dotted target, e.g. {"Rng": "repro.core.rng.Rng"}
@@ -115,7 +209,20 @@ class ClassInfo:
         return []
 
 
-def _is_dataclass_def(node: ast.ClassDef) -> bool:
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def is_dataclass_def(node: ast.ClassDef) -> bool:
+    """Does the class carry a ``@dataclass`` / ``@dataclass(...)`` decorator?"""
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
@@ -153,14 +260,23 @@ class Project:
             project.add_file(path)
         return project
 
-    def add_file(self, path: Path) -> None:
-        source = Path(path).read_text()
+    def add_file(self, path: str | Path) -> None:
+        self.add_source(path, Path(path).read_text())
+
+    def add_source(self, path: str | Path, source: str) -> None:
+        """Add one module from an in-memory ``source`` filed under ``path``.
+
+        ``path`` need not exist: rules scope themselves by its
+        components (``sim/x.py``, ``examples/demo.py``), which is how
+        tests plant a source blob at a logical location.
+        """
+        path = Path(path)
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            self.syntax_errors.append((Path(path), exc))
+            self.syntax_errors.append((path, exc))
             return
-        name = module_name_for(Path(path))
+        name = module_name_for(path)
         if name in self.modules:
             # Two files mapping to one module name (e.g. twin fixture
             # trees): disambiguate so neither shadows the other.
@@ -170,10 +286,9 @@ class Project:
                 counter += 1
         module = ModuleInfo(
             name=name,
-            path=Path(path),
-            source=source,
+            path=path,
             tree=tree,
-            ctx=LintContext(Path(path), source, tree),
+            ctx=LintContext(path, source),
         )
         self.modules[name] = module
         self._index_module(module)
@@ -274,7 +389,7 @@ class Project:
             qname=f"{module.name}.{node.name}",
             module=module,
             node=node,
-            is_dataclass=_is_dataclass_def(node),
+            is_dataclass=is_dataclass_def(node),
         )
         self.classes[info.qname] = info
         for stmt in node.body:
@@ -305,7 +420,7 @@ class Project:
         analyzers that track a class context; unresolvable calls return
         None (analyzers must stay silent rather than guess).
         """
-        dotted = _dotted_name(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         absolute = self.expand_alias(module, dotted)
@@ -324,17 +439,6 @@ def _is_type_checking_test(stmt: ast.stmt) -> bool:
     if isinstance(test, ast.Attribute):
         return test.attr == "TYPE_CHECKING"
     return False
-
-
-def _dotted_name(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _assign_targets(stmt: ast.stmt) -> list[str]:

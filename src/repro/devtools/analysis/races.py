@@ -35,8 +35,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..lint.base import Violation
-from .base import Analyzer, register_analyzer
+from .base import Analyzer, Violation, register_analyzer
 from .loader import FunctionInfo, ModuleInfo, Project
 
 DISPATCH_CALLS = frozenset(

@@ -1,8 +1,28 @@
-"""Repo-specific lint rules.
+"""Repo-specific per-file lint rules, run as the ``lint`` analyzer.
 
 Each rule encodes a determinism or unit-safety convention of this
 codebase; `docs/DEVTOOLS.md` documents the rationale and the suppression
-syntax (``# repro: noqa[rule-id]``).
+syntax (``# repro: noqa[rule-id]``):
+
+* ``no-bare-random`` — stochastic draws must come from an injected
+  :class:`repro.core.rng.Rng`;
+* ``no-wallclock`` — no host-clock reads in ``sim/``, ``core/``,
+  ``protocols/``;
+* ``no-float-eq`` — no exact equality on simulated-time/rate floats;
+* ``unit-suffix`` — public rate/time parameters in ``core/`` and
+  ``sim/`` carry unit suffixes;
+* ``mutable-default-arg`` — no mutable default argument values;
+* ``no-bare-subprocess-result`` — pool futures are read in
+  ``harness/parallel.py`` only;
+* ``no-deep-harness-import`` — examples import the public surface.
+
+Rules are small classes that inspect AST nodes.  :class:`PerFileRules`
+(analyzer id ``lint``; ``repro lint [paths]`` runs it alone) walks each
+module's tree — already parsed by the shared
+:class:`~repro.devtools.analysis.loader.Project` — exactly once and
+dispatches every node to the rules registered for its type that apply
+to the file, so adding a rule never adds a traversal.  Check ids are
+the rule ids.
 """
 
 from __future__ import annotations
@@ -11,25 +31,41 @@ import ast
 import re
 from typing import Iterator
 
-from .base import LintContext, Rule, register
+from .base import Analyzer, Registry, Violation, register_analyzer
+from .loader import LintContext, Project, dotted_name, is_dataclass_def
+
+
+class Rule:
+    """Base class for lint rules.
+
+    Subclasses set the metadata class attributes, declare the AST node
+    types they want to see in ``node_types``, and implement
+    :meth:`visit`, yielding ``(node, message)`` pairs for violations.
+    ``applies_to`` scopes a rule to parts of the tree (e.g. only
+    ``sim/`` and ``core/``).
+    """
+
+    id: str = ""
+    name: str = ""
+    description: str = ""
+    node_types: tuple[type[ast.AST], ...] = ()
+
+    def applies_to(self, ctx: LintContext) -> bool:
+        return True
+
+    def visit(
+        self, node: ast.AST, ctx: LintContext
+    ) -> Iterator[tuple[ast.AST, str]]:
+        raise NotImplementedError  # pragma: no cover - abstract
+
+
+RULES: Registry[Rule] = Registry("rule")
+register = RULES.register
+
 
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def terminal_identifier(node: ast.AST) -> str | None:
     """The rightmost identifier of a Name/Attribute, else None."""
     if isinstance(node, ast.Attribute):
@@ -57,15 +93,6 @@ _CONFIG_FIELD_STEM_RE = re.compile(
     r"(^|_)(rate|delay|duration|interval|bandwidth|rtt|timeout|period|bitrate|"
     r"latency|jitter|time|at|start|end|until)(_|$)"
 )
-
-
-def is_dataclass_def(node: ast.ClassDef) -> bool:
-    """Does the class carry a ``@dataclass`` / ``@dataclass(...)`` decorator?"""
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if terminal_identifier(target) == "dataclass":
-            return True
-    return False
 
 _FLOATY_NAME_RE = re.compile(
     r"(^|_)(now|time|rtt|srtt|rate|delay|deadline|interval|duration|bandwidth)(_|$)"
@@ -470,3 +497,32 @@ class MutableDefaultArg(Rule):
                     "mutable default argument is shared across calls; "
                     "default to None and create it in the body"
                 )
+
+
+# ----------------------------------------------------------------------
+# The analyzer
+# ----------------------------------------------------------------------
+@register_analyzer
+class PerFileRules(Analyzer):
+    id = "lint"
+    description = (
+        "per-file determinism, unit-safety and API-surface rules "
+        "(what 'repro lint' runs)"
+    )
+    check_help = {rule.id: rule.description for rule in RULES.all()}
+    check_ids = tuple(check_help)
+
+    def analyze(self, project: Project) -> Iterator[Violation]:
+        rules = RULES.all()
+        for module in project.modules.values():
+            dispatch: dict[type[ast.AST], list[Rule]] = {}
+            for rule in rules:
+                if rule.applies_to(module.ctx):
+                    for node_type in rule.node_types:
+                        dispatch.setdefault(node_type, []).append(rule)
+            if not dispatch:
+                continue
+            for node in ast.walk(module.tree):
+                for rule in dispatch.get(type(node), ()):
+                    for flagged, message in rule.visit(node, module.ctx):
+                        yield self.finding(module, flagged, rule.id, message)

@@ -7,8 +7,7 @@ The pipeline per run:
 2. each selected analyzer contributes findings (syntax errors surface as
    ``syntax-error`` findings rather than crashing the run);
 3. findings on lines carrying ``# repro: noqa[check-id]`` — or in files
-   carrying ``# repro: noqa-file[check-id]`` — are dropped, reusing the
-   lint engine's suppression machinery;
+   carrying ``# repro: noqa-file[check-id]`` — are dropped;
 4. the committed baseline splits the rest into *kept* (fail the gate)
    and *baselined* (justified exceptions); stale baseline entries also
    fail, so the exception list can only shrink honestly.
@@ -21,11 +20,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..lint.base import Violation
-from ..lint.engine import SYNTAX_ERROR_RULE
-from .base import ANALYZERS, Analyzer, Baseline, BaselineEntry
+from .base import ANALYZERS, Analyzer, Baseline, BaselineEntry, Violation
 from .loader import Project
 from .tracepoints import build_schema, render_schema_md
+
+SYNTAX_ERROR_RULE = "syntax-error"
 
 
 @dataclass
@@ -48,11 +47,11 @@ def select_analyzers(checks: Sequence[str] | None) -> list[Analyzer]:
     """Analyzers for ``--check`` ids (None = all); unknown ids raise."""
     if checks is None:
         return ANALYZERS.all()
-    unknown = [check for check in checks if check not in ANALYZERS.analyzers]
+    unknown = [check for check in checks if check not in ANALYZERS]
     if unknown:
-        known = ", ".join(sorted(ANALYZERS.analyzers))
+        known = ", ".join(sorted(ANALYZERS))
         raise ValueError(f"unknown check(s) {', '.join(unknown)}; known: {known}")
-    return ANALYZERS.select(checks)
+    return [ANALYZERS[check] for check in checks]
 
 
 def run_check(
@@ -103,7 +102,11 @@ def run_check(
             visible.append(finding)
 
     if baseline is not None:
-        kept, baselined, stale = baseline.apply(visible)
+        kept, baselined, stale = baseline.apply(
+            visible,
+            {check_id for analyzer in analyzers for check_id in analyzer.check_ids},
+            by_path,
+        )
     else:
         kept, baselined, stale = visible, [], []
     return CheckReport(
@@ -139,7 +142,7 @@ def describe_checks() -> str:
     for analyzer in ANALYZERS.all():
         lines.append(f"{analyzer.id}: {analyzer.description}")
         for check_id in analyzer.check_ids:
-            lines.append(f"  {check_id}")
+            lines.append(f"  {check_id}  {analyzer.check_help.get(check_id, '')}".rstrip())
     return "\n".join(lines)
 
 

@@ -42,8 +42,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..lint.base import Violation
-from .base import Analyzer, register_analyzer
+from .base import Analyzer, Violation, register_analyzer
 from .loader import ClassInfo, FunctionInfo, ModuleInfo, Project
 
 Dim = tuple[int, int, int]  # exponents of (time, data[bits], packets)

@@ -20,11 +20,11 @@ them apart.  A corrupt or truncated entry is a miss and is recomputed,
 never an error; on first detection the torn file is **quarantined**
 (moved aside to ``<key>.corrupt``) so every later run under the same key
 is a clean miss, not a re-read/re-parse/re-fail cycle.  Quarantines are
-counted in :meth:`ResultCache.stats` and surfaced by ``repro bench``.
+counted in :meth:`ResultCache.stats`.
 
 The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 ``REPRO_CACHE_DIR``), or call :func:`enable_cache` programmatically.
-``repro bench`` enables it by default.
+``repro attack`` enables it by default.
 """
 
 from __future__ import annotations

@@ -300,14 +300,6 @@ class SweepManifest:
             records[record["key"]] = record
         return records
 
-    def completed_keys(self) -> set[str]:
-        """Keys whose latest record is ``ok`` (skipped on resume)."""
-        return {
-            key
-            for key, record in self.load().items()
-            if record.get("status") == STATUS_OK
-        }
-
     def append(self, outcome: TrialOutcome) -> None:
         line = json.dumps(outcome.to_record(), sort_keys=True, separators=(",", ":"))
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,9 @@ Two halves:
 
 The default state is *off*: no tracer installed, no registry created,
 and every instrumented call site pays exactly one ``is not None``
-branch (the ``repro bench`` gate enforces that this stays in the
-noise).  See ``docs/OBSERVABILITY.md`` for the tracepoint catalogue.
+branch (``tests/test_perf_proxies.py`` pins zero ``emit`` calls and the
+exact call count of an untraced run).  See ``docs/OBSERVABILITY.md``
+for the tracepoint catalogue.
 """
 
 from .metrics import (

@@ -6,9 +6,9 @@ components, rate-control decisions with reasons, RTT-filter verdicts —
 as a stream of typed **trace events**.  The design constraint is the
 same as the engine's: the disabled path must cost nothing measurable.
 Every emission site in hot code is guarded by a single
-``if tracer is not None`` attribute check (enforced end-to-end by the
-``repro bench`` events/sec gate), and no tracer object exists unless
-one was installed.
+``if tracer is not None`` attribute check (``tests/test_perf_proxies.py``
+pins zero ``emit`` calls in an untraced run), and no tracer object
+exists unless one was installed.
 
 Determinism: events carry *simulated* time only and are emitted in
 event-execution order, which is a pure function of the run's seed.  The

@@ -26,7 +26,6 @@ STARTUP_GAIN = 2.885  # 2 / ln(2)
 DRAIN_GAIN = 1.0 / STARTUP_GAIN
 PROBE_BW_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 BW_WINDOW_ROUNDS = 10
-RTPROP_WINDOW_S = 10.0
 PROBE_RTT_INTERVAL_S = 10.0
 PROBE_RTT_DURATION_S = 0.2
 PROBE_RTT_CWND_PKTS = 4

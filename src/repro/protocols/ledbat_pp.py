@@ -74,6 +74,3 @@ class LedbatPPSender(LedbatSender):
         self._next_slowdown = None
         if self.tracer is not None:
             self.trace("cwnd.change", cwnd=self.cwnd, reason="ledbat++:slowdown")
-
-    def in_slowdown(self) -> bool:
-        return self._slowdown_until is not None

@@ -409,7 +409,11 @@ class DynamicLink(LinkBase):
                     reason="aqm",
                     seq=packet.seq,
                 )
-        elif self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        elif (
+            self.loss_model.is_lost(self.rng)
+            if self.loss_model is not None
+            else self.loss_rate > 0.0 and self.rng.random() < self.loss_rate
+        ):
             self.stats.random_losses += 1
             if tracer is not None:
                 tracer.emit(

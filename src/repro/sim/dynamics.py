@@ -194,16 +194,18 @@ class TimelineDriver:
 
     @staticmethod
     def _validate(event: LinkEvent, link: Any) -> None:
+        # ``loss``/``gilbert`` write attributes every link has (method
+        # None): only their arity is checked.
         needed = {
             "bandwidth": ("set_bandwidth_bps", 1),
             "delay": ("set_delay_s", 1),
             "down": ("set_down", 0),
             "up": ("set_down", 0),
-            "loss": ("send", 1),  # plain attribute write, any link works
-            "gilbert": ("send", 4),
+            "loss": (None, 1),
+            "gilbert": (None, 4),
         }
         method, arity = needed[event.kind]
-        if not hasattr(link, method):
+        if method is not None and not hasattr(link, method):
             raise DynamicsError(
                 f"link {event.link!r} does not support {event.kind!r} events"
             )

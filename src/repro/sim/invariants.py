@@ -150,8 +150,9 @@ class InvariantChecker:
     def _check_link(self, link) -> None:
         stats = link.stats
         queued = link.queued_packets()
-        # DynamicLink predates outage support; plain Links count packets
-        # offered during a down window separately from tail drops.
+        # Packets offered during a down window are counted apart from
+        # tail drops (only the analytic Link can go down; a DynamicLink's
+        # counter stays 0).  Stub links in tests may lack the field.
         outage_drops = getattr(stats, "outage_drops", 0)
         # Stub links in tests may carry a bare stats object without the
         # AQM counter; real LinkStats always has it.

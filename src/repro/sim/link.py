@@ -98,6 +98,10 @@ class LinkBase:
         # delay increase legitimately sit below the *current* delay.
         self.min_delay_s = delay_s
         self.loss_rate = loss_rate
+        # Stateful wire-loss model (see ``LossModel``); when set it
+        # replaces the Bernoulli ``loss_rate`` draw.  Timelines install
+        # and clear it mid-run (``repro.sim.dynamics``).
+        self.loss_model: LossModel | None = None
         self.noise = noise
         self.rng = rng if rng is not None else Rng(0)
         self.name = name

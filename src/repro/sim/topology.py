@@ -285,9 +285,9 @@ class Topology:
             accounted = (
                 stats.delivered
                 + stats.tail_drops
-                + getattr(stats, "aqm_drops", 0)
+                + stats.aqm_drops
                 + stats.random_losses
-                + getattr(stats, "outage_drops", 0)
+                + stats.outage_drops
                 + link.queued_packets()
             )
             if stats.offered != accounted:

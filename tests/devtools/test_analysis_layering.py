@@ -10,7 +10,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "check"
 
 def findings_for(case):
     project = Project.load([FIXTURES / case])
-    return sorted(ANALYZERS.analyzers["layering"].analyze(project))
+    return sorted(ANALYZERS["layering"].analyze(project))
 
 
 def test_layer_of():

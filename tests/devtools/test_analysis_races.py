@@ -9,7 +9,7 @@ CASE = Path(__file__).parent / "fixtures" / "check" / "races_case"
 
 def findings_for(case_dir):
     project = Project.load([case_dir])
-    return sorted(ANALYZERS.analyzers["races"].analyze(project))
+    return sorted(ANALYZERS["races"].analyze(project))
 
 
 def in_file(findings, name):

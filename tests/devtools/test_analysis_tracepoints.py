@@ -11,7 +11,7 @@ OK_FILE = CASE / "trace_ok.py"
 
 def findings_for(paths):
     project = Project.load(paths)
-    return sorted(ANALYZERS.analyzers["tracepoints"].analyze(project))
+    return sorted(ANALYZERS["tracepoints"].analyze(project))
 
 
 def test_disagreeing_sites_conflict():

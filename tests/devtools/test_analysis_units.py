@@ -9,7 +9,7 @@ CASE = Path(__file__).parent / "fixtures" / "check" / "units_case"
 
 def findings_for(case_dir):
     project = Project.load([case_dir])
-    return sorted(ANALYZERS.analyzers["units"].analyze(project))
+    return sorted(ANALYZERS["units"].analyze(project))
 
 
 def in_file(findings, name):

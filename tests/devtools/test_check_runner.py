@@ -55,6 +55,37 @@ def test_baseline_covers_and_reports_stale(tmp_path):
     assert len(report.stale_entries) == 1
 
 
+def test_entry_of_an_analyzer_that_did_not_run_is_not_stale(tmp_path):
+    # `repro check src --check units` used to call the committed
+    # worker-global-write entries stale: the races analyzer never ran.
+    baseline = Baseline(
+        entries=[BaselineEntry(rule="worker-global-write", path="mod.py", reason="x")]
+    )
+    report = check_source(tmp_path, "X = 1\n", baseline=baseline, checks=["units"])
+    assert report.ok and not report.stale_entries
+    # The same entry *is* stale once its analyzer runs and finds nothing.
+    report = check_source(tmp_path, "X = 1\n", baseline=baseline, checks=["races"])
+    assert report.stale_entries == baseline.entries
+
+
+def test_entry_for_a_file_outside_the_run_is_not_stale(tmp_path):
+    # `repro check src/repro/sim` used to call entries for harness/cache.py
+    # stale: the file exists, it just was not part of this run.
+    (tmp_path / "other.py").write_text("X = 2\n")
+    baseline = Baseline(
+        entries=[
+            BaselineEntry(
+                rule="unit-mismatch", path=str(tmp_path / "other.py"), reason="x"
+            )
+        ]
+    )
+    report = check_source(tmp_path, "X = 1\n", baseline=baseline)
+    assert report.ok and not report.stale_entries
+    # Loaded and clean: now the entry matched nothing it could have.
+    report = run_check([tmp_path], baseline=baseline)
+    assert report.stale_entries == baseline.entries
+
+
 def test_baseline_match_string_must_occur(tmp_path):
     miss = Baseline(
         entries=[
@@ -82,6 +113,7 @@ def test_unknown_check_id_raises():
 def test_select_all_analyzers():
     assert sorted(a.id for a in select_analyzers(None)) == [
         "layering",
+        "lint",
         "races",
         "tracepoints",
         "units",

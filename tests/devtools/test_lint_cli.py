@@ -1,4 +1,4 @@
-"""CLI surface of ``repro lint``: exit codes and output formats."""
+"""CLI surface of ``repro lint``: the ``check --check lint`` alias."""
 
 import json
 from pathlib import Path
@@ -6,7 +6,7 @@ from pathlib import Path
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def planted(tmp_path, name):
@@ -17,21 +17,24 @@ def planted(tmp_path, name):
 
 
 def test_lint_clean_tree_exits_zero(capsys):
-    assert main(["lint", str(REPO_SRC)]) == 0
+    assert main(["lint", str(REPO_ROOT / "src")]) == 0
     out = capsys.readouterr().out
-    assert "0 violations" in out
+    assert "0 findings" in out
+    assert "checks: lint)" in out
 
 
 def test_lint_violations_exit_one(capsys, tmp_path):
     assert main(["lint", planted(tmp_path, "bare_random.py")]) == 1
     out = capsys.readouterr().out
     assert "no-bare-random" in out
-    assert "4 violations" in out
+    assert "4 findings" in out
 
 
 def test_lint_json_output(capsys, tmp_path):
-    assert main(["lint", "--json", planted(tmp_path, "mutable_default.py")]) == 1
-    payload = json.loads(capsys.readouterr().out)
+    # Machine-readable output is `check`'s --format; the alias is text-only.
+    target = planted(tmp_path, "mutable_default.py")
+    assert main(["check", "--check", "lint", "--format", "json", target]) == 1
+    payload = json.loads(capsys.readouterr().out)["findings"]
     assert len(payload) == 3
     assert payload[0]["rule"] == "mutable-default-arg"
     assert {"path", "line", "col", "rule", "message"} <= set(payload[0])
@@ -43,7 +46,8 @@ def test_lint_missing_path_exits_two(capsys):
 
 
 def test_lint_list_rules(capsys):
-    assert main(["lint", "--list-rules"]) == 0
+    # The rule catalogue lives in `check --list-checks`, under `lint:`.
+    assert main(["check", "--list-checks"]) == 0
     out = capsys.readouterr().out
     for rule_id in (
         "no-bare-random",
@@ -53,3 +57,27 @@ def test_lint_list_rules(capsys):
         "mutable-default-arg",
     ):
         assert rule_id in out
+
+
+def test_lint_ignores_the_committed_baseline(capsys, tmp_path, monkeypatch):
+    # A stray check_baseline.json in the working directory (the repo root
+    # has one) neither hides lint findings nor adds stale-entry failures.
+    target = planted(tmp_path, "bare_random.py")
+    (tmp_path / "check_baseline.json").write_text(
+        json.dumps(
+            {"entries": [{"rule": "no-bare-random", "path": "bare_random.py", "reason": "x"}]}
+        )
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["lint", target]) == 1
+    assert "4 findings" in capsys.readouterr().out
+
+
+def test_repo_trees_are_clean_at_head(capsys, monkeypatch):
+    """`repro check src` (every analyzer) and `repro lint examples tests benchmarks`."""
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(["check", "src"]) == 0
+    out = capsys.readouterr().out
+    assert "0 findings" in out and "lint" in out.rsplit("checks:", 1)[1]
+    assert main(["lint", "examples", "tests", "benchmarks"]) == 0
+    assert "0 findings" in capsys.readouterr().out

@@ -7,26 +7,38 @@ and ``fixtures/core/rng.py`` exercises the no-bare-random exemption.
 
 from pathlib import Path
 
-from repro.devtools.lint import REGISTRY, LintEngine, lint_paths
+from repro.devtools.analysis import Project, run_check
+from repro.devtools.analysis.rules import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def lint_fixture(name, rules=None):
+def lint_sources(sources, checks=("lint",)):
+    """Findings on in-memory ``(path, source)`` pairs."""
+    project = Project()
+    for path, source in sources:
+        project.add_source(path, source)
+    return run_check([], checks=checks, project=project).findings
+
+
+def lint_source(source, path):
+    return lint_sources([(path, source)])
+
+
+def lint_paths(paths):
+    return run_check(paths, checks=["lint"]).findings
+
+
+def lint_fixture(name, checks=("lint",)):
     # Lint under the fixture's *logical* path ("sim/wallclock.py"), not its
     # on-disk location: fixtures plant src-tree violations, and the rules
     # deliberately relax under a real tests/ or benchmarks/ directory.
-    engine = LintEngine(rules)
     root = FIXTURES / name
-    if root.is_dir():
-        violations = []
-        for path in sorted(root.rglob("*.py")):
-            violations.extend(
-                engine.lint_source(path.read_text(), path.relative_to(FIXTURES))
-            )
-        return sorted(violations)
-    return engine.lint_source(root.read_text(), name)
+    paths = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+    return lint_sources(
+        [(path.relative_to(FIXTURES), path.read_text()) for path in paths], checks
+    )
 
 
 def positions(violations, rule_id):
@@ -34,7 +46,7 @@ def positions(violations, rule_id):
 
 
 def test_registry_has_all_rules():
-    ids = set(REGISTRY.rules)
+    ids = set(RULES)
     assert ids >= {
         "no-bare-random",
         "no-wallclock",
@@ -112,12 +124,11 @@ def test_unit_suffix_dataclass_fields():
 
 
 def test_unit_suffix_fields_scoped_to_scenarios_file():
-    engine = LintEngine()
     src = "from dataclasses import dataclass\n\n@dataclass\nclass S:\n    at: float\n"
-    in_scope = engine.lint_source(src, "harness/scenarios.py")
+    in_scope = lint_source(src, "harness/scenarios.py")
     assert [v.rule_id for v in in_scope] == ["unit-suffix"]
     # Other harness modules keep the old scope (sim/ and core/ only).
-    assert engine.lint_source(src, "harness/runner.py") == []
+    assert lint_source(src, "harness/runner.py") == []
 
 
 def test_mutable_default_arg():
@@ -139,15 +150,13 @@ def test_no_bare_subprocess_result():
 
 
 def test_no_bare_subprocess_result_exempts_parallel():
-    engine = LintEngine()
     src = "def take(future):\n    return future.result()\n"
-    assert engine.lint_source(src, "harness/parallel.py") == []
-    flagged = engine.lint_source(src, "harness/supervise.py")
+    assert lint_source(src, "harness/parallel.py") == []
+    flagged = lint_source(src, "harness/supervise.py")
     assert [v.rule_id for v in flagged] == ["no-bare-subprocess-result"]
 
 
 def test_no_deep_harness_import():
-    engine = LintEngine()
     src = (
         "from repro.harness.runner import run_flows\n"
         "import repro.harness.cache\n"
@@ -155,12 +164,12 @@ def test_no_deep_harness_import():
         "from repro import run_pair\n"
         "from repro.obs import CollectingTracer\n"
     )
-    violations = engine.lint_source(src, "examples/demo.py")
+    violations = lint_source(src, "examples/demo.py")
     # Only the first two reach into harness internals.
     assert positions(violations, "no-deep-harness-import") == [(1, 1), (2, 1)]
     assert "repro.harness.runner" in violations[0].message
     # Library/test code may import submodules freely.
-    assert engine.lint_source(src, "src/repro/analysis/figures.py") == []
+    assert lint_source(src, "src/repro/analysis/figures.py") == []
 
 
 def test_noqa_suppression_is_rule_precise():
@@ -173,7 +182,6 @@ def test_noqa_suppression_is_rule_precise():
 
 
 def test_noqa_file_suppresses_named_rules_everywhere():
-    engine = LintEngine()
     src = (
         "# repro: noqa-file[no-bare-random]\n"
         "import random\n"
@@ -182,24 +190,24 @@ def test_noqa_file_suppresses_named_rules_everywhere():
         "def draw():\n"
         "    return random.random()\n"
     )
-    assert engine.lint_source(src, "pkg/module.py") == []
+    assert lint_source(src, "pkg/module.py") == []
     # The marker names explicit ids: other rules still fire.
     src_other = src + "\n\ndef f(xs=[]):\n    return xs\n"
-    violations = engine.lint_source(src_other, "pkg/module.py")
+    violations = lint_source(src_other, "pkg/module.py")
     assert [v.rule_id for v in violations] == ["mutable-default-arg"]
 
 
 def test_noqa_file_marker_is_not_a_line_blanket():
-    engine = LintEngine()
     # On its own line the -file marker must not double as a bare noqa.
     src = "import random  # repro: noqa-file[no-wallclock]\n"
-    violations = engine.lint_source(src, "pkg/module.py")
+    violations = lint_source(src, "pkg/module.py")
     assert [v.rule_id for v in violations] == ["no-bare-random"]
 
 
 def test_rule_filter():
-    violations = lint_fixture("bare_random.py", rules=["no-wallclock"])
-    assert violations == []
+    # Selection is per analyzer (`--check`): a run that leaves `lint` out
+    # reports none of its rules.
+    assert lint_fixture("bare_random.py", checks=["units"]) == []
 
 
 def test_syntax_error_reported_as_violation(tmp_path):
@@ -220,12 +228,10 @@ def test_violations_sorted_and_renderable():
 
 
 def test_engine_lint_source_directly():
-    engine = LintEngine()
-    violations = engine.lint_source("import random\n", "pkg/module.py")
+    violations = lint_source("import random\n", "pkg/module.py")
     assert [v.rule_id for v in violations] == ["no-bare-random"]
 
 
 def test_repo_source_tree_is_lint_clean():
     # The acceptance bar: `repro lint src examples` exits 0 on this repo.
-    examples = REPO_SRC.parent / "examples"
-    assert lint_paths([str(REPO_SRC), str(examples)]) == []
+    assert lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "examples")]) == []

@@ -16,7 +16,9 @@ from repro.harness import (
     TOPOLOGIES,
     DelayStep,
     FlowSpec,
+    GilbertLoss,
     LinkConfig,
+    LossStep,
     Timeline,
     TopologySpec,
     load_topology,
@@ -199,6 +201,33 @@ def test_delay_decrease_on_aqm_hop_does_not_reorder():
     )
     assert link_drops == 0
     assert len(result.stats[0].loss_times) == link_drops
+
+
+def test_burst_loss_on_aqm_hop_takes_effect_and_a_loss_step_clears_it():
+    # The timeline driver writes ``link.loss_model``; the DynamicLink
+    # used to draw from ``loss_rate`` only, so the step was logged as
+    # applied and dropped nothing (0 of 4723 offered, where the analytic
+    # bottleneck loses 127 of 1933 under the same timeline).
+    def bottleneck_after(*steps):
+        result = run_flows(
+            [FlowSpec("cubic")],
+            LinkConfig(bandwidth_mbps=20.0, rtt_ms=30.0, buffer_kb=150.0),
+            duration_s=3.0,
+            topology=TOPOLOGIES["dumbbell-codel"](),
+            timeline=Timeline(steps),
+        )
+        assert len(result.link_events) == len(steps)  # each logged as applied
+        result.dumbbell.assert_conservation()  # invariants are armed too
+        return result.dumbbell.links["bottleneck"]
+
+    burst = GilbertLoss(at_s=0.5, p_enter_bad=0.05, p_exit_bad=0.3)
+    lossy = bottleneck_after(burst)
+    assert lossy.loss_model is not None
+    assert lossy.stats.random_losses > 0
+
+    cleared = bottleneck_after(burst, LossStep(at_s=1.0, loss_rate=0.0))
+    assert cleared.loss_model is None
+    assert 0 < cleared.stats.random_losses < lossy.stats.random_losses
 
 
 def test_summary_reports_topology_and_per_link_stats():

@@ -1,0 +1,130 @@
+"""The performance gate: exact event, packet and call counts.
+
+Wall-clock floors drift with the host, so the hot paths are pinned by
+integers that repeat bit-exactly on any machine and interpreter
+(docs/PERFORMANCE.md): events the engine dispatched or absorbed,
+packets sent, and Python-level calls into ``src/repro`` frames.  An
+extra ``schedule`` per packet or one more helper call on the
+per-packet path moves a number here; timing noise cannot.
+
+When a change moves these counts on purpose, the failure message
+prints the whole measured table — paste it over ``EXPECTED`` and say
+why in the PR.  There is deliberately no update flag.
+"""
+
+import sys
+
+import pytest
+
+from repro.harness import (
+    EMULAB_DEFAULT,
+    FlowSpec,
+    LinkConfig,
+    disable_cache,
+    load_topology,
+    run_flows,
+    run_many,
+)
+from repro.harness.cache import reset_cache_state
+from repro.obs import CollectingTracer
+
+CONFIG = LinkConfig(bandwidth_mbps=50.0, rtt_ms=30.0, buffer_kb=375.0)
+
+COLUMNS = ("fired", "virtual", "packets", "calls", "emits")
+"""Events dispatched, events absorbed analytically, packets sent, calls
+into ``src/repro`` frames, and how many of those calls were ``emit``."""
+
+EXPECTED = {
+    "pair_exact": (31119, 0, 16972, 390098, 0),
+    "pair_hybrid": (12289, 13022, 12955, 109149, 0),
+    "pair_traced": (31119, 0, 16972, 448961, 56066),
+    "many_flows": (23141, 0, 5261, 198958, 0),
+    "codel_parking_lot": (69576, 0, 8087, 493390, 0),
+}
+
+
+def _pair(duration_s, **kwargs):
+    """cubic from t=0 and proteus-s from t=1 s on 50 Mbps / 30 ms / 375 KB."""
+    specs = [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)]
+    return run_flows(specs, CONFIG, duration_s=duration_s, seed=1, **kwargs)
+
+
+SCENARIOS = {
+    "pair_exact": lambda tracer: _pair(3.0, fidelity="exact"),
+    "pair_hybrid": lambda tracer: _pair(3.0, fidelity="hybrid"),
+    "pair_traced": lambda tracer: _pair(3.0, fidelity="exact", tracer=tracer),
+    "many_flows": lambda tracer: run_many(
+        "cubic", "proteus-s", EMULAB_DEFAULT,
+        n_flows=100, duration_s=2.0, seed=1, fidelity="exact",
+    ),
+    "codel_parking_lot": lambda tracer: _pair(
+        2.0, fidelity="exact", topology=load_topology("parking-lot-codel")
+    ),
+}
+
+
+def _measure(run, tracer):
+    calls = emits = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, emits
+        if event == "call":
+            code = frame.f_code
+            if "/repro/" in code.co_filename and not code.co_name.startswith("<"):
+                calls += 1
+                emits += code.co_name == "emit"
+
+    sys.setprofile(profile)
+    try:
+        result = run(tracer)
+    finally:
+        sys.setprofile(None)
+    assert result.dumbbell is not None  # simulated live, not rebuilt from a cache
+    sim = result.dumbbell.sim
+    packets = sum(stats.packets_sent for stats in result.stats)
+    return (sim.events_fired, sim.events_virtual, packets, calls, emits)
+
+
+@pytest.fixture(scope="module")
+def measured():
+    """``(table, tracer)``: every scenario measured once, under pinned settings."""
+    tracer = CollectingTracer()
+    table = {}
+    with pytest.MonkeyPatch.context() as patch:
+        # The suite arms the invariant checker (conftest.py); its calls
+        # are not the hot path, so the counts are taken with it off.
+        patch.setenv("REPRO_CHECK_INVARIANTS", "0")
+        patch.delenv("REPRO_MAX_EVENTS", raising=False)
+        disable_cache()
+        try:
+            for name, run in SCENARIOS.items():
+                # Process-wide memoisation (trace shape interning) makes a
+                # first run dearer than a repeat; count the repeat so the
+                # table does not depend on which tests ran before.
+                run(CollectingTracer())
+                table[name] = _measure(run, tracer)
+        finally:
+            reset_cache_state()
+    return table, tracer
+
+
+def test_counts_match_the_committed_table(measured):
+    table, _ = measured
+    rows = "\n".join(f'    "{name}": {row},' for name, row in table.items())
+    assert table == EXPECTED, f"measured {COLUMNS}:\n{rows}"
+
+
+def test_hybrid_fast_forward_keeps_paying_for_itself(measured):
+    table, _ = measured
+    exact_fired, exact_virtual, *_ = table["pair_exact"]
+    hybrid_fired, hybrid_virtual, *_ = table["pair_hybrid"]
+    assert hybrid_fired < exact_fired / 2
+    assert hybrid_virtual > 0 and exact_virtual == 0
+
+
+def test_tracing_costs_nothing_until_a_tracer_is_attached(measured):
+    table, tracer = measured
+    emits = {name: row[COLUMNS.index("emits")] for name, row in table.items()}
+    traced = emits.pop("pair_traced")
+    assert set(emits.values()) == {0}, emits
+    assert traced == len(tracer.events) > 0
