@@ -275,9 +275,26 @@ def _specs_from_args(args: argparse.Namespace) -> list:
     ]
 
 
+def _run_specs(args: argparse.Namespace, **observers):
+    """``run_flows`` for the ``--protocols`` commands; bad input is one line."""
+    from .harness import run_flows
+
+    try:
+        return run_flows(
+            _specs_from_args(args),
+            _link_from_args(args),
+            duration_s=args.duration,
+            seed=args.seed,
+            timeline=_timeline_from_args(args),
+            topology=_topology_from_args(args),
+            **observers,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from exc
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record (or replay) a trace and filter/summarise/export it."""
-    from .harness import run_flows
     from .obs import (
         CollectingTracer,
         event_to_json,
@@ -299,15 +316,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         source = args.replay
     else:
         tracer = CollectingTracer()
-        run_flows(
-            _specs_from_args(args),
-            _link_from_args(args),
-            duration_s=args.duration,
-            seed=args.seed,
-            timeline=_timeline_from_args(args),
-            topology=_topology_from_args(args),
-            tracer=tracer,
-        )
+        _run_specs(args, tracer=tracer)
         events = tracer.events
         source = f"live run ({args.protocols})"
     total = len(events)
@@ -336,20 +345,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Run a scenario with a metrics registry attached and print it."""
     import json as json_mod
 
-    from .harness import run_flows
     from .obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    run_flows(
-        _specs_from_args(args),
-        _link_from_args(args),
-        duration_s=args.duration,
-        seed=args.seed,
-        timeline=_timeline_from_args(args),
-        topology=_topology_from_args(args),
-        metrics=registry,
-        sample_period_s=args.sample,
-    )
+    _run_specs(args, metrics=registry, sample_period_s=args.sample)
     snapshot = registry.snapshot()
     rows: list[tuple[str, str]] = []
     for key, value in snapshot["counters"].items():

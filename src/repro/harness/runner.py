@@ -273,7 +273,8 @@ def run_flows(
     """Run ``specs`` over a dumbbell built from ``config``.
 
     All arguments after ``config`` are keyword-only.  ``duration_s``
-    defaults to 30 simulated seconds.
+    defaults to 30 simulated seconds; every flow must start before it
+    (``ValueError`` otherwise, raised before anything is built).
 
     ``topology`` swaps the classic single-bottleneck dumbbell for a
     declarative multi-hop graph (see
@@ -320,6 +321,14 @@ def run_flows(
     """
     if not specs:
         raise ValueError("need at least one flow")
+    for index, spec in enumerate(specs):
+        # The measurement window opens after the last start: refuse now
+        # what would be simulated in full and then fail on an empty one.
+        if spec.start_time >= duration_s:
+            raise ValueError(
+                f"flow {index} ({spec.protocol}) starts at {spec.start_time:g} s, "
+                f"not before the end of the run (duration {duration_s:g} s)"
+            )
     if tracer is None:
         tracer = active_tracer()
     fidelity = resolve_fidelity(fidelity)

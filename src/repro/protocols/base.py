@@ -177,7 +177,8 @@ class SenderBase:
     # ------------------------------------------------------------------
     # ACK / loss processing
     # ------------------------------------------------------------------
-    def handle_ack_packet(self, ack: Packet) -> None:
+    def receive(self, ack: Packet) -> None:
+        """Process one ACK: the flow's reverse route delivers here."""
         if self.stopped:
             return
         now = self.sim.now
@@ -192,8 +193,8 @@ class SenderBase:
             self._last_progress = now
             info = AckInfo(seq, ack.data_sent_time, ack.data_recv_time, now, size)
             rtt = info.rtt
-            # _update_rtt and FlowStats.record_ack, inlined: one ACK per
-            # delivered packet makes this the hottest control-path code.
+            # The RTT estimator and FlowStats.record_ack, inlined: one ACK
+            # per delivered packet makes this the hottest control-path code.
             min_rtt = self.min_rtt
             if min_rtt is None or rtt < min_rtt:
                 self.min_rtt = rtt
@@ -218,16 +219,6 @@ class SenderBase:
         self.flow.stats.record_loss(now)
         self.flow.requeue_bytes(size)
         self.on_loss(seq, sent_time)
-
-    def _update_rtt(self, rtt: float) -> None:
-        if self.min_rtt is None or rtt < self.min_rtt:
-            self.min_rtt = rtt
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
 
     # ------------------------------------------------------------------
     # Retransmission timeout
@@ -461,8 +452,8 @@ class RateSender(SenderBase):
         # fires; never burst past it.
         if self._rto_event is not None and self._rto_event.time < horizon:
             horizon = self._rto_event.time
-        fwd = flow.ff_fwd
-        rev = flow.ff_rev
+        fwd = flow.fwd_link
+        rev = flow.rev_link
         limit = fwd.ff_barrier_s
         if rev.ff_barrier_s < limit:
             limit = rev.ff_barrier_s

@@ -386,7 +386,7 @@ class DynamicLink(LinkBase):
         self._serving = True
         packet, _dst, _enq = self._queue[0]
         service_time = packet.size_bytes * 8.0 / self.current_rate_bps()
-        self.sim.schedule(service_time, self._finish_service)
+        self.sim.schedule_fast(service_time, self._finish_service)
 
     def _finish_service(self) -> None:
         packet, dst, enqueued_at = self._queue.popleft()
@@ -446,7 +446,7 @@ class DynamicLink(LinkBase):
                     depart_s=now,
                     deliver_at_s=deliver_at,
                 )
-            self.sim.schedule_at(deliver_at, dst.receive, packet)
+            self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
         self._serve_next()
 
 

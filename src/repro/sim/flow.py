@@ -1,11 +1,13 @@
-"""Flow wiring: sender endpoint, path, receiver, and the ACK channel.
+"""Flow wiring: sender, path, receiver, and the ACK channel.
 
 A :class:`Flow` connects one sender (a congestion-control object from
 :mod:`repro.protocols` or :mod:`repro.core`) to a receiver across a
-forward :class:`Path` of links, with ACKs returning over a reverse path.
-The flow owns sequence numbering, the per-flow stats record, and data
-availability (bulk transfer by default; applications can meter bytes in
-for chunked workloads).
+forward :class:`Path` of links, with ACKs returning over a reverse path
+that ends on the sender itself.  Both routes are resolved once, when the
+flow is built (:meth:`Path.route`); a packet hop is then one
+``link.send``.  The flow owns sequence numbering, the per-flow stats
+record, and data availability (bulk transfer by default; applications
+can meter bytes in for chunked workloads).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class SenderProtocol(Protocol):
 
     def bind(self, sim: Simulator, flow: "Flow") -> None: ...
     def start(self) -> None: ...
-    def handle_ack_packet(self, ack: Packet) -> None: ...
+    def receive(self, ack: Packet) -> None: ...
     def on_data_available(self) -> None: ...
     def stop(self) -> None: ...
 
@@ -37,7 +39,8 @@ class Path:
     def __init__(self, links: list[Link]):
         if not links:
             raise ValueError("a path needs at least one link")
-        self.links = links
+        # Immutable: the chains :meth:`route` builds are kept by flows.
+        self.links = tuple(links)
 
     def base_delay(self) -> float:
         """Sum of propagation delays (no queueing/serialization)."""
@@ -52,31 +55,30 @@ class Path:
         """
         return sum(link.min_delay_s for link in self.links)
 
-    def send(self, packet: Packet, dst: Receiver) -> bool:
-        """Send ``packet`` toward ``dst``. Returns False on first-hop drop."""
-        links = self.links
-        if len(links) == 1:
-            return links[0].send(packet, dst)
-        return links[0].send(packet, _Hop(links, 1, dst))
+    def route(self, dst: Receiver) -> tuple[Link, Receiver]:
+        """Build the forwarding chain to ``dst``; call once per flow.
+
+        Returns ``(first link, its receiver)``: ``link.send(packet,
+        receiver)`` carries a packet over every hop to ``dst`` and
+        reports a first-hop drop.  On a single-link path the receiver is
+        ``dst`` itself.
+        """
+        for link in self.links[:0:-1]:
+            dst = _Hop(link, dst)
+        return self.links[0], dst
 
 
 class _Hop:
-    """Forwards a packet onto the next link of a multi-link path."""
+    """Forwards what one link delivers onto the next link of a path."""
 
-    __slots__ = ("links", "index", "dst")
+    __slots__ = ("link", "dst")
 
-    def __init__(self, links: list[Link], index: int, dst: Receiver):
-        self.links = links
-        self.index = index
+    def __init__(self, link: Link, dst: Receiver):
+        self.link = link
         self.dst = dst
 
     def receive(self, packet: Packet) -> None:
-        links = self.links
-        nxt = self.index + 1
-        if nxt == len(links):
-            links[self.index].send(packet, self.dst)
-        else:
-            links[self.index].send(packet, _Hop(links, nxt, self.dst))
+        self.link.send(packet, self.dst)
 
 
 class FlowReceiver:
@@ -89,22 +91,24 @@ class FlowReceiver:
     def receive(self, packet: Packet) -> None:
         flow = self.flow
         now = flow.sim.now
-        flow.stats.record_delivery(now, packet.size_bytes)
+        size = packet.size_bytes
+        stats = flow.stats
+        stats.delivered_bytes += size  # record_delivery, inlined
+        if stats.first_delivery is None:
+            stats.first_delivery = now
+        stats.last_delivery = now
         if flow.on_delivery is not None:
-            flow.on_delivery(now, packet.size_bytes)
+            flow.on_delivery(now, size)
         self._ack_seq += 1
+        # Positional: flow_id, seq, size_bytes, sent_time, is_ack,
+        # data_seq, data_sent_time, data_recv_time.
         ack = Packet(
-            flow_id=flow.flow_id,
-            seq=self._ack_seq,
-            size_bytes=ACK_BYTES,
-            sent_time=now,
-            is_ack=True,
-            data_seq=packet.seq,
-            data_sent_time=packet.sent_time,
-            data_recv_time=now,
+            flow.flow_id, self._ack_seq, ACK_BYTES, now,
+            True, packet.seq, packet.sent_time, now,
         )
-        flow.reverse_path.send(ack, flow.sender_endpoint)
-        flow.check_complete()
+        flow.rev_link.send(ack, flow.rev_dst)
+        if flow.size_bytes is not None:
+            flow.check_complete()
 
     def receive_ff(self, packet: Packet, at_s: float) -> None:
         """Collapsed delivery at virtual time ``at_s`` (hybrid fidelity).
@@ -133,7 +137,7 @@ class FlowReceiver:
         # The skipped data-delivery dispatch, whether or not the ACK
         # also survives the reverse link.
         sim.events_virtual += 1
-        ack_at = flow.ff_rev.send_ff(ack, at_s)
+        ack_at = flow.rev_link.send_ff(ack, at_s)
         if ack_at is not None:
             # Inlined schedule_fast_at: ack_at >= at_s >= sim.now (link
             # delivery times never precede the send), so the past-time
@@ -141,7 +145,7 @@ class FlowReceiver:
             sim._seq += 1
             heapq.heappush(
                 sim._heap,
-                (ack_at, sim._seq, flow.sender.handle_ack_packet, (ack,), None),
+                (ack_at, sim._seq, flow.sender.receive, (ack,), None),
             )
         if sim.tracer is not None:
             sim.tracer.emit(
@@ -152,18 +156,6 @@ class FlowReceiver:
                 seq=packet.seq,
                 ack_at_s=ack_at,
             )
-
-
-class _SenderEndpoint:
-    """Sender-side ACK sink; dispatches to the congestion controller."""
-
-    __slots__ = ("flow",)
-
-    def __init__(self, flow: "Flow"):
-        self.flow = flow
-
-    def receive(self, packet: Packet) -> None:
-        self.flow.sender.handle_ack_packet(packet)
 
 
 class Flow:
@@ -212,7 +204,6 @@ class Flow:
         self.stats = FlowStats(flow_id)
         self.stats.start_time = self.start_time
         self.receiver = FlowReceiver(self)
-        self.sender_endpoint = _SenderEndpoint(self)
         if sim.invariants is not None:
             sim.invariants.register_flow(self)
         self.completed = False
@@ -221,12 +212,12 @@ class Flow:
         # ``fidelity.activate_fastforward`` once the whole flow set is
         # known (eligibility is a property of every flow sharing a link,
         # not of one flow alone).  Always False in packet-exact mode.
-        # ``ff_fwd``/``ff_rev`` cache the first hop of each path — for a
-        # collapsed flow (single-hop by eligibility) they are *the* links,
-        # saving two path traversals per packet on the hot path.
         self.ff_collapse = False
-        self.ff_fwd = forward_path.links[0]
-        self.ff_rev = reverse_path.links[0]
+        # Both routes, resolved once: the first hop of each path and what
+        # it delivers to; the ACK route ends on the sender itself.  For a
+        # collapsed flow (single-hop by eligibility) they are *the* links.
+        self.fwd_link, self.fwd_dst = forward_path.route(self.receiver)
+        self.rev_link, self.rev_dst = reverse_path.route(sender)
         # Unbounded flows always have data; bounded/chunked flows meter it.
         if chunked:
             self.bytes_unsent: float = 0.0
@@ -260,16 +251,12 @@ class Flow:
         """
         self._next_seq += 1
         seq = self._next_seq
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size_bytes=size_bytes,
-            sent_time=self.sim.now,
-        )
-        self.stats.record_send()
-        if self.bytes_unsent != float("inf"):
+        self.stats.packets_sent += 1
+        if self.bytes_unsent != _INF:
             self.bytes_unsent -= size_bytes
-        self.forward_path.send(packet, self.receiver)
+        self.fwd_link.send(
+            Packet(self.flow_id, seq, size_bytes, self.sim.now), self.fwd_dst
+        )
         return seq
 
     def transmit_ff(self, size_bytes: int, at_s: float) -> int:
@@ -294,8 +281,8 @@ class Flow:
         Returns the seq exactly like :meth:`transmit`.
         """
         sim = self.sim
-        fwd = self.ff_fwd
-        rev = self.ff_rev
+        fwd = self.fwd_link
+        rev = self.rev_link
         limit = fwd.ff_barrier_s
         if rev.ff_barrier_s < limit:
             limit = rev.ff_barrier_s
@@ -306,7 +293,7 @@ class Flow:
         self._next_seq += 1
         seq = self._next_seq
         stats = self.stats
-        stats.packets_sent += 1  # record_send, inlined
+        stats.packets_sent += 1
         if self.bytes_unsent != _INF:
             self.bytes_unsent -= size_bytes
         if (
@@ -385,7 +372,7 @@ class Flow:
             sim._seq += 1
             heapq.heappush(
                 sim._heap,
-                (ack_arrive, sim._seq, self.sender.handle_ack_packet, (ack,), None),
+                (ack_arrive, sim._seq, self.sender.receive, (ack,), None),
             )
             return seq
         packet = Packet(

@@ -22,6 +22,7 @@ covers both cases, so deliveries already in flight are never reordered.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Protocol
 
 from .engine import Simulator
@@ -339,11 +340,19 @@ class Link(LinkBase):
         Returns True if the packet was accepted (it may still be randomly
         lost on the wire) and False on a tail drop or outage drop.
         """
-        deliver_at = self._admit(packet, self.sim.now)
+        sim = self.sim
+        now = sim.now
+        deliver_at = self._admit(packet, now)
         if deliver_at:
-            # Deliveries are fire-and-forget and dominate the heap; the fast
-            # path skips the cancellable-Event allocation entirely.
-            self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
+            # Deliveries are fire-and-forget and dominate the heap, so the
+            # entry is pushed here (``schedule_fast_at``, inlined).  The
+            # call is kept for its past-time clamp, which only a noise
+            # model sampling a negative delay can need.
+            if deliver_at >= now:
+                sim._seq += 1
+                heappush(sim._heap, (deliver_at, sim._seq, dst.receive, (packet,), None))
+            else:
+                sim.schedule_fast_at(deliver_at, dst.receive, packet)
         return deliver_at is not None
 
     def send_ff(self, packet: Packet, at_s: float) -> "float | None":

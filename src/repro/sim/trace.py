@@ -44,9 +44,6 @@ class FlowStats:
     # ------------------------------------------------------------------
     # Recording (called by flow machinery)
     # ------------------------------------------------------------------
-    def record_send(self) -> None:
-        self.packets_sent += 1
-
     def record_ack(self, now: float, nbytes: int, rtt_s: float) -> None:
         self.ack_times.append(now)
         self.acked_bytes.append(nbytes)

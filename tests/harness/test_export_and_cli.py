@@ -135,3 +135,13 @@ def test_cli_sweep_rejects_bad_float_list():
 def test_cli_rejects_unknown_protocol():
     with pytest.raises(SystemExit):
         main(["single", "--protocol", "nope"])
+
+
+@pytest.mark.parametrize("command", ["trace", "metrics"])
+def test_cli_reports_a_flow_starting_after_the_run_in_one_line(command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--stagger", "10", "--duration", "5"])
+    assert str(excinfo.value) == (
+        f"repro {command}: flow 1 (proteus-s) starts at 10 s, "
+        "not before the end of the run (duration 5 s)"
+    )

@@ -15,6 +15,7 @@ from repro.harness import (
     run_single,
     scale,
 )
+from repro.sim import Simulator
 
 
 def test_run_single_produces_measurements():
@@ -40,6 +41,20 @@ def test_run_single_deterministic_per_seed():
 def test_run_flows_rejects_empty():
     with pytest.raises(ValueError):
         run_flows([], EMULAB_DEFAULT, duration_s=1.0)
+
+
+def test_run_flows_rejects_a_start_at_or_after_the_end_before_simulating(monkeypatch):
+    # Used to simulate the whole run and then die collecting metrics
+    # with a bare "empty measurement window".
+    runs = []
+    monkeypatch.setattr(Simulator, "run", lambda self, *a, **kw: runs.append(self))
+    specs = [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)]
+    with pytest.raises(ValueError) as excinfo:
+        run_flows(specs, EMULAB_DEFAULT, duration_s=1.0)
+    message = str(excinfo.value)
+    assert "flow 1 (proteus-s) starts at 1 s" in message
+    assert "duration 1 s" in message
+    assert runs == []
 
 
 def test_run_pair_metrics_are_consistent():

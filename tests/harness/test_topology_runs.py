@@ -318,3 +318,39 @@ def test_cli_many_smoke(capsys):
     out = capsys.readouterr().out
     assert "short flows" in out
     assert "completed" in out
+
+
+def test_forwarders_are_built_per_flow_and_direction_not_per_packet(monkeypatch):
+    import repro.sim.flow as flow_mod
+
+    built = []
+
+    class CountedHop(flow_mod._Hop):
+        __slots__ = ()
+
+        def __init__(self, link, dst):
+            built.append(link.name)
+            super().__init__(link, dst)
+
+    monkeypatch.setattr(flow_mod, "_Hop", CountedHop)
+    specs = [
+        FlowSpec("cubic"),  # n0 -> n3: three links each way
+        FlowSpec("proteus-s", start_time=0.1),
+        FlowSpec("cubic", route=("n1", "n2")),  # one link each way: no forwarder
+    ]
+    counts = {}
+    for duration_s in (0.5, 2.0):
+        del built[:]
+        result = run_flows(
+            specs, SMALL_CONFIG, duration_s=duration_s, seed=3,
+            topology=load_topology("parking-lot-codel"),
+        )
+        lot = result.dumbbell
+        routes = [spec.route or lot.default_endpoints(i) for i, spec in enumerate(specs)]
+        expected = sum(
+            len(lot.path(a, b).links) - 1 + len(lot.path(b, a).links) - 1
+            for a, b in routes
+        )
+        assert len(built) == expected == 8
+        counts[duration_s] = sum(stats.packets_sent for stats in result.stats)
+    assert counts[2.0] > 2 * counts[0.5] > 0

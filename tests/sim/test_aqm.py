@@ -176,6 +176,29 @@ def test_dynamic_link_serializes_like_fifo():
     assert times == pytest.approx([0.001, 0.002, 0.003])
 
 
+def test_drained_aqm_run_leaves_no_heap_entries():
+    # Service and delivery events are fire-and-forget heap entries; each
+    # must fire exactly once, none stranded once the queue has drained.
+    sim = Simulator()
+    link = DynamicLink(
+        sim, rate_bps=8e6, delay_s=0.01,
+        discipline=CoDelDiscipline(20_000, target_s=0.002, interval_s=0.01),
+    )
+    sink = TimedSink(sim)
+    for seq in range(400):
+        sim.schedule(seq * 0.0009, link.send, Packet(1, seq, size_bytes=1000), sink)
+    sim.run()
+    stats = link.stats
+    assert stats.aqm_drops > 0 and stats.tail_drops > 0
+    assert stats.offered == 400
+    assert len(sink.arrivals) == stats.delivered
+    assert stats.delivered + stats.aqm_drops + stats.tail_drops == 400
+    assert link.queued_packets() == 0 and sim.pending() == 0
+    assert sim.heap_size() == 0
+    seqs = [packet.seq for _, packet in sink.arrivals]
+    assert seqs == sorted(seqs)
+
+
 def test_dynamic_link_step_rate_changes_service_speed():
     sim = Simulator()
     # 8 Mbps for the first second, then 0.8 Mbps.

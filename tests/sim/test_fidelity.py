@@ -65,7 +65,7 @@ class _NullSender:
     def start(self):
         pass
 
-    def handle_ack_packet(self, ack):
+    def receive(self, ack):
         pass
 
     def on_data_available(self):

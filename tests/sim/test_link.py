@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import CollectingTracer
 from repro.sim import GaussianJitter, Link, Packet, Simulator
 
 
@@ -257,3 +258,22 @@ def test_property_drops_bounded_by_buffer(buffer_packets):
     sim.run()
     assert accepted == buffer_packets
     assert link.stats.tail_drops == n - accepted
+
+
+def test_delivery_behind_the_clock_is_clamped_with_one_past_event():
+    # Link.send pushes its own heap entry; a delivery time that noise put
+    # behind the clock must still take the engine's clamp, not the push.
+    class Early:
+        def sample(self, now, rng):
+            return -1.0
+
+    tracer = CollectingTracer()
+    sim = Simulator(tracer=tracer)
+    link = make_link(sim, bw=8e6, delay=0.01, noise=Early())
+    sink = TimedSink(sim)
+    sim.schedule(2.0, link.send, Packet(1, 1, size_bytes=1000), sink)
+    sim.run()
+    assert [t for t, _ in sink.arrivals] == [2.0]
+    past = [ev for ev in tracer.events if ev.kind == "sim.schedule.past"]
+    assert len(past) == 1
+    assert past[0].fields["scheduled_s"] == pytest.approx(2.0 + 0.001 + 0.01 - 1.0)

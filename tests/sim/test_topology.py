@@ -67,7 +67,8 @@ def test_multi_hop_path_sums_delays():
     path = Path(links)
     assert path.base_delay() == pytest.approx(0.035)
     sink = _Sink(sim)
-    path.send(Packet(1, 1, size_bytes=1000), sink)
+    link, dst = path.route(sink)
+    link.send(Packet(1, 1, size_bytes=1000), dst)
     sim.run()
     # 3 serializations of 1 ms each + 35 ms propagation.
     assert sink.arrivals[0][0] == pytest.approx(0.038)
@@ -79,13 +80,56 @@ def test_multi_hop_path_bottleneck_governs_rate():
     slow = Link(sim, bandwidth_bps=8e6, delay_s=0.0)
     path = Path([fast, slow])
     sink = _Sink(sim)
+    link, dst = path.route(sink)
     for seq in range(10):
-        path.send(Packet(1, seq, size_bytes=1000), sink)
+        link.send(Packet(1, seq, size_bytes=1000), dst)
     sim.run()
     # Delivery spacing set by the slow hop: 1 ms per packet.
     times = [t for t, _ in sink.arrivals]
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert all(g == pytest.approx(0.001, rel=0.01) for g in gaps)
+
+
+def test_route_matches_hop_by_hop_sending_and_reports_first_hop_drops():
+    def build(sim):
+        return [
+            Link(sim, bandwidth_bps=8e6, delay_s=0.010, buffer_bytes=3000),
+            Link(sim, bandwidth_bps=4e6, delay_s=0.020, buffer_bytes=1500),
+            Link(sim, bandwidth_bps=8e6, delay_s=0.005),
+        ]
+
+    class Relay:
+        def __init__(self, receive):
+            self.receive = receive
+
+    def offer(link, dst):
+        return [link.send(Packet(1, seq, size_bytes=1000), dst) for seq in range(6)]
+
+    routed_sim = Simulator()
+    routed_links = build(routed_sim)
+    routed_sink = _Sink(routed_sim)
+    routed = offer(*Path(routed_links).route(routed_sink))
+    routed_sim.run()
+
+    sim = Simulator()
+    first, second, third = links = build(sim)
+    sink = _Sink(sim)
+    to_third = Relay(lambda packet: third.send(packet, sink))
+    by_hand = offer(first, Relay(lambda packet: second.send(packet, to_third)))
+    sim.run()
+
+    # The first hop holds three packets; the return value says so.  The
+    # slower second hop drops one more, which no sender-side call sees.
+    assert routed == by_hand == [True, True, True, False, False, False]
+    assert routed_sink.arrivals == sink.arrivals
+    assert [seq for _, seq in sink.arrivals] == [0, 1]
+    fields = ("offered", "delivered", "tail_drops", "max_backlog_bytes")
+    per_hop = [
+        [[getattr(link.stats, f) for f in fields] for link in hops]
+        for hops in (routed_links, links)
+    ]
+    assert per_hop[0] == per_hop[1]
+    assert [row[:3] for row in per_hop[0]] == [[6, 3, 3], [3, 2, 1], [2, 2, 0]]
 
 
 def test_empty_path_rejected():
@@ -163,8 +207,8 @@ def test_dumbbell_is_a_topology_graph():
     sim = Simulator()
     dumbbell = Dumbbell(sim, mbps(50.0), 0.030, 375e3, rng=make_rng(1))
     assert list(dumbbell.links) == ["bottleneck", "reverse"]
-    assert dumbbell.path("src", "dst").links == [dumbbell.bottleneck]
-    assert dumbbell.path("dst", "src").links == [dumbbell.reverse]
+    assert dumbbell.path("src", "dst").links == (dumbbell.bottleneck,)
+    assert dumbbell.path("dst", "src").links == (dumbbell.reverse,)
     assert dumbbell.monitor is dumbbell.bottleneck
 
 

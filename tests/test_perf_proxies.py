@@ -35,11 +35,11 @@ COLUMNS = ("fired", "virtual", "packets", "calls", "emits")
 into ``src/repro`` frames, and how many of those calls were ``emit``."""
 
 EXPECTED = {
-    "pair_exact": (31119, 0, 16972, 390098, 0),
-    "pair_hybrid": (12289, 13022, 12955, 109149, 0),
-    "pair_traced": (31119, 0, 16972, 448961, 56066),
-    "many_flows": (23141, 0, 5261, 198958, 0),
-    "codel_parking_lot": (69576, 0, 8087, 493390, 0),
+    "pair_exact": (31119, 0, 16972, 283705, 0),
+    "pair_hybrid": (12289, 13022, 12955, 109151, 0),
+    "pair_traced": (31119, 0, 16972, 342568, 56066),
+    "many_flows": (23141, 0, 5261, 139669, 0),
+    "codel_parking_lot": (69576, 0, 8087, 345786, 0),
 }
 
 
@@ -120,6 +120,13 @@ def test_hybrid_fast_forward_keeps_paying_for_itself(measured):
     hybrid_fired, hybrid_virtual, *_ = table["pair_hybrid"]
     assert hybrid_fired < exact_fired / 2
     assert hybrid_virtual > 0 and exact_virtual == 0
+
+
+def test_an_exact_mode_event_stays_under_ten_calls(measured):
+    # A flow's route is resolved once (Path.route), so a packet hop is
+    # link.send + _admit; 12.5 calls per event when every hop re-routed.
+    fired, _, _, calls, _ = measured[0]["pair_exact"]
+    assert calls / fired < 10
 
 
 def test_tracing_costs_nothing_until_a_tracer_is_attached(measured):
