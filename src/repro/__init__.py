@@ -23,7 +23,7 @@ use (guarded by the import-surface test).
 
 from __future__ import annotations
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 # Lazy surface: public name -> (module, attribute).  A None attribute
 # re-exports the submodule itself.

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from ..core.utility import (
     DEFAULT_DEVIATION_D,
     DEFAULT_EXPONENT_T,
@@ -82,6 +80,8 @@ def best_response(
     others_sum: float, spec: SenderSpec, config: GameConfig
 ) -> float:
     """The sender's utility-maximising rate given everyone else's total."""
+    from scipy import optimize  # here, not at import: 0.6 s of every `repro` command
+
     upper = max(config.capacity_mbps * 2.0, 1.0)
 
     def negative_utility(x: float) -> float:
@@ -107,6 +107,8 @@ def best_response(
 def _hybrid_candidates(
     others_sum: float, spec: SenderSpec, config: GameConfig
 ) -> list[float]:
+    from scipy import optimize
+
     candidates = [max(0.0, spec.threshold_mbps - 1e-9)]
     upper = max(config.capacity_mbps * 2.0, 1.0)
     for mode, lo, hi in (

@@ -46,6 +46,8 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from typing import Any, TypeVar
 
+from ..obs import active_tracer
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -101,9 +103,13 @@ def pool_helps(jobs: int, fn: Callable[..., Any], items: Sequence[Any]) -> bool:
 
     Only ``fn`` and the *first* item are test-pickled (the whole batch
     would double every sweep's serialisation cost); a later item that
-    cannot cross shows up as its own future's exception.
+    cannot cross shows up as its own future's exception.  A process-global
+    tracer pins the batch to this process: a forked worker would trace
+    into its own copy and throw it away, so what is recorded would
+    depend on ``jobs``.
     """
-    return jobs > 1 and len(items) > 1 and _is_picklable(fn) and _is_picklable(items[0])
+    wanted = jobs > 1 and len(items) > 1 and active_tracer() is None
+    return wanted and _is_picklable(fn) and _is_picklable(items[0])
 
 
 def _init_worker() -> None:  # pragma: no cover - runs in the child

@@ -24,7 +24,8 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field
 
-from ..obs import MetricsRegistry, PeriodicSampler, active_tracer
+from ..obs import MetricsRegistry, PeriodicSampler
+from ..obs.trace import as_sink
 from ..protocols import make_sender
 from ..sim import (
     Dumbbell,
@@ -329,8 +330,7 @@ def run_flows(
                 f"flow {index} ({spec.protocol}) starts at {spec.start_time:g} s, "
                 f"not before the end of the run (duration {duration_s:g} s)"
             )
-    if tracer is None:
-        tracer = active_tracer()
+    tracer = as_sink(tracer)
     fidelity = resolve_fidelity(fidelity)
     observing = tracer is not None or metrics is not None or sample_period_s is not None
     cache = active_cache()
@@ -610,8 +610,7 @@ def run_pair(
     every event reaches the caller's tracer (worker processes cannot
     stream into it).
     """
-    if tracer is None:
-        tracer = active_tracer()
+    tracer = as_sink(tracer)
     fidelity = resolve_fidelity(fidelity)
     if scavenger_start_s is None:
         scavenger_start_s = min(5.0, duration_s / 6.0)
@@ -705,8 +704,7 @@ def run_streaming(
     """
     from ..apps.streaming import StreamingSession
 
-    if tracer is None:
-        tracer = active_tracer()
+    tracer = as_sink(tracer)
     sim = Simulator(tracer=tracer)
     rng = make_rng(seed)
     dumbbell = Dumbbell(

@@ -3,16 +3,17 @@
 Two halves:
 
 * :mod:`repro.obs.trace` — the :class:`Tracer` protocol, trace events,
-  sinks (collecting / JSONL / ring-buffer / tee), canonical JSONL
-  encoding with stable digests, and event filtering.
+  the :class:`TraceSink` base and its sinks (collecting / JSONL /
+  ring-buffer / tee), canonical JSONL encoding with stable digests, and
+  event filtering.
 * :mod:`repro.obs.metrics` — labelled counters/gauges/histograms in a
   :class:`MetricsRegistry`, plus :class:`PeriodicSampler` driven by
   simulated time.
 
 The default state is *off*: no tracer installed, no registry created,
 and every instrumented call site pays exactly one ``is not None``
-branch (``tests/test_perf_proxies.py`` pins zero ``emit`` calls and the
-exact call count of an untraced run).  See ``docs/OBSERVABILITY.md``
+branch (``tests/test_perf_proxies.py`` pins zero ``record``/``emit``
+calls and the exact call count of an untraced run).  See ``docs/OBSERVABILITY.md``
 for the tracepoint catalogue.
 """
 
@@ -31,6 +32,7 @@ from .trace import (
     TeeTracer,
     TraceEvent,
     Tracer,
+    TraceSink,
     active_tracer,
     event_to_json,
     events_to_jsonl,
@@ -46,6 +48,7 @@ from .trace import (
 __all__ = [
     "Tracer",
     "TraceEvent",
+    "TraceSink",
     "CollectingTracer",
     "JsonlTraceSink",
     "RingBufferTracer",

@@ -7,8 +7,8 @@ as a stream of typed **trace events**.  The design constraint is the
 same as the engine's: the disabled path must cost nothing measurable.
 Every emission site in hot code is guarded by a single
 ``if tracer is not None`` attribute check (``tests/test_perf_proxies.py``
-pins zero ``emit`` calls in an untraced run), and no tracer object
-exists unless one was installed.
+pins zero ``record`` and ``emit`` calls in an untraced run), and no
+tracer object exists unless one was installed.
 
 Determinism: events carry *simulated* time only and are emitted in
 event-execution order, which is a pure function of the run's seed.  The
@@ -17,15 +17,18 @@ shortest-repr floats), so the byte stream — and therefore
 :func:`trace_digest` — is identical across hosts and across
 ``REPRO_JOBS`` settings (each run traces inside its own process).
 
-There is one encoder.  Events are flat rows whose layout (kind +
-payload names) is interned in a shape; each (shape, value types) pair
-compiles a formatter with the keys already sorted and escaped, and
-whatever it cannot reproduce byte for byte (non-finite floats,
-bool/None/nested values, ``int``/``float`` subclasses, non-string or
-colliding keys) goes through ``json.JSONEncoder``.  Text is produced,
-hashed and written a few thousand lines at a time.
+There is one storage format and one encoder.  Events are the flat rows
+of :mod:`repro.core.tracepoint`: per-packet sites build theirs and call
+``record(row)``, everything else goes through the by-name ``emit``,
+which builds the same row.  Each (shape, value types) pair compiles a
+formatter with the keys already sorted and escaped and the type check
+built in, and whatever it cannot reproduce byte for byte (non-finite
+floats, bool/None/nested values, ``int``/``float`` subclasses,
+non-string or colliding keys) goes through ``json.JSONEncoder``.  Text
+is produced, hashed and written a few thousand lines at a time.
 
-Sinks:
+Sinks (each implements ``record`` and inherits ``emit`` from
+:class:`TraceSink`):
 
 * :class:`CollectingTracer` — in-memory list of :class:`TraceEvent`.
 * :class:`JsonlTraceSink` — streams canonical JSONL to a file.
@@ -46,7 +49,6 @@ import hashlib
 import json
 from collections import deque
 from contextlib import contextmanager
-from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -54,7 +56,8 @@ from pathlib import Path
 from types import NoneType
 from typing import IO, Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
-_RECORD = object()  # the "kind" of shapes made from replayed dicts
+from ..core.tracepoint import RECORD, Shape, tracepoint
+
 _CHUNK_LINES = 4096
 _generic_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _new_event = tuple.__new__
@@ -65,9 +68,9 @@ class Tracer(Protocol):
     """Anything that can swallow trace events.
 
     ``emit`` takes the event kind, the *simulated* timestamp, the
-    optional flow/link attribution, and free-form payload fields.  The
-    signature is flat (no event object) so hot emission sites allocate
-    nothing beyond the kwargs dict.
+    optional flow/link attribution, and free-form payload fields.  This
+    by-name door is all a caller-supplied tracer needs; the sinks below
+    are :class:`TraceSink` subclasses, which also take prebuilt rows.
     """
 
     def emit(
@@ -81,42 +84,26 @@ class Tracer(Protocol):
     ) -> None: ...
 
 
-class _Shape:
-    """Interned layout of a row ``(shape, value, ...)``.
-
-    ``keys[i]`` names ``row[i + 1]``.  A :class:`TraceEvent` row is
-    ``(shape, time_s, flow, link, *payload)`` with its kind held here; a
-    row made from a replayed dict has ``kind is _RECORD`` and carries
-    ``"kind"`` as an ordinary key.  ``formatters`` maps the exact types
-    of a row (``tuple(map(type, row))``) to its line formatter.
-    """
-
-    __slots__ = ("kind", "keys", "formatters")
-
-    def __init__(self, kind: Any, keys: tuple) -> None:
-        self.kind = kind
-        self.keys = keys
-        self.formatters: dict[tuple, Callable[[tuple], str]] = {}
-
-
-@lru_cache(maxsize=4096)
-def _shape(kind: Any, *names: Any) -> _Shape:
-    # Only all-string layouts are interned: keys that are equal across
-    # types (1, True, 1.0) would share an entry and encode as whichever
-    # came first.  A raise is not cached.
-    if not all(isinstance(name, str) for name in names):
-        raise TypeError(f"trace field names must be strings, got {names!r}")
-    if kind is not _RECORD and not isinstance(kind, str):
-        raise TypeError(f"trace event kind must be a string, got {kind!r}")
-    return _Shape(kind, names if kind is _RECORD else ("t", "flow", "link") + names)
+def _event_dict(row: tuple) -> dict[str, Any]:
+    """Canonical JSON-safe form of an event row (``t``/``kind`` first,
+    payload merged; the envelope wins over a payload field of the same name)."""
+    record: dict[str, Any] = {"t": row[1], "kind": row[0].kind}
+    if row[2] is not None:
+        record["flow"] = row[2]
+    if row[3] is not None:
+        record["link"] = row[3]
+    for key, value in zip(row[0].keys[3:], row[4:]):
+        record.setdefault(key, value)
+    return record
 
 
 class TraceEvent(tuple):
     """One trace event: what happened, when, and to whom.
 
-    Stored flat — ``(shape, time_s, flow, link, *payload values)`` — so
-    a recorded run holds one tuple per event instead of an object plus
-    a kwargs dict; ``fields`` is rebuilt on access.
+    The recorded row itself — ``(shape, time_s, flow, link, *payload
+    values)`` — under a class with named accessors, so a recorded run
+    holds one tuple per event instead of an object plus a kwargs dict;
+    ``fields`` is rebuilt on access.
     """
 
     __slots__ = ()
@@ -130,7 +117,7 @@ class TraceEvent(tuple):
         fields: dict[str, Any] | None = None,
     ) -> "TraceEvent":
         fields = fields or {}
-        return _new_event(cls, (_shape(kind, *fields), time_s, flow, link, *fields.values()))
+        return _new_event(cls, (tracepoint(kind, *fields), time_s, flow, link, *fields.values()))
 
     def __reduce__(self) -> tuple:
         return TraceEvent, (self.kind, self.time_s, self.flow, self.link, self.fields)
@@ -144,19 +131,7 @@ class TraceEvent(tuple):
     def fields(self) -> dict[str, Any]:
         return dict(zip(self[0].keys[3:], self[4:]))
 
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical JSON-safe form (``t``/``kind`` first, payload merged).
-
-        The envelope wins over a payload field of the same name.
-        """
-        record: dict[str, Any] = {"t": self[1], "kind": self[0].kind}
-        if self[2] is not None:
-            record["flow"] = self[2]
-        if self[3] is not None:
-            record["link"] = self[3]
-        for key, value in zip(self[0].keys[3:], self[4:]):
-            record.setdefault(key, value)
-        return record
+    to_dict = _event_dict
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         who = f" flow={self.flow}" if self.flow is not None else ""
@@ -171,35 +146,40 @@ def _row(event: TraceEvent | dict) -> tuple:
     if isinstance(event, TraceEvent):
         return event
     try:
-        shape = _shape(_RECORD, *event)
+        shape = tracepoint(RECORD, *event)
     except TypeError:  # non-string keys: a one-off shape, generic encoder
-        shape = _Shape(_RECORD, tuple(event))
+        shape = Shape(RECORD, tuple(event))
     return (shape, *event.values())
 
 
 def _generic_line(row: tuple) -> str:
-    record = row.to_dict() if isinstance(row, TraceEvent) else dict(zip(row[0].keys, row[1:]))
+    shape = row[0]
+    record = dict(zip(shape.keys, row[1:])) if shape.kind is RECORD else _event_dict(row)
     return _generic_encode(record) + "\n"
 
 
-def _compile(shape: _Shape, types: tuple) -> Callable[[tuple], str]:
+def _compile(shape: Shape, types: tuple) -> Callable[[tuple], str]:
     """Line formatter for the rows of ``shape`` whose values have ``types``.
 
     Emits what the C encoder emits for exact ``int``/``float``/``str``
     (``repr`` and ``encode_basestring_ascii``) into a template whose
-    keys are already sorted and escaped; a row with a non-finite float
-    takes the generic encoder, as does the whole shape when a key or a
-    type is anything else.
+    keys are already sorted and escaped.  The formatter checks the types
+    it was compiled for and hands any other row back to :func:`_select`;
+    a row with a non-finite float takes the generic encoder, as does the
+    whole signature when a key or a type is anything else.
     """
     slots: list[tuple[Any, str, str | None]] = []  # key, template slot, argument
     floats = []
-    is_event = shape.kind is not _RECORD
+    guards = []
+    is_event = shape.kind is not RECORD
     if is_event:
         slots.append(("kind", _quote(shape.kind).replace("%", "%%"), None))
     for index, key in enumerate(shape.keys, start=1):
         kind_of = types[index]
         if kind_of is NoneType and is_event and index in (2, 3):
+            guards.append(f"r[{index}] is None")
             continue  # no flow / no link: the key is absent, not null
+        guards.append(f"type(r[{index}]) is {kind_of.__name__}")
         if kind_of is str:
             slots.append((key, "%s", f"q(r[{index}])"))
         elif kind_of is int or kind_of is float:
@@ -215,24 +195,37 @@ def _compile(shape: _Shape, types: tuple) -> Callable[[tuple], str]:
     template = "{%s}\n" % ",".join(
         _quote(key).replace("%", "%%") + ":" + slot for key, slot, _ in slots
     )
-    source = f"lambda r: {template!r} % ({''.join(arg + ',' for _, _, arg in slots if arg)})"
+    source = f"{template!r} % ({''.join(arg + ',' for _, _, arg in slots if arg)})"
     if floats:  # nan and +-inf are the only floats x with x * 0.0 != 0.0
-        source += f" if ({' + '.join(floats)}) * 0.0 == 0.0 else g(r)"
-    return eval(source, {"q": _quote, "g": _generic_line})
+        source = f"({source} if ({' + '.join(floats)}) * 0.0 == 0.0 else g(r))"
+    if guards:
+        source += f" if {' and '.join(guards)} else s(r)"
+    return eval("lambda r: " + source, _FORMATTER_GLOBALS)
 
 
-def _line(row: tuple) -> str:
+def _select(row: tuple) -> str:
+    """Encode ``row`` with the formatter for its exact types, and leave
+    that formatter in ``shape.line``: rows come here until one compiles
+    and whenever their types change, and skip this frame otherwise."""
+    shape = row[0]
     types = tuple(map(type, row))
-    formatter = row[0].formatters.get(types)
+    formatter = shape.formatters.get(types)
     if formatter is None:
-        formatter = row[0].formatters[types] = _compile(row[0], types)
+        formatter = shape.formatters[types] = _compile(shape, types)
+    if formatter is not _generic_line:  # it checks nothing: never the default
+        shape.line = formatter
     return formatter(row)
+
+
+_FORMATTER_GLOBALS = {"q": _quote, "g": _generic_line, "s": _select}
 
 
 def _chunks(rows: Iterable[tuple]) -> Iterator[str]:
     """Canonical JSONL of ``rows``, ``_CHUNK_LINES`` lines at a time."""
     rows = iter(rows)
-    while chunk := "".join(map(_line, islice(rows, _CHUNK_LINES))):
+    while chunk := "".join(
+        [(row[0].line or _select)(row) for row in islice(rows, _CHUNK_LINES)]
+    ):
         yield chunk
 
 
@@ -252,7 +245,7 @@ def event_to_json(record: TraceEvent | dict[str, Any]) -> str:
     Sorted keys and fixed separators: the byte stream depends only on
     the event contents, never on insertion order or platform.
     """
-    return _line(_row(record))[:-1]
+    return _select(_row(record))[:-1]
 
 
 def events_to_jsonl(events: Iterable[TraceEvent | dict]) -> str:
@@ -323,11 +316,16 @@ def filter_events(
 # ----------------------------------------------------------------------
 # Sinks
 # ----------------------------------------------------------------------
-class CollectingTracer:
-    """Keeps every event in memory (tests, ``repro trace``)."""
+class TraceSink:
+    """Base of every sink: a subclass stores rows, ``emit`` is spelled once.
 
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+    :meth:`record` takes one event as the row ``(tracepoint(kind,
+    *field_names), time_s, flow, link, *values)``, which per-packet
+    sites build themselves and :meth:`emit` builds from keywords.
+    """
+
+    def record(self, row: tuple) -> None:
+        raise NotImplementedError
 
     def emit(
         self,
@@ -338,12 +336,17 @@ class CollectingTracer:
         link: str | None = None,
         **fields: Any,
     ) -> None:
-        # TraceEvent(kind, time_s, flow, link, fields) without the __new__ frame.
-        self.events.append(
-            _new_event(
-                TraceEvent, (_shape(kind, *fields), time_s, flow, link, *fields.values())
-            )
-        )
+        self.record((tracepoint(kind, *fields), time_s, flow, link, *fields.values()))
+
+
+class CollectingTracer(TraceSink):
+    """Keeps every event in memory (tests, ``repro trace``)."""
+
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
+
+    def record(self, row: tuple) -> None:
+        self.events.append(_new_event(TraceEvent, row))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -358,12 +361,12 @@ class CollectingTracer:
         return _digest(_chunks(self.events))
 
 
-class RingBufferTracer:
+class RingBufferTracer(TraceSink):
     """Keeps only the last ``capacity`` events — flight recorder mode.
 
     Cheap enough to leave armed around a whole supervised trial: the
-    deque discards old events in O(1) (they are only turned into
-    :class:`TraceEvent` rows when read), and :meth:`snapshot` renders
+    deque discards old rows in O(1) (they are only wrapped as
+    :class:`TraceEvent` when read), and :meth:`snapshot` renders
     the surviving tail as JSON-safe dicts for a
     :class:`~repro.harness.supervise.TrialOutcome` failure record.
     """
@@ -375,31 +378,23 @@ class RingBufferTracer:
         self.dropped = 0
         self._events: deque[tuple] = deque(maxlen=capacity)
 
-    def emit(
-        self,
-        kind: str,
-        time_s: float,
-        *,
-        flow: int | None = None,
-        link: str | None = None,
-        **fields: Any,
-    ) -> None:
+    def record(self, row: tuple) -> None:
         if len(self._events) == self.capacity:
             self.dropped += 1
-        self._events.append((kind, time_s, flow, link, fields))
+        self._events.append(row)
 
     def __len__(self) -> int:
         return len(self._events)
 
     def events(self) -> list[TraceEvent]:
-        return [TraceEvent(*item) for item in self._events]
+        return [_new_event(TraceEvent, row) for row in self._events]
 
     def snapshot(self) -> list[dict]:
         """The retained tail as event dicts, oldest first."""
-        return [event.to_dict() for event in self.events()]
+        return [_event_dict(row) for row in self._events]
 
 
-class JsonlTraceSink:
+class JsonlTraceSink(TraceSink):
     """Streams events to ``path`` as canonical JSONL.
 
     Usable as a context manager; :attr:`count` tracks emitted events.
@@ -415,18 +410,10 @@ class JsonlTraceSink:
         self._hasher = hashlib.sha256()
         self.count = 0
 
-    def emit(
-        self,
-        kind: str,
-        time_s: float,
-        *,
-        flow: int | None = None,
-        link: str | None = None,
-        **fields: Any,
-    ) -> None:
+    def record(self, row: tuple) -> None:
         if self._handle is None:
             raise ValueError("trace sink is closed")
-        line = _line(TraceEvent(kind, time_s, flow, link, fields))
+        line = (row[0].line or _select)(row)
         self._handle.write(line)
         self._hasher.update(line.encode())
         self.count += 1
@@ -446,23 +433,39 @@ class JsonlTraceSink:
         self.close()
 
 
-class TeeTracer:
+class _ByName:
+    """Gives an emit-only :class:`Tracer` the row door."""
+
+    def __init__(self, tracer: Tracer) -> None:
+        self.emit = tracer.emit  # by-name sites go straight through
+
+    def record(self, row: tuple) -> None:
+        shape = row[0]
+        self.emit(
+            shape.kind, row[1], flow=row[2], link=row[3], **dict(zip(shape.keys[3:], row[4:]))
+        )
+
+
+def as_sink(tracer: Tracer | None) -> TraceSink | None:
+    """What a run hands its simulator: ``tracer`` (default: the
+    process-global one, else ``None``) as something with ``record`` — a
+    sink passes through, an emit-only object gets the by-name adapter."""
+    if tracer is None:
+        tracer = _ACTIVE_TRACER
+    if tracer is None or hasattr(tracer, "record"):
+        return tracer
+    return _ByName(tracer)
+
+
+class TeeTracer(TraceSink):
     """Fans every event out to several tracers."""
 
     def __init__(self, *tracers: Tracer) -> None:
-        self.tracers = tracers
+        self.tracers = tuple(map(as_sink, tracers))
 
-    def emit(
-        self,
-        kind: str,
-        time_s: float,
-        *,
-        flow: int | None = None,
-        link: str | None = None,
-        **fields: Any,
-    ) -> None:
+    def record(self, row: tuple) -> None:
         for tracer in self.tracers:
-            tracer.emit(kind, time_s, flow=flow, link=link, **fields)
+            tracer.record(row)
 
 
 # ----------------------------------------------------------------------

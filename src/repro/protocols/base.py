@@ -23,9 +23,12 @@ from ..sim.fidelity import BURST_HORIZON_FRAC
 from ..sim.flow import Flow
 from ..sim.packet import ACK_BYTES, MTU_BYTES, Packet
 from ..core.rng import Rng
+from ..core.tracepoint import tracepoint
 
 MIN_RTO_S = 0.25
 """Floor on the retransmission timeout."""
+
+FF_BURST = tracepoint("sim.fastforward", "reason", "packets", "until_s")
 
 
 class AckInfo:
@@ -485,12 +488,5 @@ class RateSender(SenderBase):
         if sent > 1:
             sim.events_virtual += sent - 1  # absorbed pacing ticks
             if sim.tracer is not None:
-                sim.tracer.emit(
-                    "sim.fastforward",
-                    now,
-                    flow=flow.flow_id,
-                    reason="burst",
-                    packets=sent,
-                    until_s=t,
-                )
+                sim.tracer.record((FF_BURST, now, flow.flow_id, None, "burst", sent, t))
         self._tick_event = sim.schedule_at(t, self._tick)

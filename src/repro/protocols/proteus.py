@@ -23,6 +23,7 @@ from ..core.noise_tolerance import (
 )
 from ..core.rate_control import RateControlConfig, RateController
 from ..core.rng import Rng
+from ..core.tracepoint import tracepoint
 from ..core.utility import HybridUtility, UtilityFunction, make_utility
 from ..sim.engine import Event
 from .base import AckInfo, RateSender
@@ -30,6 +31,9 @@ from .base import AckInfo, RateSender
 MIN_MI_DURATION_S = 0.010
 MIN_PACKETS_PER_MI = 8
 OVERLOAD_PERSISTENCE_MIS = 3
+
+RTT_ACCEPT = tracepoint("rtt_filter.accept", "seq", "rtt_s")
+RTT_REJECT = tracepoint("rtt_filter.reject", "seq", "rtt_s")
 
 
 class ProteusSender(RateSender):
@@ -276,10 +280,9 @@ class ProteusSender(RateSender):
                     info.ack_time, info.rtt, srtt=self.srtt
                 )
                 if self.tracer is not None:
-                    self.trace(
-                        "rtt_filter.accept" if use_sample else "rtt_filter.reject",
-                        seq=info.seq,
-                        rtt_s=info.rtt,
+                    self.tracer.record(
+                        (RTT_ACCEPT if use_sample else RTT_REJECT, self.sim.now,
+                         self.flow.flow_id, None, info.seq, info.rtt)
                     )
             if use_sample:
                 mi.record_ack(info.sent_time, info.rtt, info.nbytes)

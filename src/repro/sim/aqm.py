@@ -31,7 +31,7 @@ from collections import deque
 from typing import Callable, Protocol
 
 from .engine import Simulator
-from .link import LinkBase, Receiver
+from .link import DEQUEUE, DROP, DROP_TAIL, ENQUEUE, LinkBase, Receiver
 from .noise import NoiseModel
 from .packet import Packet
 from ..core.rng import Rng
@@ -314,15 +314,9 @@ class DynamicLink(LinkBase):
             if not self._evict_one(now, tracer):
                 self.stats.tail_drops += 1
                 if tracer is not None:
-                    tracer.emit(
-                        "link.drop",
-                        now,
-                        flow=packet.flow_id,
-                        link=self.name,
-                        node=self.node,
-                        reason="tail",
-                        seq=packet.seq,
-                        backlog_bytes=self._queue_bytes,
+                    tracer.record(
+                        (DROP_TAIL, now, packet.flow_id, self.name, self.node, "tail",
+                         packet.seq, self._queue_bytes)
                     )
                 return False
         if self._queue_bytes + packet.size_bytes > self.stats.max_backlog_bytes:
@@ -330,15 +324,9 @@ class DynamicLink(LinkBase):
         self._queue.append((packet, dst, now))
         self._queue_bytes += packet.size_bytes
         if tracer is not None:
-            tracer.emit(
-                "link.enqueue",
-                now,
-                flow=packet.flow_id,
-                link=self.name,
-                node=self.node,
-                seq=packet.seq,
-                size_bytes=packet.size_bytes,
-                backlog_bytes=self._queue_bytes,
+            tracer.record(
+                (ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq,
+                 packet.size_bytes, self._queue_bytes)
             )
         if not self._serving:
             self._serve_next()
@@ -364,14 +352,8 @@ class DynamicLink(LinkBase):
         self._queue_bytes -= victim.size_bytes
         self.stats.aqm_drops += 1
         if tracer is not None:
-            tracer.emit(
-                "link.drop",
-                now,
-                flow=victim.flow_id,
-                link=self.name,
-                node=self.node,
-                reason="aqm",
-                seq=victim.seq,
+            tracer.record(
+                (DROP, now, victim.flow_id, self.name, self.node, "aqm", victim.seq)
             )
         return True
 
@@ -400,14 +382,8 @@ class DynamicLink(LinkBase):
             # separately so AQM activity is visible in summaries.
             self.stats.aqm_drops += 1
             if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="aqm",
-                    seq=packet.seq,
+                tracer.record(
+                    (DROP, now, packet.flow_id, self.name, self.node, "aqm", packet.seq)
                 )
         elif (
             self.loss_model.is_lost(self.rng)
@@ -416,14 +392,8 @@ class DynamicLink(LinkBase):
         ):
             self.stats.random_losses += 1
             if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="wire",
-                    seq=packet.seq,
+                tracer.record(
+                    (DROP, now, packet.flow_id, self.name, self.node, "wire", packet.seq)
                 )
         else:
             deliver_at = now + self.delay_s
@@ -436,15 +406,9 @@ class DynamicLink(LinkBase):
             self._last_delivery = deliver_at
             self.stats.delivered += 1
             if tracer is not None:
-                tracer.emit(
-                    "link.dequeue",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    seq=packet.seq,
-                    depart_s=now,
-                    deliver_at_s=deliver_at,
+                tracer.record(
+                    (DEQUEUE, now, packet.flow_id, self.name, self.node, packet.seq,
+                     now, deliver_at)
                 )
             self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
         self._serve_next()

@@ -190,8 +190,8 @@ class Simulator:
             (the default) consults the ``REPRO_CHECK_INVARIANTS``
             environment variable so whole test suites can opt in without
             threading a flag through every harness entry point.
-        tracer: Optional :class:`repro.obs.Tracer` that links and senders
-            consult (``sim.tracer``) to emit trace events.  ``None`` (the
+        tracer: Optional :class:`repro.obs.TraceSink` that links and senders
+            consult (``sim.tracer``) to record trace events.  ``None`` (the
             default) keeps every emission site on its single-branch
             no-op path; the event loop itself only touches the tracer
             when a budget trips.

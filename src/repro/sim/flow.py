@@ -19,8 +19,10 @@ from .engine import Simulator
 from .link import Link, Receiver
 from .packet import ACK_BYTES, Packet
 from .trace import FlowStats
+from ..core.tracepoint import tracepoint
 
 _INF = float("inf")
+FF_COLLAPSE = tracepoint("sim.fastforward", "reason", "seq", "ack_at_s")
 
 
 class SenderProtocol(Protocol):
@@ -148,13 +150,8 @@ class FlowReceiver:
                 (ack_at, sim._seq, flow.sender.receive, (ack,), None),
             )
         if sim.tracer is not None:
-            sim.tracer.emit(
-                "sim.fastforward",
-                at_s,
-                flow=flow.flow_id,
-                reason="collapse",
-                seq=packet.seq,
-                ack_at_s=ack_at,
+            sim.tracer.record(
+                (FF_COLLAPSE, at_s, flow.flow_id, None, "collapse", packet.seq, ack_at)
             )
 
 

@@ -29,6 +29,13 @@ from .engine import Simulator
 from .noise import NoiseModel
 from .packet import Packet
 from ..core.rng import Rng
+from ..core.tracepoint import tracepoint
+
+# Per-packet tracepoints; a site's row carries the values in this order.
+ENQUEUE = tracepoint("link.enqueue", "node", "seq", "size_bytes", "backlog_bytes")
+DEQUEUE = tracepoint("link.dequeue", "node", "seq", "depart_s", "deliver_at_s")
+DROP = tracepoint("link.drop", "node", "reason", "seq")
+DROP_TAIL = tracepoint("link.drop", "node", "reason", "seq", "backlog_bytes")
 
 
 class Receiver(Protocol):
@@ -236,7 +243,7 @@ class Link(LinkBase):
 
         The one statement of outage, tail drop, transmitter claim, wire
         loss, noise and the FIFO guard, with every counter update, RNG
-        draw and ``link.*`` trace emission.  Returns the delivery time,
+        draw and ``link.*`` trace row.  Returns the delivery time,
         ``_WIRE_LOST`` when the packet was accepted but never
         arrives, or ``None`` when it was refused (outage or tail drop).
         """
@@ -246,14 +253,8 @@ class Link(LinkBase):
         if self._down:
             stats.outage_drops += 1
             if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="outage",
-                    seq=packet.seq,
+                tracer.record(
+                    (DROP, now, packet.flow_id, self.name, self.node, "outage", packet.seq)
                 )
             return None
         size = packet.size_bytes
@@ -266,15 +267,9 @@ class Link(LinkBase):
         if occupancy > self.buffer_bytes + 1e-6:
             stats.tail_drops += 1
             if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="tail",
-                    seq=packet.seq,
-                    backlog_bytes=backlog,
+                tracer.record(
+                    (DROP_TAIL, now, packet.flow_id, self.name, self.node, "tail",
+                     packet.seq, backlog)
                 )
             return None
         if occupancy > stats.max_backlog_bytes:
@@ -282,15 +277,8 @@ class Link(LinkBase):
 
         self._busy_until = busy = (busy if busy > now else now) + size * 8.0 / bw
         if tracer is not None:
-            tracer.emit(
-                "link.enqueue",
-                now,
-                flow=packet.flow_id,
-                link=self.name,
-                node=self.node,
-                seq=packet.seq,
-                size_bytes=size,
-                backlog_bytes=occupancy,
+            tracer.record(
+                (ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq, size, occupancy)
             )
 
         if self.loss_model is not None:
@@ -301,14 +289,8 @@ class Link(LinkBase):
             # The packet still consumed transmitter time, but never arrives.
             stats.random_losses += 1
             if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="wire",
-                    seq=packet.seq,
+                tracer.record(
+                    (DROP, now, packet.flow_id, self.name, self.node, "wire", packet.seq)
                 )
             return _WIRE_LOST
 
@@ -322,15 +304,8 @@ class Link(LinkBase):
         self._last_delivery = deliver_at
         stats.delivered += 1
         if tracer is not None:
-            tracer.emit(
-                "link.dequeue",
-                now,
-                flow=packet.flow_id,
-                link=self.name,
-                node=self.node,
-                seq=packet.seq,
-                depart_s=busy,
-                deliver_at_s=deliver_at,
+            tracer.record(
+                (DEQUEUE, now, packet.flow_id, self.name, self.node, packet.seq, busy, deliver_at)
             )
         return deliver_at
 

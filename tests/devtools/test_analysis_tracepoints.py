@@ -31,6 +31,27 @@ def test_envelope_names_are_rejected_as_payload_fields():
     ]
 
 
+def test_declared_rows_are_sites_and_a_short_row_is_flagged():
+    project = Project.load([CASE / "trace_rows.py", CASE / "trace_shapes.py"])
+    findings = sorted(ANALYZERS["tracepoints"].analyze(project))
+    assert [f.rule_id for f in findings] == ["trace-arity-mismatch"]
+    assert "'fix.enqueue'" in findings[0].message and "6 values, not 7" in findings[0].message
+
+    schemas = {s.event: s for s in build_schema(project)}
+    # A conditional first slot is one site per name; an imported name resolves.
+    assert sorted(schemas) == [
+        "fix.accept", "fix.enqueue", "fix.imported", "fix.lost", "fix.reject",
+    ]
+    assert schemas["fix.imported"].variants[0].required == {"seq", "rtt_s"}
+    assert len(schemas["fix.enqueue"].variants[0].sites) == 2
+    # Constants are taken by position: the discriminated variants derive.
+    lost = {v.value: v.required for v in schemas["fix.lost"].variants}
+    assert lost == {
+        "wire": {"node", "reason", "seq"},
+        "tail": {"node", "reason", "seq", "backlog_bytes"},
+    }
+
+
 def test_discriminated_and_wildcard_sites_are_consistent():
     assert findings_for([OK_FILE]) == []
 

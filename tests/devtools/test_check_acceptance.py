@@ -2,8 +2,9 @@
 
 Each test copies the real tree, plants one defect of the class the
 issue names (unit mismatch, worker-reachable global write, inconsistent
-emit field set, upward sim->harness import), and asserts ``repro
-check`` turns red — proving the gate would catch the regression on CI.
+emit field set, trace row of the wrong length, upward sim->harness
+import), and asserts ``repro check`` turns red — proving the gate would
+catch the regression on CI.
 """
 
 import shutil
@@ -68,6 +69,16 @@ def test_inconsistent_emit_fields_fail(planted_src, capsys):
     )
     assert main(["check", "src"]) == 1
     assert "trace-field-mismatch" in capsys.readouterr().out
+
+
+def test_row_shorter_than_its_tracepoint_fails(planted_src, capsys):
+    target = planted_src / "repro" / "sim" / "link.py"
+    source = target.read_text()
+    site = "(ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq, size, occupancy)"
+    assert site in source
+    target.write_text(source.replace(site, site.replace(", occupancy", "")))
+    assert main(["check", "src"]) == 1
+    assert "trace-arity-mismatch" in capsys.readouterr().out
 
 
 def test_sim_importing_harness_fails(planted_src, capsys):

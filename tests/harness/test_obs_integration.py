@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.harness import EMULAB_DEFAULT, FlowSpec, run_flows, run_pair
+from repro.harness import EMULAB_DEFAULT, FlowSpec, load_topology, run_flows, run_pair
 from repro.harness.parallel import pmap
 from repro.obs import (
     CollectingTracer,
@@ -24,6 +24,7 @@ from repro.obs import (
     read_jsonl,
     trace_digest,
     tracing,
+    write_jsonl,
 )
 
 CONFIG = EMULAB_DEFAULT
@@ -108,10 +109,30 @@ def test_trace_digest_identical_across_jobs():
     assert serial[0] != serial[1]  # different seeds, different traces
 
 
-def _sink_digests(item: tuple[str, str]) -> tuple[str, str, str]:
-    fidelity, directory = item
+def _untraced_trial(seed: int) -> float:
+    result = run_flows([FlowSpec("cubic")], CONFIG, duration_s=1.0, seed=seed)
+    return result.throughputs_mbps()[0]
+
+
+def test_global_tracer_sees_the_same_events_for_any_jobs():
+    # A forked worker would trace into its own copy of the installed
+    # tracer and throw it away: a global tracer pins the batch in-process.
+    digests = {}
+    for jobs in (1, 2):
+        with tracing(CollectingTracer()) as tracer:
+            values = pmap(_untraced_trial, [1, 2, 3, 4], jobs=jobs)
+        digests[jobs] = (values, len(tracer), tracer.digest())
+    assert digests[1] == digests[2]
+    assert digests[1][1] > 0
+
+
+SINK_CASES = [("exact", None), ("hybrid", None), ("exact", "parking-lot-codel")]
+
+
+def _sink_digests(item: tuple[str, str | None, str]) -> tuple[str, str, str]:
+    fidelity, topology, directory = item
     collecting = CollectingTracer()
-    path = Path(directory) / f"{fidelity}.jsonl"
+    path = Path(directory) / f"{fidelity}-{topology}.jsonl"
     with JsonlTraceSink(path) as sink:
         run_flows(
             [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)],
@@ -119,23 +140,52 @@ def _sink_digests(item: tuple[str, str]) -> tuple[str, str, str]:
             duration_s=2.5,
             seed=3,
             fidelity=fidelity,
+            topology=None if topology is None else load_topology(topology),
             tracer=TeeTracer(collecting, sink),
         )
     assert len(collecting) == sink.count > 1000
+    # The line-at-a-time sink and the chunked writer are one encoder.
+    rewritten = path.with_suffix(".rewritten")
+    assert write_jsonl(collecting.events, rewritten) == sink.digest()
+    assert rewritten.read_bytes() == path.read_bytes()
     return collecting.digest(), sink.digest(), trace_digest(read_jsonl(path))
 
 
 def test_every_sink_agrees_in_both_fidelity_modes_and_across_jobs(tmp_path):
     serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-    serial = pmap(_sink_digests, [(f, str(serial_dir)) for f in ("exact", "hybrid")], jobs=1)
-    parallel = pmap(
-        _sink_digests, [(f, str(parallel_dir)) for f in ("exact", "hybrid")], jobs=4
-    )
+    serial = pmap(_sink_digests, [(*case, str(serial_dir)) for case in SINK_CASES], jobs=1)
+    parallel = pmap(_sink_digests, [(*case, str(parallel_dir)) for case in SINK_CASES], jobs=4)
     assert serial == parallel
     for digests in serial:
         assert len(set(digests)) == 1, digests
-    for name in ("exact.jsonl", "hybrid.jsonl"):
+    names = sorted(path.name for path in serial_dir.glob("*.jsonl"))
+    assert len(names) == len(SINK_CASES)
+    for name in names:
         assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
+
+
+class _EmitOnly:
+    """The documented minimum of a tracer: nothing but ``emit``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def emit(self, kind, time_s, *, flow=None, link=None, **fields):
+        self.calls.append((kind, time_s, flow, link, fields))
+
+
+def test_an_emit_only_tracer_receives_every_event_by_name():
+    specs = [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=0.5)]
+    collecting, mine = CollectingTracer(), _EmitOnly()
+    for tracer in (collecting, mine):
+        run_flows(specs, CONFIG, duration_s=1.5, seed=5, tracer=tracer)
+    assert mine.calls == [
+        (e.kind, e.time_s, e.flow, e.link, e.fields) for e in collecting.events
+    ]
+    assert {"link.enqueue", "rtt_filter.accept", "mi.start"} <= {c[0] for c in mine.calls}
+    # Field order is the keyword order the sites always had.
+    enqueue = next(c for c in mine.calls if c[0] == "link.enqueue")
+    assert list(enqueue[4]) == ["node", "seq", "size_bytes", "backlog_bytes"]
 
 
 # ----------------------------------------------------------------------

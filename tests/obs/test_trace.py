@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.tracepoint import tracepoint
 from repro.obs import (
     CollectingTracer,
     JsonlTraceSink,
@@ -238,6 +239,96 @@ def test_every_value_type_encodes_like_json_dumps(value):
         assert event_to_json(event) == _reference(event.to_dict())
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["link.drop", "mi.end"]) | st.text(max_size=6),
+    # A keyword cannot be spelled like one of emit's own parameters.
+    names=st.lists(
+        _names.filter(lambda name: name not in ("self", "kind", "time_s", "flow", "link")),
+        max_size=5, unique=True,
+    ),
+    data=st.data(),
+)
+def test_emit_by_name_and_record_by_row_are_the_same_event(tmp_path_factory, kind, names, data):
+    envelope = st.tuples(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.none() | st.integers(min_value=0, max_value=2**65),
+        st.none() | st.text(max_size=6),
+    )
+    events = data.draw(
+        st.lists(st.tuples(envelope, st.tuples(*[_values for _ in names])), min_size=1, max_size=4)
+    )
+    directory = tmp_path_factory.mktemp("doors")
+    seen = []
+    for door in ("emit", "record"):
+        collecting, ring = CollectingTracer(), RingBufferTracer(capacity=2)
+        solo_ring = RingBufferTracer(capacity=2)
+        with JsonlTraceSink(directory / f"{door}.jsonl") as sink, JsonlTraceSink(
+            directory / f"{door}-solo.jsonl"
+        ) as solo_sink:
+            # Each sink on its own, and a tee over all three kinds.
+            for target in (TeeTracer(collecting, ring, sink), solo_ring, solo_sink):
+                for (time_s, flow, link), values in events:
+                    if door == "emit":
+                        target.emit(kind, time_s, flow=flow, link=link, **dict(zip(names, values)))
+                    else:
+                        target.record((tracepoint(kind, *names), time_s, flow, link, *values))
+        assert ring.snapshot() == solo_ring.snapshot() == collecting.to_dicts()[-2:]
+        assert sink.path.read_bytes() == solo_sink.path.read_bytes()
+        assert collecting.digest() == sink.digest() == solo_sink.digest()
+        assert [type(event) for event in collecting.events] == [TraceEvent] * len(events)
+        seen.append((
+            collecting.to_jsonl(), sink.path.read_text(), repr(collecting.to_dicts()),
+            repr(ring.snapshot()), ring.dropped, sink.count, collecting.digest(),
+        ))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == seen[0][1]
+
+
+def test_a_layout_whose_types_change_recompiles_nothing_and_returns_to_the_fast_path(monkeypatch):
+    from repro.obs import trace as trace_module
+
+    compiled = []
+    real_compile = trace_module._compile
+
+    def counting_compile(shape, types):
+        compiled.append(types)
+        return real_compile(shape, types)
+
+    monkeypatch.setattr(trace_module, "_compile", counting_compile)
+    shape = tracepoint("test.polymorphic", "seq", "utility")
+    assert shape.line is None and not shape.formatters  # nothing else uses this layout
+    flows = [None, 3] * 3
+    odd = [float("nan"), float("inf"), True, _Level.HIGH, numpy.float64(2.5), None]
+    rows = [(shape, 0.5 * i, flow, "hop", i, 1.25 * i) for i, flow in enumerate(flows)]
+    rows += [(shape, 9.0, 3, "hop", 7, value) for value in odd]
+    rows += [(shape, 0.5 * i, flow, "hop", i, 1.25 * i) for i, flow in enumerate(flows)]
+
+    def reference(row):
+        record = {"t": row[1], "kind": "test.polymorphic", "link": row[3], "seq": row[4],
+                  "utility": row[5]}
+        if row[2] is not None:
+            record["flow"] = row[2]
+        return _reference(record) + "\n"
+
+    tracer = CollectingTracer()
+    for row in rows:
+        tracer.record(row)
+    expected = "".join(map(reference, rows))
+    assert tracer.to_jsonl() == expected
+    # flow None / flow int with a float utility, then one signature each
+    # for bool, IntEnum, numpy.float64 and None: nan and inf are floats.
+    assert len(compiled) == len(set(compiled)) == 6
+    fast = shape.line
+    assert fast is not None and fast is not trace_module._generic_line
+    assert fast in shape.formatters.values()
+    # Same rows again: the compile cache answers, and the layout ends on
+    # a compiled formatter, not on the generic encoder an odd value took.
+    assert tracer.to_jsonl() == expected
+    assert len(compiled) == 6
+    assert shape.line is fast
+
+
 def test_non_string_keys_take_the_generic_encoder():
     record = {3: "c", 1: "a"}
     assert event_to_json(record) == _reference(record) == '{"1":"a","3":"c"}'
@@ -247,13 +338,14 @@ def test_non_string_keys_take_the_generic_encoder():
 
 
 def test_event_kind_and_field_names_must_be_strings():
-    tracer = CollectingTracer()
-    for kind in (1, None, ("a",)):
-        with pytest.raises(TypeError):
-            tracer.emit(kind, 0.0)
+    # Every sink refuses at emit time (the ring used to raise on read).
+    for tracer in (CollectingTracer(), RingBufferTracer()):
+        for kind in (1, None, ("a",)):
+            with pytest.raises(TypeError):
+                tracer.emit(kind, 0.0)
+        assert len(tracer) == 0
     with pytest.raises(TypeError):
         TraceEvent("x", 0.0, fields={1: 2})
-    assert len(tracer) == 0
 
 
 def test_envelope_wins_over_a_payload_field_of_the_same_name(tmp_path):

@@ -235,10 +235,21 @@ def test_hybrid_deterministic_per_fidelity():
         assert list(sa.loss_times) == list(sb.loss_times)
 
 
+def _in_fresh_interpreter(code):
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_default_hybrid_run_never_imports_numpy():
     # A fresh interpreter: importing the harness and running hybrid mode
     # must not pay numpy's ~0.14 s / ~13 MiB import.
-    code = """
+    _in_fresh_interpreter("""
 import sys
 import repro.harness.runner
 from repro.harness import EMULAB_DEFAULT, FlowSpec, run_flows
@@ -248,15 +259,19 @@ result = run_flows(
 )
 assert result.dumbbell.sim.events_virtual > 0, "the run never fast-forwarded"
 assert "numpy" not in sys.modules, "default hybrid imported numpy"
-"""
-    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src, "PATH": ""},
-    )
-    assert result.returncode == 0, result.stderr
+""")
+
+
+def test_importing_the_cli_imports_neither_scipy_nor_numpy():
+    # Every `repro ...` command pays this import; scipy alone was 0.6 s of
+    # it, for the two analysis.equilibrium functions that minimise.
+    _in_fresh_interpreter("""
+import sys
+import repro.cli
+
+loaded = sorted({"scipy", "numpy"} & set(sys.modules))
+assert not loaded, f"import repro.cli imported {loaded}"
+""")
 
 
 def test_fidelity_is_part_of_the_cache_key(tmp_path):

@@ -30,16 +30,18 @@ from repro.obs import CollectingTracer
 
 CONFIG = LinkConfig(bandwidth_mbps=50.0, rtt_ms=30.0, buffer_kb=375.0)
 
-COLUMNS = ("fired", "virtual", "packets", "calls", "emits")
+COLUMNS = ("fired", "virtual", "packets", "calls", "records", "emits")
 """Events dispatched, events absorbed analytically, packets sent, calls
-into ``src/repro`` frames, and how many of those calls were ``emit``."""
+into ``src/repro`` frames, and how many of those calls were ``record``
+(the one call every stored trace event passes through) and by-name
+``emit`` (which builds the row first, then calls ``record``)."""
 
 EXPECTED = {
-    "pair_exact": (31119, 0, 16972, 283705, 0),
-    "pair_hybrid": (12289, 13022, 12955, 109151, 0),
-    "pair_traced": (31119, 0, 16972, 342568, 56066),
-    "many_flows": (23141, 0, 5261, 139669, 0),
-    "codel_parking_lot": (69576, 0, 8087, 345786, 0),
+    "pair_exact": (31119, 0, 16972, 283705, 0, 0),
+    "pair_hybrid": (12289, 13022, 12955, 109151, 0, 0),
+    "pair_traced": (31119, 0, 16972, 340107, 56066, 170),
+    "many_flows": (23141, 0, 5261, 139669, 0, 0),
+    "codel_parking_lot": (69576, 0, 8087, 345786, 0, 0),
 }
 
 
@@ -64,14 +66,15 @@ SCENARIOS = {
 
 
 def _measure(run, tracer):
-    calls = emits = 0
+    calls = records = emits = 0
 
     def profile(frame, event, arg):
-        nonlocal calls, emits
+        nonlocal calls, records, emits
         if event == "call":
             code = frame.f_code
             if "/repro/" in code.co_filename and not code.co_name.startswith("<"):
                 calls += 1
+                records += code.co_name == "record"
                 emits += code.co_name == "emit"
 
     sys.setprofile(profile)
@@ -82,7 +85,7 @@ def _measure(run, tracer):
     assert result.dumbbell is not None  # simulated live, not rebuilt from a cache
     sim = result.dumbbell.sim
     packets = sum(stats.packets_sent for stats in result.stats)
-    return (sim.events_fired, sim.events_virtual, packets, calls, emits)
+    return (sim.events_fired, sim.events_virtual, packets, calls, records, emits)
 
 
 @pytest.fixture(scope="module")
@@ -125,13 +128,21 @@ def test_hybrid_fast_forward_keeps_paying_for_itself(measured):
 def test_an_exact_mode_event_stays_under_ten_calls(measured):
     # A flow's route is resolved once (Path.route), so a packet hop is
     # link.send + _admit; 12.5 calls per event when every hop re-routed.
-    fired, _, _, calls, _ = measured[0]["pair_exact"]
+    fired, _, _, calls, *_ = measured[0]["pair_exact"]
     assert calls / fired < 10
 
 
 def test_tracing_costs_nothing_until_a_tracer_is_attached(measured):
     table, tracer = measured
-    emits = {name: row[COLUMNS.index("emits")] for name, row in table.items()}
-    traced = emits.pop("pair_traced")
-    assert set(emits.values()) == {0}, emits
-    assert traced == len(tracer.events) > 0
+    doors = {name: row[COLUMNS.index("records"):] for name, row in table.items()}
+    records, emits = doors.pop("pair_traced")
+    assert set(doors.values()) == {(0, 0)}, doors
+    assert records == len(tracer.events) > 0
+
+
+def test_per_packet_sites_record_rows(measured):
+    # Every per-packet and per-ACK site hands over a finished row; only
+    # per-MI, per-decision and per-run events come through the by-name
+    # door.  One per-packet site sliding back to keywords breaks this.
+    *_, records, emits = measured[0]["pair_traced"]
+    assert 0 < emits < records / 100
