@@ -434,8 +434,8 @@ def _run_flows_live(
             )
         flows.append(flow)
         stats.append(flow.stats)
-    # Hybrid fidelity: with the whole flow set known, mark the flows
-    # whose packet legs may collapse (no-op in exact mode).
+    # With the whole flow set known, mark the flows whose packet legs
+    # may collapse (both modes; exact mode under stricter rules).
     activate_fastforward(sim, flows)
     sim.run(until=duration_s, max_events=max_events, max_wall_s=max_wall_s)
     link_events = list(driver.applied) if driver is not None else []

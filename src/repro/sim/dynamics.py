@@ -175,8 +175,9 @@ class TimelineDriver:
         # Per-link queue of pending event times, in firing order (the
         # heap fires ties in scheduling order, and a stable sort on
         # time_s preserves list order within a tie).  The head of each
-        # queue is the link's fast-forward barrier: hybrid fidelity must
-        # not analytically advance a packet past the next mutation.
+        # queue is the link's fast-forward barrier: a collapsed round trip
+        # (either fidelity mode) must not analytically advance a packet
+        # past the next mutation.
         self._pending_times: dict[str, list[float]] = {}
         for event in events:
             link = self.links.get(event.link)

@@ -229,8 +229,11 @@ class Simulator:
         self.events_fired: int = 0
         # Events whose effects were applied analytically (fast-forward)
         # without a heap dispatch.  ``events_fired + events_virtual`` is
-        # the packet-exact-equivalent event count of a hybrid run.
+        # the event chain's length in either fidelity mode.
         self.events_virtual: int = 0
+        # ``until`` of the current run() (inf when unbounded): a collapsed
+        # round trip never absorbs a delivery past it (``Flow.transmit_ff``).
+        self.horizon: float = float("inf")
         if check_invariants is None:
             check_invariants = os.environ.get("REPRO_CHECK_INVARIANTS", "") not in (
                 "",
@@ -389,6 +392,7 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        self.horizon = float("inf") if until is None else until
         inv = self.invariants
         tracer = self.tracer
         if tracer is not None:

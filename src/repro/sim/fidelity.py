@@ -3,28 +3,36 @@
 The PCC architecture acts only at monitor-interval boundaries, so
 packet-level fidelity *between* MI edges is usually wasted work: the
 arrival process on a link is rate-stable until the next control decision,
-timeline event, or queue transition.  The hybrid mode exploits that in
-two ways (see ``docs/PERFORMANCE.md`` for the full model):
+timeline event, or queue transition.  Two mechanisms exploit that (see
+``docs/PERFORMANCE.md`` for the full model):
 
-* **collapsed packet legs** — the data-delivery and ACK-delivery hops of
-  an eligible flow are computed analytically at send time (the link's
-  queue is already analytic, so the delivery timestamp is a closed-form
-  expression) and only *one* engine event fires per packet: the ACK
-  arriving back at the sender.  Byte counts, stats and timestamps match
-  the packet-exact chain; what is lost is the interleaving of the
-  intermediate hops with other same-window events.
-* **paced-send bursts (fluid fast-forward)** — a rate-paced sender whose
-  rate is provably stable up to a horizon (for PCC senders: the MI-close
-  event) transmits a whole burst of future packets in one engine event,
-  advancing link byte/backlog accounting analytically to the burst end.
-  Each skip is documented by a ``sim.fastforward`` trace event.
+* **collapsed round trips** (both modes) — the data-delivery and
+  ACK-delivery hops of an eligible flow are computed analytically at
+  send time (the link's queue is already analytic, so the delivery
+  timestamp is a closed-form expression) and only *one* engine event
+  fires per packet: the ACK arriving back at the sender.  Byte counts,
+  stats, timestamps and link counters match the event chain; the
+  skipped delivery dispatch is counted in ``events_virtual``.
+* **paced-send bursts (fluid fast-forward)** (hybrid only) — a
+  rate-paced sender whose rate is provably stable up to a horizon (for
+  PCC senders: the MI-close event) transmits a whole burst of future
+  packets in one engine event, advancing link byte/backlog accounting
+  analytically to the burst end.  Bursts are the one thing hybrid adds,
+  and its one approximation.  Each skip is documented by a
+  ``sim.fastforward`` trace event.
 
-Eligibility is conservative: any randomness on the path (loss, noise),
-an outage, a pending timeline event inside the horizon, multi-hop paths,
-bounded/chunked flows, or application delivery callbacks all force the
-packet-exact path.  Packet-exact mode (``REPRO_FIDELITY=exact``, the
-default) never enters any of these code paths and stays byte-identical
-to the reference implementation.
+Eligibility is conservative: multi-hop paths, event-based links,
+bounded/chunked flows and application delivery callbacks veto a flow,
+and a round trip that would cross a pending timeline event or the end
+of the current ``run(until=...)``, or meet loss, noise or an outage,
+takes the event chain.  Packet-exact mode (``REPRO_FIDELITY=exact``, the
+default) collapses only where that is provably identical to the event
+chain (:func:`activate_fastforward`), so its results are byte-identical
+to a traced run, which keeps every event.  That assumes no exact float
+tie at an ACK's arrival time: a collapsed ACK takes its heap sequence
+number at send time, the chain's at delivery time, so an event
+scheduled in between for the very same instant would swap order with
+it.  The differential tests have found no such tie.
 
 Fidelity is part of every harness cache key: an exact and a hybrid run
 of the same scenario are different experiments.
@@ -73,8 +81,10 @@ class Fidelity:
     """Resolved execution-fidelity configuration for one simulation.
 
     Args:
-        mode: ``"exact"`` (reference packet-level path everywhere) or
-            ``"hybrid"`` (collapsed legs + paced bursts where eligible).
+        mode: ``"exact"`` (the event chain's results everywhere; round
+            trips collapse only where provably identical) or
+            ``"hybrid"`` (collapsed round trips + paced bursts where
+            eligible).
     """
 
     mode: str = "exact"
@@ -118,23 +128,35 @@ def activate_fastforward(sim, flows) -> int:
       the link's transmitter pre-claimed at virtual future times,
       distorting its queueing in a way packet-exact mode never would.
 
-    Senders that support paced bursts (``ff_supports_burst``) are armed
-    as a side effect.  No-op (returns 0) in packet-exact mode.
+    Exact mode collapses only where the result is provably the event
+    chain's, so it adds three rules: no tracer is attached (a traced
+    exact run *is* the event chain), neither link draws randomness (loss
+    or noise) at activation, and every ACK on a reverse link comes
+    through one forward link and nothing else sends on it — that link's
+    FIFO guard then admits ACKs in the order the chain would.  Senders
+    that support paced bursts (``ff_supports_burst``) are armed in
+    hybrid mode only.
     """
-    if not sim.fidelity.hybrid:
+    hybrid = sim.fidelity.hybrid
+    if sim.tracer is not None and not hybrid:
         return 0
     flows = list(flows)
 
     def capable(flow) -> bool:
+        links = (*flow.forward_path.links, *flow.reverse_path.links)
         return (
             flow.bytes_unsent == float("inf")
             and flow.on_delivery is None
             and not flow.completed
             and len(flow.forward_path.links) == 1
             and len(flow.reverse_path.links) == 1
-            and all(
-                getattr(link, "can_fastforward", False)
-                for link in (*flow.forward_path.links, *flow.reverse_path.links)
+            and all(getattr(link, "can_fastforward", False) for link in links)
+            and (
+                hybrid
+                or not any(
+                    link.loss_rate > 0.0 or link.noise is not None or link.loss_model is not None
+                    for link in links
+                )
             )
         )
 
@@ -144,6 +166,14 @@ def activate_fastforward(sim, flows) -> int:
         for link in (*f.forward_path.links, *f.reverse_path.links):
             users.setdefault(id(link), []).append(f)
     link_ok = {lid: all(caps[id(f)] for f in fl) for lid, fl in users.items()}
+    if not hybrid:
+        # What feeds each link: 0 for a sender, the forward link's id for
+        # ACKs.  One linear pass; a link fed two ways is vetoed.
+        fed_by: dict[int, int] = {}
+        for f in flows:
+            for link, feeder in ((f.fwd_link, 0), (f.rev_link, id(f.fwd_link))):
+                if fed_by.setdefault(id(link), feeder) != feeder:
+                    link_ok[id(link)] = False
     enabled = 0
     for f in flows:
         fwd_id = id(f.forward_path.links[0])
@@ -152,7 +182,7 @@ def activate_fastforward(sim, flows) -> int:
         f.ff_collapse = ok
         if ok:
             enabled += 1
-            if getattr(f.sender, "ff_supports_burst", False):
+            if hybrid and getattr(f.sender, "ff_supports_burst", False):
                 f.sender.ff_burst_armed = True
                 # Solo flows burst freely; shared links get the short
                 # cap (see _SHARED_BURST_CAP) to bound the pre-claim

@@ -205,10 +205,9 @@ class Flow:
             sim.invariants.register_flow(self)
         self.completed = False
         self._next_seq = 0
-        # Hybrid-fidelity collapse flag; set by
-        # ``fidelity.activate_fastforward`` once the whole flow set is
-        # known (eligibility is a property of every flow sharing a link,
-        # not of one flow alone).  Always False in packet-exact mode.
+        # Collapse flag; set by ``fidelity.activate_fastforward`` once the
+        # whole flow set is known (eligibility is a property of every flow
+        # sharing a link, not of one flow alone).
         self.ff_collapse = False
         # Both routes, resolved once: the first hop of each path and what
         # it delivers to; the ACK route ends on the sender itself.  For a
@@ -257,43 +256,36 @@ class Flow:
         return seq
 
     def transmit_ff(self, size_bytes: int, at_s: float) -> int:
-        """Collapsed transmit at virtual time ``at_s`` (hybrid fidelity).
+        """Collapsed transmit at virtual time ``at_s``.
 
         Sends the data packet analytically through the (single-link)
         forward path and runs the receiver + ACK chain inline; the only
         heap event of the whole round trip is the ACK arriving back at
-        the sender.  When a link's fast-forward barrier (pending timeline
-        event) would be crossed by the packet's virtual window — and the
-        send is happening at the real clock, so falling back is still
-        possible — the packet takes the packet-exact path instead.
+        the sender.  A send at the real clock takes the event chain
+        (:meth:`transmit`) instead when the packet's round trip would
+        cross a link's fast-forward barrier (pending timeline event),
+        when a packet this forward link sent down the chain is still
+        undelivered (so ACKs keep entering the reverse link in delivery
+        order), or — in exact mode — when a link needs per-packet
+        decisions.  A delivery past the current ``run(until=...)`` is
+        pushed as an event like :meth:`Link.send` does, never absorbed.
 
         For healthy static links with no tracer attached the whole
         chain — both link legs, the receiver bookkeeping, and the ACK
         scheduling — is fused inline below with no intermediate packet
         object.  It is the one inlined specialisation of
         ``Link._admit`` + ``FlowReceiver.receive_ff``, which remain the
-        reference (and only) path whenever a link needs per-packet
-        decisions; the exact-vs-hybrid digest tests pin the two together.
+        hybrid reference path whenever a link needs per-packet
+        decisions; the traced-vs-untraced and exact-vs-hybrid digest
+        tests pin the two together.
 
         Returns the seq exactly like :meth:`transmit`.
         """
         sim = self.sim
+        now = sim.now
         fwd = self.fwd_link
         rev = self.rev_link
-        limit = fwd.ff_barrier_s
-        if rev.ff_barrier_s < limit:
-            limit = rev.ff_barrier_s
-        if limit != _INF:
-            ack_at = fwd.peek_round_trip_ff(size_bytes, at_s, rev, ACK_BYTES)
-            if ack_at + 1e-6 >= limit and at_s <= sim.now:
-                return self.transmit(size_bytes)
-        self._next_seq += 1
-        seq = self._next_seq
-        stats = self.stats
-        stats.packets_sent += 1
-        if self.bytes_unsent != _INF:
-            self.bytes_unsent -= size_bytes
-        if (
+        fused = (
             sim.tracer is None
             and fwd.loss_model is None
             and fwd.noise is None
@@ -303,7 +295,28 @@ class Flow:
             and rev.noise is None
             and rev.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
             and not rev._down
+        )
+        limit = fwd.ff_barrier_s
+        if rev.ff_barrier_s < limit:
+            limit = rev.ff_barrier_s
+        if at_s <= now and (
+            fwd.ff_tail >= now
+            or not (fused or sim.fidelity.hybrid)
+            or (
+                limit != _INF
+                and fwd.peek_round_trip_ff(size_bytes, at_s, rev, ACK_BYTES) + 1e-6 >= limit
+            )
         ):
+            seq = self.transmit(size_bytes)
+            fwd.ff_tail = fwd._last_delivery
+            return seq
+        self._next_seq += 1
+        seq = self._next_seq
+        stats = self.stats
+        stats.packets_sent += 1
+        if self.bytes_unsent != _INF:
+            self.bytes_unsent -= size_bytes
+        if fused:
             # ---- forward leg (Link._admit, inlined) ----
             fwd_stats = fwd.stats
             fwd_stats.offered += 1
@@ -324,6 +337,9 @@ class Flow:
                 deliver_at = fwd._last_delivery + 1e-9
             fwd._last_delivery = deliver_at
             fwd_stats.delivered += 1
+            if deliver_at > sim.horizon:
+                self._deliver_later(Packet(self.flow_id, seq, size_bytes, at_s), deliver_at)
+                return seq
             # ---- receiver bookkeeping (receive_ff, inlined) ----
             stats.delivered_bytes += size_bytes
             if stats.first_delivery is None:
@@ -355,14 +371,8 @@ class Flow:
             rev._last_delivery = ack_arrive
             rev_stats.delivered += 1
             ack = Packet(
-                flow_id=self.flow_id,
-                seq=receiver._ack_seq,
-                size_bytes=ACK_BYTES,
-                sent_time=deliver_at,
-                is_ack=True,
-                data_seq=seq,
-                data_sent_time=at_s,
-                data_recv_time=deliver_at,
+                self.flow_id, receiver._ack_seq, ACK_BYTES, deliver_at,
+                True, seq, at_s, deliver_at,
             )
             # Inlined schedule_fast_at: ack_arrive >= at_s >= sim.now,
             # so the past-time clamp can never trigger on this path.
@@ -372,16 +382,25 @@ class Flow:
                 (ack_arrive, sim._seq, self.sender.receive, (ack,), None),
             )
             return seq
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size_bytes=size_bytes,
-            sent_time=at_s,
-        )
+        packet = Packet(self.flow_id, seq, size_bytes, at_s)
         deliver_at = fwd.send_ff(packet, at_s)
         if deliver_at is not None:
-            self.receiver.receive_ff(packet, deliver_at)
+            if deliver_at > sim.horizon:
+                self._deliver_later(packet, deliver_at)
+            else:
+                self.receiver.receive_ff(packet, deliver_at)
         return seq
+
+    def _deliver_later(self, packet: Packet, deliver_at: float) -> None:
+        """Hand a packet whose forward leg is computed to the event chain.
+
+        Pushes its delivery the way :meth:`Link.send` does, and records it
+        as the forward link's chain tail (see :meth:`transmit_ff`).
+        """
+        sim = self.sim
+        sim._seq += 1
+        heapq.heappush(sim._heap, (deliver_at, sim._seq, self.fwd_dst.receive, (packet,), None))
+        self.fwd_link.ff_tail = deliver_at
 
     def requeue_bytes(self, nbytes: int) -> None:
         """Return lost bytes to the unsent pool (models retransmission)."""

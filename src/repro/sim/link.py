@@ -157,7 +157,7 @@ class Link(LinkBase):
         rng: RNG used for loss and noise draws.
     """
 
-    # The analytic link supports the hybrid-fidelity collapsed-send path
+    # The analytic link supports the collapsed round trip
     # (``send_ff``/``peek_round_trip_ff``); event-based links do not.
     can_fastforward = True
 
@@ -181,12 +181,16 @@ class Link(LinkBase):
         self.loss_model = loss_model
         self._busy_until = 0.0
         self._down = False
-        # Hybrid-fidelity fast-forward state (see repro.sim.fidelity).
-        # ``ff_barrier_s`` is the next time at which this link's behaviour
-        # changes (timeline event); analytic sends whose virtual window
-        # would cross it fall back to packet-exact delivery.  Maintained
-        # by the TimelineDriver; ``inf`` on static links.
+        # Fast-forward state (see repro.sim.fidelity).  ``ff_barrier_s``
+        # is the next time at which this link's behaviour changes
+        # (timeline event); analytic sends whose virtual window would
+        # cross it fall back to packet-exact delivery.  Maintained by the
+        # TimelineDriver; ``inf`` on static links.  ``ff_tail`` is the
+        # delivery time of the last packet a collapsed flow sent down the
+        # event chain over this link: until it has arrived, later packets
+        # take the chain too, so ACKs reach the reverse link in order.
         self.ff_barrier_s = float("inf")
+        self.ff_tail = float("-inf")
 
     # ------------------------------------------------------------------
     def backlog_bytes(self) -> float:

@@ -1,8 +1,10 @@
-"""Hybrid-fidelity unit and integration tests.
+"""Fidelity unit and integration tests.
 
 Covers the :mod:`repro.sim.fidelity` configuration surface, the
-all-or-nothing per-link eligibility rule of ``activate_fastforward``,
-the ``sim.fastforward`` tracepoints, and the virtual-event accounting.
+all-or-nothing per-link eligibility rule of ``activate_fastforward``
+and exact mode's extra vetoes (tracer, randomness, a reverse link fed
+two ways), the run-horizon rule, the ``sim.fastforward`` tracepoints,
+and the virtual-event accounting.
 The statistical closeness of hybrid results to packet-exact on paper
 scenarios is pinned separately in ``tests/test_fidelity_acceptance.py``.
 """
@@ -75,8 +77,15 @@ class _NullSender:
         pass
 
 
-def _wire(sim, n_flows: int, sizes=None):
-    fwd = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
+class _PacedSender(_NullSender):
+    """Stand-in for a sender that can fast-forward paced bursts."""
+
+    ff_supports_burst = True
+    ff_burst_armed = False
+
+
+def _wire(sim, n_flows: int, sizes=None, **link_kwargs):
+    fwd = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000, **link_kwargs)
     rev = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
     flows = []
     for i in range(n_flows):
@@ -84,7 +93,7 @@ def _wire(sim, n_flows: int, sizes=None):
         flows.append(
             Flow(
                 sim,
-                _NullSender(),
+                _PacedSender(),
                 Path([fwd]),
                 Path([rev]),
                 flow_id=i + 1,
@@ -94,11 +103,62 @@ def _wire(sim, n_flows: int, sizes=None):
     return flows
 
 
-def test_activate_noop_in_exact_mode():
+def test_exact_mode_collapses_but_arms_no_burst():
     sim = Simulator(check_invariants=False, fidelity=EXACT)  # not REPRO_FIDELITY's
+    flows = _wire(sim, 2)
+    assert activate_fastforward(sim, flows) == 2
+    assert all(f.ff_collapse for f in flows)
+    assert not any(f.sender.ff_burst_armed for f in flows)
+    # Bursts are what hybrid adds.
+    sim = Simulator(check_invariants=False, fidelity=HYBRID)
+    flows = _wire(sim, 2)
+    assert activate_fastforward(sim, flows) == 2
+    assert all(f.sender.ff_burst_armed for f in flows)
+
+
+def test_a_tracer_vetoes_exact_mode_collapse():
+    # A traced exact run is the event chain the untraced one must equal.
+    from repro.obs import CollectingTracer
+
+    sim = Simulator(check_invariants=False, fidelity=EXACT, tracer=CollectingTracer())
     flows = _wire(sim, 2)
     assert activate_fastforward(sim, flows) == 0
     assert not any(f.ff_collapse for f in flows)
+
+
+@pytest.mark.parametrize("hazard", ["loss", "noise"])
+def test_a_random_link_vetoes_exact_mode_collapse(hazard):
+    # The chain draws the reverse link's randomness at delivery time;
+    # a collapsed round trip would draw it at send time.
+    from repro.sim.noise import GaussianJitter
+
+    kwargs = {"loss_rate": 0.01} if hazard == "loss" else {"noise": GaussianJitter(0.001)}
+    sim = Simulator(check_invariants=False, fidelity=EXACT)
+    assert activate_fastforward(sim, _wire(sim, 2, **kwargs)) == 0
+    sim = Simulator(check_invariants=False, fidelity=HYBRID)
+    assert activate_fastforward(sim, _wire(sim, 2, **kwargs)) == 2
+
+
+def test_a_reverse_link_fed_by_two_forward_links_vetoes_exact_mode_collapse():
+    # Two forward links' deliveries interleave in time but not in send
+    # order, so collapsed ACKs would reach the shared reverse link out
+    # of the order the chain admits them.
+    sim = Simulator(check_invariants=False, fidelity=EXACT)
+    a = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
+    b = Link(sim, bandwidth_bps=10e6, delay_s=0.02, buffer_bytes=50_000)
+    rev = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
+    flows = [
+        Flow(sim, _NullSender(), Path([a]), Path([rev]), flow_id=1),
+        Flow(sim, _NullSender(), Path([b]), Path([rev]), flow_id=2),
+    ]
+    assert activate_fastforward(sim, flows) == 0
+    # So does a sender putting data on it.
+    back = Flow(sim, _NullSender(), Path([rev]), Path([b]), flow_id=3)
+    assert activate_fastforward(sim, [flows[0], back]) == 0
+    # One forward link feeding it is fine; so is hybrid's approximation.
+    assert activate_fastforward(sim, flows[:1]) == 1
+    sim.fidelity = HYBRID
+    assert activate_fastforward(sim, flows) == 2
 
 
 def test_activate_enables_all_unbounded_flows():
@@ -175,17 +235,65 @@ def _run(fidelity, tracer=None, duration_s=4.0):
 
 
 def test_hybrid_absorbs_events_virtually():
-    exact = _run(EXACT)
-    hybrid = _run(HYBRID)
-    assert exact.dumbbell.sim.events_virtual == 0
-    sim = hybrid.dumbbell.sim
+    exact = _run(EXACT).dumbbell.sim
+    sim = _run(HYBRID).dumbbell.sim
     assert sim.events_virtual > 0
-    # Fewer real dispatches, but the virtual ledger keeps the effective
-    # count in the same regime as the exact run (hybrid may legitimately
-    # send slightly fewer packets near MI edges).
-    assert sim.events_fired < exact.dumbbell.sim.events_fired
+    # Exact mode absorbs delivery dispatches too; its chain is what it
+    # fired plus what it absorbed.  Hybrid's bursts fire fewer events
+    # still, and the virtual ledger keeps its effective count in the
+    # same regime as that chain (hybrid may legitimately send slightly
+    # fewer packets near MI edges).
+    chain = exact.events_fired + exact.events_virtual
+    assert sim.events_fired < exact.events_fired
     effective = sim.events_fired + sim.events_virtual
-    assert effective > 0.8 * exact.dumbbell.sim.events_fired
+    assert effective > 0.8 * chain
+
+
+def test_hybrid_counts_no_delivery_after_the_run_ends():
+    # A collapsed round trip used to book a delivery landing past
+    # ``until`` (cubic's last_delivery 6.055 s on a 6 s pair run).
+    result = _run(HYBRID, duration_s=6.0)
+    for stats in result.stats:
+        assert stats.last_delivery <= 6.0
+
+
+def _staged_run(stops):
+    """Exact cubic + proteus-s on a 50 Mbps / 30 ms dumbbell, run to each stop.
+
+    Returns the flows' stats digest, every link's counters and the sim.
+    """
+    from repro.core.rng import Rng
+    from repro.devtools import stats_digest
+    from repro.protocols import make_sender
+    from repro.sim import Dumbbell
+
+    sim = Simulator(check_invariants=True, fidelity=EXACT)
+    net = Dumbbell(sim, bandwidth_bps=50e6, rtt_s=0.03, buffer_bytes=375_000, rng=Rng(1))
+    flows = [
+        net.add_flow(make_sender("cubic", seed=1)),
+        net.add_flow(make_sender("proteus-s", seed=2), start_time=1.0),
+    ]
+    assert activate_fastforward(sim, flows) == 2
+    for until in stops:
+        sim.run(until=until)
+        assert all(f.stats.last_delivery <= until for f in flows)
+    links = [
+        tuple(getattr(link.stats, slot) for slot in type(link.stats).__slots__)
+        for link in net.links.values()
+    ]
+    return stats_digest([f.stats for f in flows]), links, sim
+
+
+def test_a_run_in_two_legs_equals_one_run():
+    # Deliveries past the first ``until`` stay events, and the packets
+    # after them take the chain behind them, so stopping at 3 s changes
+    # nothing.  (Hybrid's bursts are cut where a run stops, so only
+    # exact mode promises this.)
+    digest, links, sim = _staged_run([3.0, 6.0])
+    once_digest, once_links, once = _staged_run([6.0])
+    assert (digest, links) == (once_digest, once_links)
+    assert sim.events_virtual > 0
+    assert sim.events_fired + sim.events_virtual == once.events_fired + once.events_virtual
 
 
 def test_hybrid_throughput_close_to_exact():

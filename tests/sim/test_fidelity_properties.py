@@ -1,14 +1,15 @@
-"""Property tests: hybrid fast-forward under randomized link timelines.
+"""Property tests: fast-forward under randomized link timelines.
 
-The hybrid mode's correctness argument is structural — collapsed legs
+The collapse's correctness argument is structural — collapsed legs
 reproduce the packet-exact arithmetic, and every dynamic hazard (loss,
-outage, noise) forces the reference path — so the right test is not a
-handful of hand-picked scenarios but the conservation invariants under
-*arbitrary* timelines.  Hypothesis drives random bandwidth and delay
-steps (up and down), i.i.d. and Gilbert-Elliott loss, and outages
-through a two-flow dumbbell in both fidelity modes with the runtime
-:class:`InvariantChecker` armed; any conservation, clock, queue, or RTT
-violation raises mid-run.
+outage, noise, a pending timeline event) forces the reference path — so
+the right test is not a handful of hand-picked scenarios but arbitrary
+timelines.  Hypothesis drives random bandwidth and delay steps (up and
+down), i.i.d. and Gilbert-Elliott loss, and outages through a dumbbell
+with the runtime :class:`InvariantChecker` armed; any conservation,
+clock, queue, or RTT violation raises mid-run.  Hybrid runs must
+conserve packets and repeat; exact runs must equal the traced run of
+the same inputs, which keeps the whole event chain.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.harness import (
     Timeline,
     run_flows,
 )
+from repro.devtools import stats_digest
+from repro.obs import CollectingTracer
 from repro.sim import EXACT, HYBRID
 from repro.sim.packet import MTU_BYTES
 
@@ -74,19 +77,20 @@ _timelines = st.lists(
 ).map(lambda steps: Timeline(tuple(steps), label="property"))
 
 
-def _run(fidelity, timeline, seed):
+def _run(fidelity, timeline, seed, specs=SPECS, tracer=None):
     # Arm the runtime checker regardless of the suite's environment:
     # clock monotonicity + per-sweep link conservation raise mid-run.
     old = os.environ.get("REPRO_CHECK_INVARIANTS")
     os.environ["REPRO_CHECK_INVARIANTS"] = "1"
     try:
         return run_flows(
-            SPECS,
+            specs,
             EMULAB_DEFAULT,
             duration_s=DURATION_S,
             seed=seed,
             timeline=timeline,
             fidelity=fidelity,
+            tracer=tracer,
         )
     finally:
         if old is None:
@@ -127,12 +131,45 @@ def test_hybrid_conserves_packets_under_random_timelines(timeline, seed):
     assert sim.events_virtual <= 3 * total_packets
 
 
+# Exact mode collapses round trips only where the result is provably
+# the event chain's; a traced exact run keeps the whole chain, so it is
+# the reference.  Covers a window-based, a model-based and a three-flow
+# competition over the same random timelines.
+SPEC_SETS = {
+    "cubic+proteus-s": SPECS,
+    "bbr+proteus-s": [FlowSpec("bbr"), FlowSpec("proteus-s", start_time=0.5)],
+    "cubic+cubic+proteus-p": [
+        FlowSpec("cubic"),
+        FlowSpec("cubic", start_time=0.25),
+        FlowSpec("proteus-p", start_time=0.5),
+    ],
+}
+
+
+def _link_counters(result):
+    return {
+        name: tuple(getattr(link.stats, slot) for slot in type(link.stats).__slots__)
+        for name, link in result.dumbbell.links.items()
+    }
+
+
 @settings(max_examples=8, deadline=None)
-@given(timeline=_timelines, seed=st.integers(min_value=0, max_value=2**16))
-def test_exact_mode_never_goes_virtual_under_random_timelines(timeline, seed):
-    exact = _run(EXACT, timeline, seed)
-    _assert_conservation(exact)
-    assert exact.dumbbell.sim.events_virtual == 0
+@given(
+    timeline=_timelines,
+    seed=st.integers(min_value=0, max_value=2**16),
+    specs=st.sampled_from(sorted(SPEC_SETS)),
+)
+def test_untraced_exact_equals_traced_exact_under_random_timelines(timeline, seed, specs):
+    untraced = _run(EXACT, timeline, seed, SPEC_SETS[specs])
+    traced = _run(EXACT, timeline, seed, SPEC_SETS[specs], tracer=CollectingTracer())
+    _assert_conservation(untraced)
+    assert stats_digest(untraced.stats) == stats_digest(traced.stats)
+    assert _link_counters(untraced) == _link_counters(traced)
+    chain, sim = traced.dumbbell.sim, untraced.dumbbell.sim
+    # Every timeline step lands after 0.3 s, so the plain dumbbell
+    # collapses at least until then.
+    assert chain.events_virtual == 0 and sim.events_virtual > 0
+    assert sim.events_fired + sim.events_virtual == chain.events_fired
 
 
 @settings(max_examples=6, deadline=None)
