@@ -12,7 +12,8 @@ Public API layout (stability policy in ``docs/API.md``):
 * :mod:`repro.analysis` — fairness, paper statistics, equilibrium theory.
 * :mod:`repro.harness` — scenario definitions and experiment runners.
 * :mod:`repro.obs` — observability: tracepoints, sinks, metrics.
-* :mod:`repro.devtools` — determinism linter and invariant checks.
+* :mod:`repro.devtools` — the ``repro check`` static analyzers and
+  trace fingerprints for the determinism gate.
 
 Everything in ``__all__`` is the *stable public surface*: importable
 directly from ``repro`` and covered by the one-release deprecation

@@ -602,10 +602,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """``repro check``, and ``repro lint`` (= ``--check lint``, no baseline)."""
+    """``repro check``, and ``repro lint`` (= ``--check lint``)."""
     # Imported here so simulation commands never pay for the analyzers.
     from .devtools.analysis import (
-        Baseline,
         Project,
         describe_checks,
         format_report_github,
@@ -636,37 +635,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         written = write_trace_schema(paths, docs_dir, project=project)
         print(f"wrote {written}")
 
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is not None and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
     try:
         report = run_check(
-            paths,
-            checks=args.check or None,
-            baseline=baseline,
-            docs_dir=docs_dir,
-            project=project,
+            paths, checks=args.check or None, docs_dir=docs_dir, project=project
         )
     except ValueError as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        if baseline_path is None:
-            print("repro check: --update-baseline needs --baseline", file=sys.stderr)
-            return 2
-        seeded = Baseline.from_findings(report.findings)
-        # Keep still-live entries (with their justifications) and append
-        # fresh ones for new findings.
-        live = [e for e in baseline.entries if e not in report.stale_entries] if baseline else []
-        covered = {(e.rule, e.path) for e in live}
-        seeded.entries = live + [
-            e for e in seeded.entries if (e.rule, e.path) not in covered
-        ]
-        seeded.write(baseline_path)
-        print(f"wrote {baseline_path} ({len(seeded.entries)} entries)")
-        return 0
 
     if args.format == "json":
         print(format_report_json(report))
@@ -912,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="the per-file determinism/unit-safety rules alone: alias for "
-        "'check --check lint' with no baseline (see docs/DEVTOOLS.md)",
+        "'check --check lint' (see docs/DEVTOOLS.md)",
     )
     p_lint.add_argument(
         "paths", nargs="*", help="files or directories (default: src)"
@@ -921,17 +896,15 @@ def build_parser() -> argparse.ArgumentParser:
         fn=cmd_check,
         check=["lint"],
         format="text",
-        baseline=None,
         docs_dir=None,
-        update_baseline=False,
         update_schema=False,
         list_checks=False,
     )
 
     p_check = sub.add_parser(
         "check",
-        help="static analysis: per-file lint rules, units, races, "
-        "tracepoints, layering (see docs/DEVTOOLS.md)",
+        help="static analysis: per-file lint rules, tracepoints, layering "
+        "(see docs/DEVTOOLS.md)",
     )
     p_check.add_argument(
         "paths", nargs="*", help="files or directories (default: src)"
@@ -949,23 +922,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="finding output format (github = workflow annotations)",
     )
     p_check.add_argument(
-        "--baseline",
-        default="check_baseline.json",
-        metavar="PATH",
-        help="justified-exception file (missing file = empty baseline)",
-    )
-    p_check.add_argument(
         "--docs-dir",
         default=None,
         metavar="DIR",
         help="docs directory for tracepoint schema checks "
         "(default: ./docs when it exists)",
-    )
-    p_check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to cover current findings, keeping "
-        "justifications of entries that still match",
     )
     p_check.add_argument(
         "--update-schema",

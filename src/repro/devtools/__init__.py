@@ -5,8 +5,8 @@ rather than code that runs inside simulations:
 
 * :mod:`repro.devtools.analysis` — the static-analysis engine behind
   ``repro check``: per-file determinism and unit-safety rules (the
-  ``lint`` analyzer; ``repro lint`` is an alias) and whole-program
-  analyzers, over one parsed project;
+  ``lint`` analyzer; ``repro lint`` is an alias), the trace-event
+  schema and the import-layer DAG, over one parsed project;
 * :mod:`repro.devtools.determinism` — trace fingerprinting used by the
   determinism regression gate in the test suite.
 

@@ -1,13 +1,11 @@
 """Project loader: one parse of the whole tree, shared by every analyzer.
 
-``repro check`` is *whole-program*: the unit-dataflow pass follows a
-call from ``harness/runner.py`` into a ``sim/link.py`` signature, the
-race pass walks a call graph that crosses module boundaries, and the
-layering pass needs every import edge at once.  So every analyzer —
-the per-file lint rules included — shares a single :class:`Project`:
-every ``.py`` file parsed once, plus a symbol table of modules,
-top-level functions, classes (with dataclass fields), and resolved
-import aliases.
+``repro check`` is *whole-program*: the layering pass needs every
+import edge at once, and the tracepoints pass resolves tracepoint names
+and ``**helper()`` expansions across modules.  So every analyzer — the
+per-file lint rules included — shares a single :class:`Project`: every
+``.py`` file parsed once, plus a symbol table of modules, functions and
+methods, and resolved import aliases.
 
 Module names are derived structurally: walk up from each file while an
 ``__init__.py`` is present, so ``src/repro/sim/link.py`` loads as
@@ -137,8 +135,6 @@ class ModuleInfo:
     ctx: LintContext
     # local alias -> absolute dotted target, e.g. {"Rng": "repro.core.rng.Rng"}
     imports: dict[str, str] = field(default_factory=dict)
-    # names assigned at module scope (race analysis: the mutable-global set)
-    global_names: set[str] = field(default_factory=set)
     # absolute dotted modules imported at module scope (layering edges),
     # mapped to the first import node for finding locations
     module_imports: dict[str, ast.stmt] = field(default_factory=dict)
@@ -169,44 +165,19 @@ class FunctionInfo:
     qname: str  # "repro.sim.link.Link.send"
     module: ModuleInfo
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    cls: "ClassInfo | None" = None
+    is_method: bool = False
 
     @property
     def name(self) -> str:
         return self.node.name
 
-    def positional_params(self) -> list[str]:
-        """Names fillable by position (``self``/``cls`` dropped for methods)."""
+    def param_names(self) -> list[str]:
+        """Every parameter name (``self``/``cls`` dropped for methods)."""
         args = self.node.args
-        names = [a.arg for a in (*args.posonlyargs, *args.args)]
-        if self.cls is not None and names and names[0] in ("self", "cls"):
+        names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        if self.is_method and names and names[0] in ("self", "cls"):
             names = names[1:]
         return names
-
-    def all_param_names(self) -> list[str]:
-        args = self.node.args
-        return self.positional_params() + [a.arg for a in args.kwonlyargs]
-
-
-@dataclass
-class ClassInfo:
-    """A class: methods, and (for dataclasses) the field-as-init-API view."""
-
-    qname: str
-    module: ModuleInfo
-    node: ast.ClassDef
-    is_dataclass: bool
-    fields: list[str] = field(default_factory=list)  # annotated dataclass fields
-    methods: dict[str, FunctionInfo] = field(default_factory=dict)
-
-    def init_params(self) -> list[str]:
-        """The constructor's positional parameter names."""
-        init = self.methods.get("__init__")
-        if init is not None:
-            return init.positional_params()
-        if self.is_dataclass:
-            return list(self.fields)
-        return []
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -248,7 +219,6 @@ class Project:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        self.classes: dict[str, ClassInfo] = {}
         self.by_terminal: dict[str, list[FunctionInfo]] = {}
         self.syntax_errors: list[tuple[Path, SyntaxError]] = []
 
@@ -308,12 +278,14 @@ class Project:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._index_import(module, stmt, typing_only)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and top_level:
-            self._add_function(module, stmt, cls=None)
+            self._add_function(module, stmt, owner=module.name)
         elif isinstance(stmt, ast.ClassDef) and top_level:
-            self._add_class(module, stmt)
-        elif top_level and isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            for target in _assign_targets(stmt):
-                module.global_names.add(target)
+            # Methods are indexed as functions: the tracepoints pass finds
+            # emit wrappers such as ``SenderBase.trace`` among them.
+            owner = f"{module.name}.{stmt.name}"
+            for child in stmt.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self._add_function(module, child, owner=owner, is_method=True)
         elif isinstance(stmt, (ast.If, ast.Try)):
             # Imports under `if TYPE_CHECKING:` / try-except fallbacks are
             # still module-scope edges; nested defs there are rare enough
@@ -376,60 +348,14 @@ class Project:
         self,
         module: ModuleInfo,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
-        cls: ClassInfo | None,
-    ) -> FunctionInfo:
-        owner = cls.qname if cls is not None else module.name
-        info = FunctionInfo(qname=f"{owner}.{node.name}", module=module, node=node, cls=cls)
+        owner: str,
+        is_method: bool = False,
+    ) -> None:
+        info = FunctionInfo(
+            qname=f"{owner}.{node.name}", module=module, node=node, is_method=is_method
+        )
         self.functions[info.qname] = info
         self.by_terminal.setdefault(node.name, []).append(info)
-        return info
-
-    def _add_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
-        info = ClassInfo(
-            qname=f"{module.name}.{node.name}",
-            module=module,
-            node=node,
-            is_dataclass=is_dataclass_def(node),
-        )
-        self.classes[info.qname] = info
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.methods[stmt.name] = self._add_function(module, stmt, cls=info)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                if info.is_dataclass and not stmt.target.id.startswith("_"):
-                    info.fields.append(stmt.target.id)
-
-    # ------------------------------------------------------------------
-    # Resolution
-    # ------------------------------------------------------------------
-    def expand_alias(self, module: ModuleInfo, dotted: str) -> str:
-        """Rewrite a local dotted path through the module's import aliases."""
-        head, _, rest = dotted.partition(".")
-        target = module.imports.get(head)
-        if target is None:
-            return dotted
-        return f"{target}.{rest}" if rest else target
-
-    def resolve_callable(
-        self, module: ModuleInfo, func: ast.AST
-    ) -> FunctionInfo | ClassInfo | None:
-        """Best-effort resolution of a call's target.
-
-        Handles direct names (same module or imported), dotted module
-        attributes, and constructors.  ``self.method`` is resolved by the
-        analyzers that track a class context; unresolvable calls return
-        None (analyzers must stay silent rather than guess).
-        """
-        dotted = dotted_name(func)
-        if dotted is None:
-            return None
-        absolute = self.expand_alias(module, dotted)
-        for candidate in (absolute, f"{module.name}.{dotted}"):
-            if candidate in self.functions:
-                return self.functions[candidate]
-            if candidate in self.classes:
-                return self.classes[candidate]
-        return None
 
 
 def _is_type_checking_test(stmt: ast.stmt) -> bool:
@@ -439,19 +365,3 @@ def _is_type_checking_test(stmt: ast.stmt) -> bool:
     if isinstance(test, ast.Attribute):
         return test.attr == "TYPE_CHECKING"
     return False
-
-
-def _assign_targets(stmt: ast.stmt) -> list[str]:
-    names: list[str] = []
-    if isinstance(stmt, ast.Assign):
-        targets = stmt.targets
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    else:
-        return names
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            names.extend(el.id for el in target.elts if isinstance(el, ast.Name))
-    return names

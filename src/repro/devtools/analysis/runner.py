@@ -7,10 +7,8 @@ The pipeline per run:
 2. each selected analyzer contributes findings (syntax errors surface as
    ``syntax-error`` findings rather than crashing the run);
 3. findings on lines carrying ``# repro: noqa[check-id]`` — or in files
-   carrying ``# repro: noqa-file[check-id]`` — are dropped;
-4. the committed baseline splits the rest into *kept* (fail the gate)
-   and *baselined* (justified exceptions); stale baseline entries also
-   fail, so the exception list can only shrink honestly.
+   carrying ``# repro: noqa-file[check-id]`` — are dropped; every other
+   finding fails the gate.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .base import ANALYZERS, Analyzer, Baseline, BaselineEntry, Violation
+from .base import ANALYZERS, Analyzer, Violation
 from .loader import Project
 from .tracepoints import build_schema, render_schema_md
 
@@ -32,15 +30,13 @@ class CheckReport:
     """Everything one ``repro check`` run decided."""
 
     findings: list[Violation] = field(default_factory=list)  # fail the gate
-    baselined: list[Violation] = field(default_factory=list)
-    stale_entries: list[BaselineEntry] = field(default_factory=list)
     suppressed: int = 0  # dropped by noqa / noqa-file
     files: int = 0
     checks: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.stale_entries
+        return not self.findings
 
 
 def select_analyzers(checks: Sequence[str] | None) -> list[Analyzer]:
@@ -58,7 +54,6 @@ def run_check(
     paths: Iterable[str | Path],
     *,
     checks: Sequence[str] | None = None,
-    baseline: Baseline | None = None,
     docs_dir: str | Path | None = None,
     project: Project | None = None,
 ) -> CheckReport:
@@ -100,19 +95,8 @@ def run_check(
             suppressed += 1
         else:
             visible.append(finding)
-
-    if baseline is not None:
-        kept, baselined, stale = baseline.apply(
-            visible,
-            {check_id for analyzer in analyzers for check_id in analyzer.check_ids},
-            by_path,
-        )
-    else:
-        kept, baselined, stale = visible, [], []
     return CheckReport(
-        findings=kept,
-        baselined=baselined,
-        stale_entries=stale,
+        findings=visible,
         suppressed=suppressed,
         files=len(project.modules) + len(project.syntax_errors),
         checks=[analyzer.id for analyzer in analyzers],
@@ -148,17 +132,10 @@ def describe_checks() -> str:
 
 def format_report_text(report: CheckReport) -> str:
     lines = [finding.render() for finding in report.findings]
-    for entry in report.stale_entries:
-        lines.append(
-            f"stale baseline entry: rule={entry.rule} path={entry.path}"
-            + (f" match={entry.match!r}" if entry.match else "")
-            + " matched no finding; remove it"
-        )
     noun = "finding" if len(report.findings) == 1 else "findings"
-    baselined = f"{len(report.baselined)} baselined, " if report.baselined else ""
     lines.append(
         f"{len(report.findings)} {noun} "
-        f"({baselined}{report.suppressed} suppressed, {report.files} files, "
+        f"({report.suppressed} suppressed, {report.files} files, "
         f"checks: {', '.join(report.checks)})"
     )
     return "\n".join(lines)
@@ -178,8 +155,6 @@ def format_report_json(report: CheckReport) -> str:
         {
             "ok": report.ok,
             "findings": [encode(v) for v in report.findings],
-            "baselined": [encode(v) for v in report.baselined],
-            "stale_baseline_entries": [e.to_dict() for e in report.stale_entries],
             "suppressed": report.suppressed,
             "files": report.files,
             "checks": report.checks,
@@ -196,14 +171,8 @@ def format_report_github(report: CheckReport) -> str:
             text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
         )
 
-    lines = [
+    return "\n".join(
         f"::error file={v.path},line={v.line},col={v.col},"
         f"title={v.rule_id}::{escape(v.message)}"
         for v in report.findings
-    ]
-    for entry in report.stale_entries:
-        lines.append(
-            f"::error title=stale-baseline::baseline entry rule={entry.rule} "
-            f"path={entry.path} matched no finding; remove it"
-        )
-    return "\n".join(lines)
+    )

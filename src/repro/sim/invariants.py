@@ -7,7 +7,7 @@ simulation runs, so a broken link or a clock regression fails loudly in
 the test suite instead of silently skewing a benchmark:
 
 * **packet conservation** — for every link, packets offered equal packets
-  delivered + tail-dropped + AQM-dropped + randomly lost + still queued;
+  delivered + tail-, AQM- and outage-dropped + randomly lost + still queued;
 * **non-negative queues** — link backlogs never go negative;
 * **monotonic clock** — simulated time never moves backwards across
   event dispatches;
@@ -20,7 +20,7 @@ does the latter in ``tests/conftest.py``).  Links and flows register
 themselves automatically when their simulator carries a checker.
 
 The per-event cost is one float compare; the full sweep over links and
-flows runs every ``sweep_interval`` events and once more when
+flows runs every ``sweep_every_events`` events and once more when
 :meth:`Simulator.run` returns.
 """
 

@@ -1,4 +1,4 @@
-"""CLI surface of ``repro check``: exit codes, formats, baseline flow."""
+"""CLI surface of ``repro check``: exit codes, formats, analyzer selection."""
 
 import json
 from pathlib import Path
@@ -7,8 +7,8 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-MIXED = "def f(rtt_ms, size_bytes):\n    return rtt_ms + size_bytes\n"
-CLEAN = "def f(rtt_ms):\n    rtt_s = rtt_ms * 1e-3\n    return rtt_s\n"
+MIXED = "def f(items=[]):\n    return items\n"
+CLEAN = "def f(items=None):\n    return list(items or ())\n"
 
 
 def tree(tmp_path, source):
@@ -34,7 +34,7 @@ def test_findings_exit_one(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["check", tree(tmp_path, MIXED)]) == 1
     out = capsys.readouterr().out
-    assert "unit-mismatch" in out
+    assert "mutable-default-arg" in out
     assert "1 finding" in out
 
 
@@ -43,7 +43,7 @@ def test_json_format(capsys, tmp_path, monkeypatch):
     assert main(["check", "--format", "json", tree(tmp_path, MIXED)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
-    assert [f["rule"] for f in payload["findings"]] == ["unit-mismatch"]
+    assert [f["rule"] for f in payload["findings"]] == ["mutable-default-arg"]
     assert {"path", "line", "col", "rule", "message"} <= set(payload["findings"][0])
 
 
@@ -52,19 +52,23 @@ def test_github_format(capsys, tmp_path, monkeypatch):
     assert main(["check", "--format", "github", tree(tmp_path, MIXED)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("::error file=")
-    assert "title=unit-mismatch" in out
+    assert "title=mutable-default-arg" in out
 
 
 def test_check_filter(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # Only the layering analyzer selected: the unit mismatch is invisible.
+    # Only the layering analyzer selected: the mutable default is invisible.
     assert main(["check", "--check", "layering", tree(tmp_path, MIXED)]) == 0
     assert "checks: layering" in capsys.readouterr().out
 
 
 def test_unknown_check_exits_two(capsys, tmp_path):
-    assert main(["check", "--check", "nope", tree(tmp_path, CLEAN)]) == 2
-    assert "unknown check" in capsys.readouterr().err
+    # `units` and `races` were analyzers once; they are unknown ids now.
+    for check in ("nope", "units", "races"):
+        assert main(["check", "--check", check, tree(tmp_path, CLEAN)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown check" in err
+        assert "known: layering, lint, tracepoints" in err
 
 
 def test_missing_path_exits_two(capsys):
@@ -76,67 +80,15 @@ def test_list_checks(capsys):
     assert main(["check", "--list-checks"]) == 0
     out = capsys.readouterr().out
     for check_id in (
-        "unit-mismatch",
-        "unit-call-mismatch",
-        "worker-global-write",
-        "worker-unseeded-random",
-        "unordered-iteration",
+        "mutable-default-arg",
+        "no-bare-random",
         "trace-field-mismatch",
+        "trace-arity-mismatch",
         "trace-reserved-field",
         "layer-violation",
         "import-cycle",
     ):
         assert check_id in out
-
-
-def test_update_baseline_then_pass(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    target = tree(tmp_path, MIXED)
-    baseline = tmp_path / "baseline.json"
-
-    assert main(["check", target, "--baseline", str(baseline), "--update-baseline"]) == 0
-    entries = json.loads(baseline.read_text())["entries"]
-    assert [e["rule"] for e in entries] == ["unit-mismatch"]
-    assert "TODO" in entries[0]["reason"]
-
-    capsys.readouterr()
-    assert main(["check", target, "--baseline", str(baseline)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-
-def test_update_baseline_preserves_justifications(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    target = tree(tmp_path, MIXED)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(
-        json.dumps(
-            {
-                "entries": [
-                    {
-                        "rule": "unit-mismatch",
-                        "path": "mod.py",
-                        "reason": "a considered justification",
-                    }
-                ]
-            }
-        )
-    )
-    assert main(["check", target, "--baseline", str(baseline), "--update-baseline"]) == 0
-    entries = json.loads(baseline.read_text())["entries"]
-    assert [e["reason"] for e in entries] == ["a considered justification"]
-
-
-def test_stale_baseline_fails(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    target = tree(tmp_path, CLEAN)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(
-        json.dumps(
-            {"entries": [{"rule": "unit-mismatch", "path": "gone.py", "reason": "old"}]}
-        )
-    )
-    assert main(["check", target, "--baseline", str(baseline)]) == 1
-    assert "stale baseline entry" in capsys.readouterr().out
 
 
 def test_update_schema_writes_the_doc(capsys, tmp_path, monkeypatch):

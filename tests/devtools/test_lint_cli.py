@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,10 +62,10 @@ def test_lint_list_rules(capsys):
 
 
 def test_lint_ignores_the_committed_baseline(capsys, tmp_path, monkeypatch):
-    # A stray check_baseline.json in the working directory (the repo root
-    # has one) neither hides lint findings nor adds stale-entry failures.
+    # The exception-list file is retired: one left in the working
+    # directory hides nothing, and `check` no longer takes the flag.
     target = planted(tmp_path, "bare_random.py")
-    (tmp_path / "check_baseline.json").write_text(
+    (tmp_path / "baseline.json").write_text(
         json.dumps(
             {"entries": [{"rule": "no-bare-random", "path": "bare_random.py", "reason": "x"}]}
         )
@@ -71,6 +73,9 @@ def test_lint_ignores_the_committed_baseline(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["lint", target]) == 1
     assert "4 findings" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", target, "--baseline", "baseline.json"])
+    assert exc.value.code == 2
 
 
 def test_repo_trees_are_clean_at_head(capsys, monkeypatch):

@@ -207,7 +207,7 @@ def test_noqa_file_marker_is_not_a_line_blanket():
 def test_rule_filter():
     # Selection is per analyzer (`--check`): a run that leaves `lint` out
     # reports none of its rules.
-    assert lint_fixture("bare_random.py", checks=["units"]) == []
+    assert lint_fixture("bare_random.py", checks=["layering"]) == []
 
 
 def test_syntax_error_reported_as_violation(tmp_path):
