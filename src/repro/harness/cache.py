@@ -3,7 +3,7 @@
 Every seeded run is deterministic, so its full measurement record is a
 pure function of (scenario config, seed, simulator source).  The cache
 exploits that: a run's :class:`~repro.sim.trace.FlowStats` records are
-stored as JSON under ``.repro-cache/`` keyed by
+stored under ``.repro-cache/`` keyed by
 
     sha256(canonical scenario payload + seed + source-tree digest)
 
@@ -12,15 +12,18 @@ installed ``repro`` package.  Re-running an unchanged benchmark is a
 cache hit; *any* source edit changes the digest and invalidates every
 entry cleanly (stale entries are simply never addressed again).
 
-Key payloads and scalar fields serialise floats via ``float.hex()``, the
-per-sample series as base64 of their packed little-endian bytes — both
-exact, so a cache round-trip is byte-identical to recomputation and the
-determinism digest gate (``repro.devtools.trace_digest``) cannot tell
-them apart.  A corrupt or truncated entry is a miss and is recomputed,
-never an error; on first detection the torn file is **quarantined**
-(moved aside to ``<key>.corrupt``) so every later run under the same key
-is a clean miss, not a re-read/re-parse/re-fail cycle.  Quarantines are
-counted in :meth:`ResultCache.stats`.
+An entry is one line of JSON (the schema, each flow's scalars as
+``float.hex()`` strings and its series lengths, the optional metrics
+snapshot) followed by the raw little-endian bytes of every flow's
+per-sample series.  Both are exact, so a cache round-trip is
+byte-identical to recomputation and the determinism digest gate
+(``repro.devtools.trace_digest``) cannot tell them apart; key payloads
+hex-encode their floats the same way.  A corrupt or truncated entry is
+a miss and is recomputed, never an error; on first detection the torn
+file is **quarantined** (moved aside to ``<key>.corrupt``) so every
+later run under the same key is a clean miss, not a
+re-read/re-parse/re-fail cycle.  Quarantines are counted in
+:meth:`ResultCache.stats`.
 
 The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 ``REPRO_CACHE_DIR``), or call :func:`enable_cache` programmatically.
@@ -29,7 +32,6 @@ The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 
 from __future__ import annotations
 
-import binascii
 import hashlib
 import itertools
 import json
@@ -41,8 +43,8 @@ from typing import Any, Iterable
 
 from ..sim.trace import FlowStats
 
-SCHEMA_VERSION = 2
-_TMP_SEQ = itertools.count()  # per-process suffix of store()'s temp names
+SCHEMA_VERSION = 3
+_TMP_SEQ = itertools.count()  # per-process suffix of store_run()'s temp names
 
 # ----------------------------------------------------------------------
 # Source-tree digest
@@ -77,7 +79,7 @@ def reset_source_digest_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# FlowStats (de)serialisation — exact: float.hex() scalars, packed series
+# Entry (de)serialisation — exact: float.hex() scalars, raw series bytes
 # ----------------------------------------------------------------------
 def hex_floats(value: Any) -> Any:
     """Recursively replace floats with exact ``float.hex()`` strings.
@@ -126,60 +128,94 @@ def _opt_unhex(value: str | None) -> float | None:
     return None if value is None else float.fromhex(value)
 
 
-def _pack(series: array) -> str:
-    """Base64 of the series' little-endian bytes (raw doubles / int64)."""
+# Every flow's series, in body order, with the header field holding its length.
+_SERIES = (
+    ("ack_times", "d", "n_acks"),
+    ("acked_bytes", "q", "n_acks"),
+    ("rtts", "d", "n_acks"),
+    ("loss_times", "d", "n_losses"),
+)
+
+
+def _pack(series: array) -> bytes:
+    """The series' little-endian bytes (raw doubles / int64)."""
     if sys.byteorder == "big":
         series = array(series.typecode, series)
         series.byteswap()
-    return binascii.b2a_base64(series.tobytes(), newline=False).decode("ascii")
+    return series.tobytes()
 
 
-def _unpack(typecode: str, text: str) -> array:
-    """Inverse of :func:`_pack`; ValueError unless ``text`` is its output."""
-    raw = binascii.a2b_base64(text)  # lenient: skips non-alphabet characters
-    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
-        raise ValueError("series is not canonical base64")
-    series = array(typecode, raw)  # ValueError unless a whole number of items
-    if sys.byteorder == "big":
-        series.byteswap()
-    return series
-
-
-def stats_to_record(stats: FlowStats) -> dict:
-    """JSON-safe dict capturing one flow's full measurement record."""
+def _flow_header(stats: FlowStats) -> dict:
     return {
         "flow_id": stats.flow_id,
         "start_time": float(stats.start_time).hex(),
         "end_time": _opt_hex(stats.end_time),
-        "ack_times": _pack(stats.ack_times),
-        "acked_bytes": _pack(stats.acked_bytes),
-        "rtts": _pack(stats.rtts),
         "total_acked_bytes": stats.total_acked_bytes,
         "delivered_bytes": stats.delivered_bytes,
         "first_delivery": _opt_hex(stats.first_delivery),
         "last_delivery": _opt_hex(stats.last_delivery),
-        "loss_times": _pack(stats.loss_times),
         "packets_sent": stats.packets_sent,
+        "n_acks": len(stats.ack_times),
+        "n_losses": len(stats.loss_times),
     }
 
 
-def stats_from_record(record: dict) -> FlowStats:
-    """Rebuild a :class:`FlowStats` bit-identical to the one serialised."""
-    stats = FlowStats(flow_id=record["flow_id"])
-    stats.start_time = float.fromhex(record["start_time"])
-    stats.end_time = _opt_unhex(record["end_time"])
-    stats.ack_times = _unpack("d", record["ack_times"])
-    stats.acked_bytes = _unpack("q", record["acked_bytes"])
-    stats.rtts = _unpack("d", record["rtts"])
-    if not len(stats.ack_times) == len(stats.acked_bytes) == len(stats.rtts):
-        raise ValueError("ACK series differ in length")
-    stats.total_acked_bytes = record["total_acked_bytes"]
-    stats.delivered_bytes = record["delivered_bytes"]
-    stats.first_delivery = _opt_unhex(record["first_delivery"])
-    stats.last_delivery = _opt_unhex(record["last_delivery"])
-    stats.loss_times = _unpack("d", record["loss_times"])
-    stats.packets_sent = record["packets_sent"]
-    return stats
+def encode_entry(stats: Iterable[FlowStats], metrics: dict | None = None) -> bytes:
+    """A cache entry: one JSON header line, then every flow's series bytes.
+
+    ``json.dumps`` escapes newlines, so the first ``\\n`` ends the header.
+    """
+    flows = []
+    body = []
+    for flow in stats:
+        flows.append(_flow_header(flow))
+        body.extend(_pack(getattr(flow, name)) for name, _, _ in _SERIES)
+    header: dict = {"schema": SCHEMA_VERSION, "stats": flows}
+    if metrics is not None:
+        header["metrics"] = metrics
+    return b"".join([json.dumps(header).encode(), b"\n", *body])
+
+
+def decode_entry(data: bytes) -> tuple[list[FlowStats], dict | None]:
+    """Inverse of :func:`encode_entry`: ``(stats, metrics snapshot or None)``.
+
+    Raises ValueError, KeyError, TypeError or OverflowError unless
+    ``data`` is a schema-3 entry whose body holds exactly the bytes its
+    header's ``n_acks`` / ``n_losses`` announce.
+    """
+    end = data.index(b"\n")  # ValueError when there is no header line
+    header = json.loads(data[:end])
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"not a schema-{SCHEMA_VERSION} entry")
+    snapshot = header.get("metrics")
+    if snapshot is not None and not isinstance(snapshot, dict):
+        raise TypeError("metrics snapshot must be a dict")
+    body = memoryview(data)[end + 1:]
+    offset = 0
+    stats = []
+    for flow in header["stats"]:
+        rebuilt = FlowStats(flow_id=flow["flow_id"])
+        rebuilt.start_time = float.fromhex(flow["start_time"])
+        rebuilt.end_time = _opt_unhex(flow["end_time"])
+        rebuilt.total_acked_bytes = flow["total_acked_bytes"]
+        rebuilt.delivered_bytes = flow["delivered_bytes"]
+        rebuilt.first_delivery = _opt_unhex(flow["first_delivery"])
+        rebuilt.last_delivery = _opt_unhex(flow["last_delivery"])
+        rebuilt.packets_sent = flow["packets_sent"]
+        for name, typecode, length_field in _SERIES:
+            count = flow[length_field]
+            series = array(typecode)
+            series.frombytes(body[offset:offset + 8 * count])
+            if len(series) != count:
+                raise ValueError("entry body is shorter than its header says")
+            if sys.byteorder == "big":
+                series.byteswap()
+            setattr(rebuilt, name, series)
+            offset += 8 * count
+        stats.append(rebuilt)
+    if offset != len(body):
+        raise ValueError("entry body is longer than its header says")
+    return stats, snapshot
 
 
 # ----------------------------------------------------------------------
@@ -188,12 +224,13 @@ def stats_from_record(record: dict) -> FlowStats:
 class ResultCache:
     """Content-addressed store of run results under ``root``.
 
-    Entries are one JSON file per key at ``root/<k[:2]>/<k>.json`` (the
-    two-char fan-out keeps directories small on big sweeps).  Writes are
-    atomic (a temp file per write + rename) so neither a crash nor a
-    racing store of the same key leaves a torn entry.  One that is corrupt
-    anyway (full disk, hand edit, ...) is quarantined to ``<key>.corrupt``
-    on first read so it is detected once, not on every subsequent run.
+    Entries are one file per key at ``root/<k[:2]>/<k>.json`` in the
+    layout of :func:`encode_entry` (the two-char fan-out keeps
+    directories small on big sweeps).  Writes are atomic (a temp file
+    per write + rename) so neither a crash nor a racing store of the
+    same key leaves a torn entry.  One that is corrupt anyway (full
+    disk, hand edit, ...) is quarantined to ``<key>.corrupt`` on first
+    read so it is detected once, not on every subsequent run.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -236,53 +273,26 @@ class ResultCache:
             return  # already gone (e.g. a racing run quarantined it)
         self.quarantined += 1
 
-    # -- raw records ---------------------------------------------------
-    def load(self, key: str) -> dict | None:
-        """The record stored under ``key``; None on miss or corruption."""
-        try:
-            record = json.loads(self._path(key).read_bytes())
-        except OSError:
-            return None  # missing or unreadable: a plain miss
-        except ValueError:
-            record = None  # torn JSON
-        if not isinstance(record, dict) or record.get("schema") != SCHEMA_VERSION:
-            self._quarantine(key)  # torn, or wrong shape under the right key
-            return None
-        return record
-
-    def store(self, key: str, record: dict) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{key}.{os.getpid()}-{next(_TMP_SEQ)}.tmp")
-        try:
-            tmp.write_bytes(json.dumps({"schema": SCHEMA_VERSION, **record}).encode())
-            tmp.replace(path)
-        finally:
-            tmp.unlink(missing_ok=True)  # still there only if the write failed
-        self.stores += 1
-
-    # -- run-level helpers --------------------------------------------
+    # -- runs ----------------------------------------------------------
     def load_run(self, key: str) -> tuple[list[FlowStats], dict | None] | None:
         """Rebuilt stats plus the stored metrics snapshot for ``key``.
 
         ``(stats, snapshot)`` on a hit (``snapshot`` None when none was
         stored); None on a miss or a corrupt entry, which is quarantined.
         """
-        record = self.load(key)
-        if record is None:
-            self.misses += 1
-            return None
         try:
-            stats = [stats_from_record(entry) for entry in record["stats"]]
-            snapshot = record.get("metrics")
-            if snapshot is not None and not isinstance(snapshot, dict):
-                raise TypeError("metrics snapshot must be a dict")
+            data = self._path(key).read_bytes()
+        except OSError:
+            self.misses += 1
+            return None  # missing or unreadable: a plain miss
+        try:
+            run = decode_entry(data)
         except (KeyError, TypeError, ValueError, OverflowError):
             self._quarantine(key)
             self.misses += 1
             return None  # corrupt entry: quarantined, fall back to recompute
         self.hits += 1
-        return stats, snapshot
+        return run
 
     def store_run(
         self,
@@ -291,10 +301,15 @@ class ResultCache:
         metrics: dict | None = None,
     ) -> None:
         """Store a run's stats and (optionally) its metrics snapshot."""
-        record: dict = {"stats": [stats_to_record(s) for s in stats]}
-        if metrics is not None:
-            record["metrics"] = metrics
-        self.store(key, record)
+        path = self._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{key}.{os.getpid()}-{next(_TMP_SEQ)}.tmp")
+        try:
+            tmp.write_bytes(encode_entry(stats, metrics))
+            tmp.replace(path)
+        finally:
+            tmp.unlink(missing_ok=True)  # still there only if the write failed
+        self.stores += 1
 
 
 # ----------------------------------------------------------------------

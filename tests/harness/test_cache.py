@@ -5,7 +5,6 @@ determinism digest cannot tell them apart), any config/seed/source
 change is a miss, and a corrupt entry silently recomputes.
 """
 
-import base64
 import json
 import struct
 import subprocess
@@ -24,12 +23,12 @@ from repro.harness.cache import (
     SCHEMA_VERSION,
     ResultCache,
     _pack,
+    decode_entry,
     disable_cache,
     enable_cache,
+    encode_entry,
     reset_cache_state,
     source_digest,
-    stats_from_record,
-    stats_to_record,
 )
 from repro.sim import FlowStats
 
@@ -133,13 +132,15 @@ def test_quarantine_counted_once_per_entry(cache):
 
 
 def test_stats_record_roundtrip_is_exact():
-    result = run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=3)
-    for stats in result.stats:
-        rebuilt = stats_from_record(stats_to_record(stats))
-        assert stats_digest([rebuilt]) == stats_digest([stats])
-        assert rebuilt.start_time == stats.start_time
-        assert rebuilt.packets_sent == stats.packets_sent
-        assert rebuilt.first_delivery == stats.first_delivery
+    result = run_flows(SPECS + [FlowSpec("cubic")], CONFIG, duration_s=DURATION_S, seed=3)
+    snapshot = {"counters": {"x": 1}}
+    rebuilt, metrics = decode_entry(encode_entry(result.stats, snapshot))
+    assert metrics == snapshot
+    assert stats_digest(rebuilt) == stats_digest(result.stats)
+    for stats, again in zip(result.stats, rebuilt):
+        assert again.start_time == stats.start_time
+        assert again.packets_sent == stats.packets_sent
+        assert again.first_delivery == stats.first_delivery
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -166,8 +167,8 @@ def test_series_roundtrip_is_bit_exact(acks, losses):
         stats.acked_bytes.append(nbytes)
         stats.rtts.append(rtt)
     stats.loss_times.extend(losses)
-    # Through the same JSON text a cache entry is written as.
-    rebuilt = stats_from_record(json.loads(json.dumps(stats_to_record(stats))))
+    # Through the same bytes store_run writes to disk.
+    [rebuilt], _ = decode_entry(encode_entry([stats]))
     for name in ("ack_times", "acked_bytes", "rtts", "loss_times"):
         series = getattr(rebuilt, name)
         assert series.typecode == getattr(stats, name).typecode
@@ -176,28 +177,41 @@ def test_series_roundtrip_is_bit_exact(acks, losses):
 
 def test_packed_series_byte_order_is_pinned():
     # The on-disk layout is part of the contract: little-endian IEEE-754
-    # doubles / int64, standard base64 with padding, on every host.
-    assert _pack(array("d", [1.0])) == base64.b64encode(struct.pack("<d", 1.0)).decode()
-    assert _pack(array("q", [1, -2])) == base64.b64encode(struct.pack("<2q", 1, -2)).decode()
-    assert _pack(array("d")) == ""
+    # doubles / int64, on every host, each flow's series in the order
+    # ack_times, acked_bytes, rtts, loss_times after the header line.
+    assert _pack(array("d", [1.0])) == struct.pack("<d", 1.0)
+    assert _pack(array("q", [1, -2])) == struct.pack("<2q", 1, -2)
+    assert _pack(array("d")) == b""
+    stats = FlowStats(flow_id=1)
+    stats.record_ack(0.5, 1500, 0.03)
+    stats.record_ack(0.75, -7, 0.04)
+    stats.record_loss(0.6)
+    header, body = encode_entry([stats, FlowStats(flow_id=2)]).split(b"\n", 1)
+    assert body == struct.pack("<2d2q2dd", 0.5, 0.75, 1500, -7, 0.03, 0.04, 0.6)
+    flows = json.loads(header)["stats"]
+    assert [(f["n_acks"], f["n_losses"]) for f in flows] == [(2, 1), (0, 0)]
 
 
-def _drop_last_rtt(_, flow: dict) -> None:
-    rtts = base64.b64decode(flow["rtts"])
-    flow["rtts"] = base64.b64encode(rtts[:-8]).decode()
+def _edit_header(entry: Path, edit) -> None:
+    header, body = entry.read_bytes().split(b"\n", 1)
+    record = json.loads(header)
+    edit(record)
+    entry.write_bytes(json.dumps(record).encode() + b"\n" + body)
 
 
-# Each takes the entry's record and its first flow record.
+def _drop_one_ack(record: dict) -> None:
+    record["stats"][0]["n_acks"] -= 1
+
+
+# Each rewrites the entry file in place.
 CORRUPTIONS = {
-    "truncated-base64": lambda _, flow: flow.update(ack_times=flow["ack_times"][:-1]),
-    "non-alphabet-character": lambda _, flow: flow.update(
-        rtts=flow["rtts"][:8] + "!" + flow["rtts"][8:]
+    "body-one-byte-short": lambda entry: entry.write_bytes(entry.read_bytes()[:-1]),
+    "one-trailing-byte": lambda entry: entry.write_bytes(entry.read_bytes() + b"\0"),
+    "n-acks-disagrees-with-body": lambda entry: _edit_header(entry, _drop_one_ack),
+    "header-without-newline": lambda entry: entry.write_bytes(
+        entry.read_bytes().split(b"\n", 1)[0]
     ),
-    "not-whole-items": lambda _, flow: flow.update(
-        loss_times=base64.b64encode(b"\0" * 12).decode()
-    ),
-    "ack-series-lengths-differ": _drop_last_rtt,
-    "schema-1": lambda record, _: record.update(schema=1),
+    "schema-2-header": lambda entry: _edit_header(entry, lambda r: r.update(schema=2)),
 }
 
 
@@ -205,9 +219,7 @@ CORRUPTIONS = {
 def test_corrupt_series_quarantines_once_and_heals(cache, corruption):
     first = run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=7)
     [entry] = list(cache.root.rglob("*.json"))
-    record = json.loads(entry.read_text())
-    CORRUPTIONS[corruption](record, record["stats"][0])
-    entry.write_text(json.dumps(record))
+    CORRUPTIONS[corruption](entry)
     again = run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=7)
     assert again.dumbbell is not None  # a live recompute, not a rebuild
     assert cache.stats() == {"hits": 0, "misses": 2, "stores": 2, "quarantined": 1}
@@ -218,22 +230,24 @@ def test_corrupt_series_quarantines_once_and_heals(cache, corruption):
 
 
 def test_entry_is_compact_and_a_hit_does_no_per_sample_work(cache):
-    """Host-independent proxy for the packed encoding's gain."""
+    """Host-independent proxy for the raw-bytes encoding's gain."""
     cold = run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=7)
     total_acks = sum(len(stats.ack_times) for stats in cold.stats)
+    total_losses = sum(len(stats.loss_times) for stats in cold.stats)
     assert total_acks > 1000
     [entry] = list(cache.root.rglob("*.json"))
-    # 3 series x 8 bytes x 4/3 base64 = 32 bytes per ACK, plus losses.
-    assert entry.stat().st_size <= 36 * total_acks + 4096
+    # 3 series x 8 bytes per ACK, 8 per loss, plus the header line.
+    assert entry.stat().st_size <= 24 * total_acks + 8 * total_losses + 4096
 
-    fromhex_calls = 0
+    calls = {"fromhex": 0, "json.loads": 0, "a2b_base64": 0}
 
-    def count_fromhex(frame, event, arg):
-        nonlocal fromhex_calls
-        if event == "c_call" and arg.__name__ == "fromhex":
-            fromhex_calls += 1
+    def count_calls(frame, event, arg):
+        if event == "c_call" and arg.__name__ in calls:
+            calls[arg.__name__] += 1
+        elif event == "call" and frame.f_code is json.loads.__code__:
+            calls["json.loads"] += 1
 
-    sys.setprofile(count_fromhex)
+    sys.setprofile(count_calls)
     try:
         warm = run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=7)
     finally:
@@ -241,20 +255,28 @@ def test_entry_is_compact_and_a_hit_does_no_per_sample_work(cache):
     assert cache.hits == 1
     assert stats_digest(warm.stats) == stats_digest(cold.stats)
     # Only the scalar fields: start/end time, first/last delivery.
-    assert 1 <= fromhex_calls <= 4 * len(cold.stats)
+    assert 1 <= calls["fromhex"] <= 4 * len(cold.stats)
+    # One parse of the header line; the series are never text.
+    assert calls["json.loads"] == 1
+    assert calls["a2b_base64"] == 0
 
 
 STORE_HAMMER = """
 import sys
+from array import array
 from repro.harness.cache import ResultCache
+from repro.sim import FlowStats
 
 cache = ResultCache(sys.argv[1])
 key = sys.argv[2]
-record = {"stats": [], "blob": "x" * 200_000}
+stats = FlowStats(flow_id=1)
+stats.ack_times = array("d", range(8000))
+stats.acked_bytes = array("q", range(8000))
+stats.rtts = array("d", range(8000))
 for _ in range(1500):
-    cache.store(key, record)
-    loaded = cache.load(key)
-    assert loaded is not None and loaded["blob"] == record["blob"], "torn entry read"
+    cache.store_run(key, [stats])
+    loaded = cache.load_run(key)
+    assert loaded is not None and loaded[0][0].rtts == stats.rtts, "torn entry read"
 assert cache.quarantined == 0
 """
 

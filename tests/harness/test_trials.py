@@ -1,8 +1,15 @@
 """Tests for the multi-trial statistics runner."""
 
-import pytest
+import math
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.rng import Rng
 from repro.harness import run_trials, run_trials_multi, summarize
+from repro.harness.trials import TrialSummary
 
 
 def test_summarize_basic_statistics():
@@ -29,6 +36,63 @@ def test_summarize_single_value_degenerate_ci():
 def test_summarize_empty_raises():
     with pytest.raises(ValueError):
         summarize([])
+
+
+def test_summarize_rejects_no_resamples():
+    with pytest.raises(ValueError, match="ci_resamples"):
+        summarize([1.0, 2.0], ci_resamples=0)
+    with pytest.raises(ValueError, match="ci_resamples"):
+        summarize([1.0], ci_resamples=-1)
+
+
+def _summarize_one_draw_per_resample(values, ci_resamples, seed):
+    """The bootstrap as written before it drew every resample at once."""
+    ordered = sorted(values)
+    n = len(ordered)
+    mean = sum(ordered) / n
+    variance = sum((v - mean) ** 2 for v in ordered) / n
+    if n == 1:
+        ci_low = ci_high = mean
+    else:
+        choices = Rng(seed).choices
+        inv_n = 1.0 / n
+        means = [sum(choices(ordered, k=n)) * inv_n for _ in range(ci_resamples)]
+        means.sort()
+        ci_low = means[int(0.025 * ci_resamples)]
+        ci_high = means[int(0.975 * ci_resamples)]
+    mid = n // 2
+    median = ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
+    return TrialSummary(
+        n, mean, median, math.sqrt(variance), ordered[0], ordered[-1], ci_low, ci_high
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12),
+        min_size=1,
+        max_size=20,
+    ),
+    ci_resamples=st.sampled_from([1, 7, 2000]),
+    seed=st.integers(0, 3),
+)
+def test_single_draw_bootstrap_equals_per_resample_draws(values, ci_resamples, seed):
+    expected = _summarize_one_draw_per_resample(values, ci_resamples, seed)
+    assert summarize(values, ci_resamples=ci_resamples, seed=seed) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_summarize_makes_one_choices_call(monkeypatch, n):
+    calls = []
+
+    def counting_choices(self, *args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return random.Random.choices(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rng, "choices", counting_choices)
+    summarize([float(v) for v in range(n)])
+    assert calls == [n * 2000]
 
 
 def test_bootstrap_ci_pinned_for_fixed_seed():
