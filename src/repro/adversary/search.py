@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.rng import Rng
+from ..core.tracepoint import tracepoint
 from ..harness.supervise import (
     STATUS_FAILED,
     STATUS_OK,
@@ -44,7 +45,7 @@ from ..harness.supervise import (
     supervised_map,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import active_tracer
+from ..obs.trace import as_sink
 from .genome import ScenarioGenome, crossover, mutate, sample_genome
 from .objectives import (
     DEFAULT_MAX_EVENTS,
@@ -53,6 +54,11 @@ from .objectives import (
     evaluate_genome,
 )
 from .shrink import ShrinkResult, shrink_item
+
+EVAL = tracepoint("adversary.eval", "status", "score", "violation")
+VIOLATION = tracepoint("adversary.violation", "score", "objective")
+GENERATION = tracepoint("adversary.generation", "evaluated", "best_score")
+SHRINK = tracepoint("adversary.shrink", "from_size", "to_size", "score")
 
 CAMPAIGN_SCHEMA = 1
 ARTIFACT_SCHEMA = 1
@@ -301,7 +307,7 @@ def run_campaign(
     else:
         _write_json(campaign_path, config.to_dict())
     manifest = SweepManifest(manifest_path)
-    tracer = active_tracer()
+    tracer = as_sink(None)
     if metrics is None:
         metrics = MetricsRegistry()
     evals_counter = metrics.counter("adversary.evals", objective=config.objective)
@@ -350,12 +356,9 @@ def run_campaign(
             if score is not None and (gen_best is None or score > gen_best):
                 gen_best = score
             if tracer is not None:
-                tracer.emit(
-                    "adversary.eval",
-                    float(entry.index),
-                    status=outcome.status,
-                    score=-1.0 if score is None else score,
-                    violation=entry.violation,
+                tracer.record(
+                    (EVAL, float(entry.index), None, None, outcome.status,
+                     -1.0 if score is None else score, entry.violation)
                 )
             if entry.violation:
                 violation_counter.inc()
@@ -374,18 +377,13 @@ def run_campaign(
                         ),
                     )
                     if tracer is not None:
-                        tracer.emit(
-                            "adversary.violation",
-                            float(entry.index),
-                            score=score,
-                            objective=config.objective,
+                        tracer.record(
+                            (VIOLATION, float(entry.index), None, None, score, config.objective)
                         )
         if tracer is not None:
-            tracer.emit(
-                "adversary.generation",
-                float(generation),
-                evaluated=len(evaluated),
-                best_score=-1.0 if gen_best is None else gen_best,
+            tracer.record(
+                (GENERATION, float(generation), None, None, len(evaluated),
+                 -1.0 if gen_best is None else gen_best)
             )
         generation += 1
 
@@ -410,12 +408,8 @@ def run_campaign(
 
             def on_step(parent_size: int, size: int, score: float) -> None:
                 if tracer is not None:
-                    tracer.emit(
-                        "adversary.shrink",
-                        float(best.index),
-                        from_size=parent_size,
-                        to_size=size,
-                        score=score,
+                    tracer.record(
+                        (SHRINK, float(best.index), None, None, parent_size, size, score)
                     )
 
             shrunk = shrink_item(best_item, on_step=on_step)

@@ -14,8 +14,12 @@ def jains_index(allocations: Sequence[float]) -> float:
         raise ValueError("need at least one allocation")
     if any(x < 0 for x in allocations):
         raise ValueError("allocations must be non-negative")
-    total = sum(allocations)
-    squares = sum(x * x for x in allocations)
-    if squares <= 0.0:
+    peak = max(allocations)
+    if peak <= 0.0:
         return 1.0  # all-zero: degenerate but conventionally fair
+    # The index is scale-free; dividing by the peak keeps x*x out of the
+    # subnormal range, where tiny allocations would lose their precision.
+    scaled = [x / peak for x in allocations]
+    total = sum(scaled)
+    squares = sum(x * x for x in scaled)
     return total * total / (len(allocations) * squares)

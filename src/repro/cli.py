@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import jains_index
@@ -36,6 +37,15 @@ from .harness import (
 )
 from .harness.export import write_run_json, write_throughput_series_csv
 from .protocols import PROTOCOL_NAMES
+
+
+@contextmanager
+def _one_line_errors(args: argparse.Namespace):
+    """Bad scenario input (a ``ValueError``) ends the command with one line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from exc
 
 
 def _link_from_args(args: argparse.Namespace) -> LinkConfig:
@@ -133,15 +143,16 @@ def _print_link_events(result) -> None:
 
 
 def cmd_single(args: argparse.Namespace) -> int:
-    config = _link_from_args(args)
-    result = run_single(
-        args.protocol,
-        config,
-        duration_s=args.duration,
-        seed=args.seed,
-        timeline=_timeline_from_args(args),
-        topology=_topology_from_args(args),
-    )
+    with _one_line_errors(args):
+        config = _link_from_args(args)
+        result = run_single(
+            args.protocol,
+            config,
+            duration_s=args.duration,
+            seed=args.seed,
+            timeline=_timeline_from_args(args),
+            topology=_topology_from_args(args),
+        )
     window = result.measurement_window()
     stats = result.stats[0]
     print_table(
@@ -162,16 +173,16 @@ def cmd_single(args: argparse.Namespace) -> int:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    config = _link_from_args(args)
-    pair = run_pair(
-        args.primary,
-        args.scavenger,
-        config,
-        duration_s=args.duration,
-        seed=args.seed,
-        timeline=_timeline_from_args(args),
-        topology=_topology_from_args(args),
-    )
+    with _one_line_errors(args):
+        pair = run_pair(
+            args.primary,
+            args.scavenger,
+            _link_from_args(args),
+            duration_s=args.duration,
+            seed=args.seed,
+            timeline=_timeline_from_args(args),
+            topology=_topology_from_args(args),
+        )
     print_table(
         ["metric", "value"],
         [
@@ -188,17 +199,18 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
 
 def cmd_fairness(args: argparse.Namespace) -> int:
-    config = _link_from_args(args)
-    result = run_homogeneous(
-        args.protocol,
-        args.flows,
-        config,
-        stagger_s=args.stagger,
-        measure_s=args.duration,
-        seed=args.seed,
-        timeline=_timeline_from_args(args),
-        topology=_topology_from_args(args),
-    )
+    with _one_line_errors(args):
+        config = _link_from_args(args)
+        result = run_homogeneous(
+            args.protocol,
+            args.flows,
+            config,
+            stagger_s=args.stagger,
+            measure_s=args.duration,
+            seed=args.seed,
+            timeline=_timeline_from_args(args),
+            topology=_topology_from_args(args),
+        )
     shares = result.throughputs_mbps()
     rows = [(f"flow {i + 1}", f"{thr:.2f}") for i, thr in enumerate(shares)]
     rows.append(("Jain's index", f"{jains_index(shares):.3f}"))
@@ -217,19 +229,18 @@ def cmd_many(args: argparse.Namespace) -> int:
     """Many short primaries vs a few scavengers over a shared core."""
     from .harness import run_many
 
-    config = _link_from_args(args)
-    topology = _topology_from_args(args)
-    result = run_many(
-        args.primary,
-        args.scavenger,
-        config,
-        n_flows=args.flows,
-        n_scavengers=args.scavengers,
-        flow_kb=args.flow_kb,
-        duration_s=args.duration,
-        seed=args.seed,
-        topology=topology,
-    )
+    with _one_line_errors(args):
+        result = run_many(
+            args.primary,
+            args.scavenger,
+            _link_from_args(args),
+            n_flows=args.flows,
+            n_scavengers=args.scavengers,
+            flow_kb=args.flow_kb,
+            duration_s=args.duration,
+            seed=args.seed,
+            topology=_topology_from_args(args),
+        )
     window = result.measurement_window()
     scav = [result.throughput_mbps(i, window) for i in range(args.scavengers)]
     shorts = result.stats[args.scavengers:]
@@ -279,7 +290,7 @@ def _run_specs(args: argparse.Namespace, **observers):
     """``run_flows`` for the ``--protocols`` commands; bad input is one line."""
     from .harness import run_flows
 
-    try:
+    with _one_line_errors(args):
         return run_flows(
             _specs_from_args(args),
             _link_from_args(args),
@@ -289,8 +300,6 @@ def _run_specs(args: argparse.Namespace, **observers):
             topology=_topology_from_args(args),
             **observers,
         )
-    except ValueError as exc:
-        raise SystemExit(f"repro {args.command}: {exc}") from exc
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -407,25 +416,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # inherit the environment).
         os.environ["REPRO_MAX_EVENTS"] = str(args.max_events)
     manifest = args.resume or args.manifest
-    configs = config_matrix(
-        _csv_floats(args.bandwidths, MATRIX_BANDWIDTHS_MBPS),
-        _csv_floats(args.rtts, MATRIX_RTTS_MS),
-        _csv_floats(args.buffers, MATRIX_BUFFER_BDP),
-    )
-    if args.limit is not None:
-        configs = configs[: args.limit]
-    policy = RetryPolicy() if args.retries is None else RetryPolicy(retries=args.retries)
-    outcomes = run_matrix(
-        primary=args.primary,
-        scavenger=args.scavenger,
-        configs=configs,
-        n_trials=args.trials,
-        base_seed=args.seed,
-        duration_s=args.duration,
-        jobs=args.jobs,
-        policy=policy,
-        manifest=manifest,
-    )
+    with _one_line_errors(args):
+        configs = config_matrix(
+            _csv_floats(args.bandwidths, MATRIX_BANDWIDTHS_MBPS),
+            _csv_floats(args.rtts, MATRIX_RTTS_MS),
+            _csv_floats(args.buffers, MATRIX_BUFFER_BDP),
+        )
+        if args.limit is not None:
+            configs = configs[: args.limit]
+        policy = RetryPolicy() if args.retries is None else RetryPolicy(retries=args.retries)
+        outcomes = run_matrix(
+            primary=args.primary,
+            scavenger=args.scavenger,
+            configs=configs,
+            n_trials=args.trials,
+            base_seed=args.seed,
+            duration_s=args.duration,
+            jobs=args.jobs,
+            policy=policy,
+            manifest=manifest,
+        )
     counts = summarize_outcomes(outcomes)
     ratios = [
         outcome.value["primary_throughput_ratio"]
@@ -931,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--update-schema",
         action="store_true",
-        help="regenerate docs/TRACE_SCHEMA.md from the emit sites",
+        help="regenerate docs/TRACE_SCHEMA.md from the tracepoint declarations",
     )
     p_check.add_argument(
         "--list-checks", action="store_true", help="describe analyzers and exit"

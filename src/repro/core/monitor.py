@@ -96,30 +96,3 @@ class MonitorInterval:
                 rtts=self.rtts,
             )
         return self.metrics
-
-    def trace_fields(self) -> dict:
-        """Flat JSON-safe payload for ``mi.*`` trace events.
-
-        Includes the utility components when :meth:`compute_metrics` has
-        already run; never triggers the computation itself.
-        """
-        fields: dict = {
-            "mi_id": self.mi_id,
-            "tag": self.tag,
-            "rate_bps": self.rate_bps,
-            "duration_s": self.duration_s,
-            "n_sent": self.n_sent,
-            "n_acked": self.n_acked,
-            "n_lost": self.n_lost,
-            "utility": self.utility,
-        }
-        m = self.metrics
-        if m is not None:
-            fields.update(
-                throughput_mbps=m.throughput_mbps,
-                loss_rate=m.loss_rate,
-                avg_rtt_s=m.avg_rtt_s,
-                rtt_gradient=m.rtt_gradient,
-                rtt_deviation_s=m.rtt_deviation_s,
-            )
-        return fields

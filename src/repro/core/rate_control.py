@@ -30,6 +30,12 @@ from dataclasses import dataclass
 
 from .rng import Rng
 from .monitor import MonitorInterval
+from .tracepoint import tracepoint
+
+DECISION = tracepoint("rate.decision", "reason", "rate_bps")
+DECISION_VOTES = tracepoint("rate.decision", "reason", "rate_bps", "votes")
+DECISION_GRADIENT = tracepoint("rate.decision", "reason", "rate_bps", "votes", "gradient")
+DECISION_STEP = tracepoint("rate.decision", "reason", "rate_bps", "step_k")
 
 
 @dataclass
@@ -82,14 +88,15 @@ class RateController:
         self._step_k = 0
         self._prev_decision: tuple[float, float] | None = None  # (rate, utility)
         self.decisions = 0  # total state-machine decisions (for tests)
-        # Observability hook: called as ``hook(reason, rate_bps, **fields)``
-        # at every state-machine decision.  The owning sender wires it to a
-        # ``rate.decision`` tracepoint; None (the default) costs one branch.
+        # Observability hook: called as ``hook(shape, reason, rate_bps,
+        # *extra)`` with one of the ``rate.decision`` shapes above at every
+        # state-machine decision.  The owning sender wires it to its trace
+        # door; None (the default) costs one branch.
         self.trace_hook = None
 
-    def _decided(self, reason: str, **fields) -> None:
+    def _decided(self, shape, *values) -> None:
         if self.trace_hook is not None:
-            self.trace_hook(reason, self.rate_bps, **fields)
+            self.trace_hook(shape, *values)
 
     # ------------------------------------------------------------------
     # Sender-facing API
@@ -156,7 +163,7 @@ class RateController:
         self.rate_bps = max(self.config.min_rate_bps, self.rate_bps / 2.0)
         self._enter_probing()
         self.decisions += 1
-        self._decided("timeout:halve")
+        self._decided(DECISION, "timeout:halve", self.rate_bps)
 
     def _brake(self, mi_rate_bps: float) -> None:
         """Emergency multiplicative decrease on a loss-overloaded interval.
@@ -173,7 +180,7 @@ class RateController:
             )
             self.decisions += 1
             self._enter_probing()
-            self._decided("brake:startup")
+            self._decided(DECISION, "brake:startup", self.rate_bps)
             return
         if mi_rate_bps < 0.95 * self.rate_bps:
             # Stale interval from an already-reverted episode: restart the
@@ -187,7 +194,7 @@ class RateController:
         )
         self.decisions += 1
         self._enter_probing()
-        self._decided("brake")
+        self._decided(DECISION, "brake", self.rate_bps)
 
     def restart(self, rate_bps: float | None = None) -> None:
         """Re-enter STARTING, e.g. after an application-idle period.
@@ -204,7 +211,7 @@ class RateController:
         self._plan = []
         self._pending_probe_tags = set()
         self._probe_results = {}
-        self._decided("restart")
+        self._decided(DECISION, "restart", self.rate_bps)
 
     # ------------------------------------------------------------------
     # STARTING
@@ -217,7 +224,7 @@ class RateController:
                 self.rate_bps = max(self.config.min_rate_bps, prev_rate)
                 self.decisions += 1
                 self._enter_probing()
-                self._decided("start:revert")
+                self._decided(DECISION, "start:revert", self.rate_bps)
                 return
         self._last_start_mi = (rate_bps, utility)
 
@@ -285,7 +292,7 @@ class RateController:
         threshold = self.config.probe_pairs if unanimous_needed else 1
         if abs(votes) < threshold or not gradients:
             self._enter_probing()  # inconsistent: probe again at same base
-            self._decided("probe:again", votes=votes)
+            self._decided(DECISION_VOTES, "probe:again", self.rate_bps, votes)
             return
         direction = 1 if votes > 0 else -1
         avg_gradient = sum(gradients) / len(gradients)
@@ -301,9 +308,11 @@ class RateController:
         ref_utility = sum(side_utils) / len(side_utils)
         self._enter_moving(direction, avg_gradient, (ref_rate, ref_utility))
         self._decided(
+            DECISION_GRADIENT,
             "probe:up" if direction > 0 else "probe:down",
-            votes=votes,
-            gradient=avg_gradient,
+            self.rate_bps,
+            votes,
+            avg_gradient,
         )
 
     # ------------------------------------------------------------------
@@ -347,7 +356,7 @@ class RateController:
                 # Utility fell: revert the step and go back to probing.
                 self.rate_bps = max(self.config.min_rate_bps, prev_rate)
                 self._enter_probing()
-                self._decided("move:revert")
+                self._decided(DECISION, "move:revert", self.rate_bps)
                 return
             if abs(rate_bps - prev_rate) > 1e-9:
                 self._gradient = (utility - prev_utility) / (
@@ -359,4 +368,4 @@ class RateController:
         self._prev_decision = (rate_bps, utility)
         self._step_k += 1
         self._apply_move_step()
-        self._decided("move:step", step_k=self._step_k)
+        self._decided(DECISION_STEP, "move:step", self.rate_bps, self._step_k)

@@ -1,9 +1,10 @@
 """Trace row layouts: what a tracepoint declares and a sink stores.
 
-A site that fires per packet or per ACK declares its layout once at
-module level — ``ENQUEUE = tracepoint("link.enqueue", "node", "seq",
-...)`` — and hands ``tracer.record((ENQUEUE, now, flow, link, node, seq,
-...))`` to whatever sink is attached.  A leaf module (the ``core/rng.py``
+Every trace event in the package declares its layout once at module
+level — ``ENQUEUE = tracepoint("link.enqueue", "node", "seq", ...)`` —
+and its sites hand ``tracer.record((ENQUEUE, now, flow, link, node,
+seq, ...))`` to whatever sink is attached (``repro check`` reads the
+trace schema from these declarations).  A leaf module (the ``core/rng.py``
 precedent): ``sim`` and ``protocols`` may not import ``repro.obs``,
 where the sinks and the encoder live.
 """

@@ -5,7 +5,8 @@ The analyzers share a single parsed
 
 * ``lint`` — the per-file rules of :mod:`~repro.devtools.analysis.rules`
   (determinism, unit suffixes, API surface), one tree walk per file;
-* ``tracepoints`` — the ``tracer.emit`` event/field schema and its docs;
+* ``tracepoints`` — the event/field schema read from the ``tracepoint``
+  declarations, the sites checked against it, and its docs;
 * ``layering`` — the core→sim→protocols→analysis→obs→harness→cli
   import DAG and cycle detection.
 

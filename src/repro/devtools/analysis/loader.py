@@ -1,11 +1,10 @@
 """Project loader: one parse of the whole tree, shared by every analyzer.
 
 ``repro check`` is *whole-program*: the layering pass needs every
-import edge at once, and the tracepoints pass resolves tracepoint names
-and ``**helper()`` expansions across modules.  So every analyzer — the
-per-file lint rules included — shares a single :class:`Project`: every
-``.py`` file parsed once, plus a symbol table of modules, functions and
-methods, and resolved import aliases.
+import edge at once, and the tracepoints pass resolves a tracepoint name
+imported from another module.  So every analyzer — the per-file lint
+rules included — shares a single :class:`Project`: every ``.py`` file
+parsed once, plus each module's resolved import aliases.
 
 Module names are derived structurally: walk up from each file while an
 ``__init__.py`` is present, so ``src/repro/sim/link.py`` loads as
@@ -158,28 +157,6 @@ class ModuleInfo:
         return self.name.rpartition(".")[0]
 
 
-@dataclass
-class FunctionInfo:
-    """A function or method, addressable by qualified name."""
-
-    qname: str  # "repro.sim.link.Link.send"
-    module: ModuleInfo
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-    is_method: bool = False
-
-    @property
-    def name(self) -> str:
-        return self.node.name
-
-    def param_names(self) -> list[str]:
-        """Every parameter name (``self``/``cls`` dropped for methods)."""
-        args = self.node.args
-        names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
-        if self.is_method and names and names[0] in ("self", "cls"):
-            names = names[1:]
-        return names
-
-
 def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
@@ -214,12 +191,10 @@ def module_name_for(path: Path) -> str:
 
 
 class Project:
-    """Every module of the analyzed tree, parsed once, plus symbol tables."""
+    """Every module of the analyzed tree, parsed once, plus its imports."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
-        self.functions: dict[str, FunctionInfo] = {}
-        self.by_terminal: dict[str, list[FunctionInfo]] = {}
         self.syntax_errors: list[tuple[Path, SyntaxError]] = []
 
     # ------------------------------------------------------------------
@@ -261,41 +236,22 @@ class Project:
             ctx=LintContext(path, source),
         )
         self.modules[name] = module
-        self._index_module(module)
+        for stmt in tree.body:
+            self._index_stmt(module, stmt)
 
     # ------------------------------------------------------------------
-    def _index_module(self, module: ModuleInfo) -> None:
-        for stmt in module.tree.body:
-            self._index_stmt(module, stmt, top_level=True)
-
     def _index_stmt(
-        self,
-        module: ModuleInfo,
-        stmt: ast.stmt,
-        top_level: bool,
-        typing_only: bool = False,
+        self, module: ModuleInfo, stmt: ast.stmt, typing_only: bool = False
     ) -> None:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._index_import(module, stmt, typing_only)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and top_level:
-            self._add_function(module, stmt, owner=module.name)
-        elif isinstance(stmt, ast.ClassDef) and top_level:
-            # Methods are indexed as functions: the tracepoints pass finds
-            # emit wrappers such as ``SenderBase.trace`` among them.
-            owner = f"{module.name}.{stmt.name}"
-            for child in stmt.body:
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._add_function(module, child, owner=owner, is_method=True)
         elif isinstance(stmt, (ast.If, ast.Try)):
             # Imports under `if TYPE_CHECKING:` / try-except fallbacks are
-            # still module-scope edges; nested defs there are rare enough
-            # to ignore.
+            # still module-scope edges.
             guarded = typing_only or _is_type_checking_test(stmt)
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.stmt):
-                    self._index_stmt(
-                        module, child, top_level=False, typing_only=guarded
-                    )
+                    self._index_stmt(module, child, typing_only=guarded)
 
     def _index_import(
         self,
@@ -343,19 +299,6 @@ class Project:
         if stmt.module:
             base_parts.append(stmt.module)
         return ".".join(base_parts) if base_parts else None
-
-    def _add_function(
-        self,
-        module: ModuleInfo,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        owner: str,
-        is_method: bool = False,
-    ) -> None:
-        info = FunctionInfo(
-            qname=f"{owner}.{node.name}", module=module, node=node, is_method=is_method
-        )
-        self.functions[info.qname] = info
-        self.by_terminal.setdefault(node.name, []).append(info)
 
 
 def _is_type_checking_test(stmt: ast.stmt) -> bool:

@@ -65,6 +65,10 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if self.bandwidth_mbps <= 0 or self.rtt_ms <= 0 or self.buffer_kb <= 0:
             raise ValueError("bandwidth, rtt and buffer must be positive")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate:g}")
+        if self.noise_severity < 0 or self.reverse_noise_severity < 0:
+            raise ValueError("noise severities must be non-negative")
 
     @property
     def bandwidth_bps(self) -> float:

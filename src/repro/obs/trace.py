@@ -18,9 +18,9 @@ shortest-repr floats), so the byte stream — and therefore
 ``REPRO_JOBS`` settings (each run traces inside its own process).
 
 There is one storage format and one encoder.  Events are the flat rows
-of :mod:`repro.core.tracepoint`: per-packet sites build theirs and call
-``record(row)``, everything else goes through the by-name ``emit``,
-which builds the same row.  Each (shape, value types) pair compiles a
+of :mod:`repro.core.tracepoint`: every site in the package records a
+row of a declared tracepoint with ``record(row)``; the by-name ``emit``,
+which builds the same row, is the door for callers outside it.  Each (shape, value types) pair compiles a
 formatter with the keys already sorted and escaped and the type check
 built in, and whatever it cannot reproduce byte for byte (non-finite
 floats, bool/None/nested values, ``int``/``float`` subclasses,
@@ -320,7 +320,7 @@ class TraceSink:
     """Base of every sink: a subclass stores rows, ``emit`` is spelled once.
 
     :meth:`record` takes one event as the row ``(tracepoint(kind,
-    *field_names), time_s, flow, link, *values)``, which per-packet
+    *field_names), time_s, flow, link, *values)``, which the package's
     sites build themselves and :meth:`emit` builds from keywords.
     """
 
@@ -437,7 +437,7 @@ class _ByName:
     """Gives an emit-only :class:`Tracer` the row door."""
 
     def __init__(self, tracer: Tracer) -> None:
-        self.emit = tracer.emit  # by-name sites go straight through
+        self.emit = tracer.emit  # by-name callers go straight through
 
     def record(self, row: tuple) -> None:
         shape = row[0]

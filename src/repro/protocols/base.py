@@ -23,12 +23,14 @@ from ..sim.fidelity import BURST_HORIZON_FRAC
 from ..sim.flow import Flow
 from ..sim.packet import ACK_BYTES, MTU_BYTES, Packet
 from ..core.rng import Rng
-from ..core.tracepoint import tracepoint
+from ..core.tracepoint import Shape, tracepoint
 
 MIN_RTO_S = 0.25
 """Floor on the retransmission timeout."""
 
 FF_BURST = tracepoint("sim.fastforward", "reason", "packets", "until_s")
+CWND_CHANGE = tracepoint("cwnd.change", "cwnd", "reason")
+RATE_CHANGE = tracepoint("rate.change", "rate_bps", "reason")
 
 
 class AckInfo:
@@ -100,15 +102,17 @@ class SenderBase:
         # to break pathological phase-locking between paced senders.
         self._jitter_rng = Rng(f"sender:{flow.flow_id}:{self.name}")
 
-    def trace(self, kind: str, **fields) -> None:
-        """Emit a trace event attributed to this sender's flow.
+    def trace(self, shape: Shape, *values) -> None:
+        """Record a ``shape`` row of ``values`` attributed to this sender's flow.
 
-        Call sites on hot paths should guard with ``if self.tracer is not
-        None`` themselves to skip the call entirely; this helper re-checks
-        so cold paths can call it unconditionally.
+        ``shape`` is a module-level ``tracepoint(...)`` declaration and
+        ``values`` its fields, in declared order.  Call sites on hot paths
+        should guard with ``if self.tracer is not None`` themselves to skip
+        the call entirely; this helper re-checks so cold paths can call it
+        unconditionally.
         """
         if self.tracer is not None:
-            self.tracer.emit(kind, self.sim.now, flow=self.flow.flow_id, **fields)
+            self.tracer.record((shape, self.sim.now, self.flow.flow_id, None, *values))
 
     def start(self) -> None:
         if self.sim is None:
@@ -336,12 +340,8 @@ class RateSender(SenderBase):
         """
         self.rate_bps = max(self.min_rate_bps, rate_bps)
         if self.tracer is not None:
-            self.tracer.emit(
-                "rate.change",
-                self.sim.now,
-                flow=self.flow.flow_id,
-                rate_bps=self.rate_bps,
-                reason=reason,
+            self.tracer.record(
+                (RATE_CHANGE, self.sim.now, self.flow.flow_id, None, self.rate_bps, reason)
             )
 
     def repace(self) -> None:

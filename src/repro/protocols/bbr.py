@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..core.rate_control import DECISION
 from .base import AckInfo, RateSender
 
 STARTUP_GAIN = 2.885  # 2 / ln(2)
@@ -132,11 +133,7 @@ class BBRSender(RateSender):
                 if self._full_bw_rounds >= 3:
                     self.state = "DRAIN"
                     if self.tracer is not None:
-                        self.trace(
-                            "rate.decision",
-                            reason="bbr:enter:DRAIN",
-                            rate_bps=self.rate_bps,
-                        )
+                        self.trace(DECISION, "bbr:enter:DRAIN", self.rate_bps)
 
     def _advance_state(self, now: float) -> None:
         if self.state == "DRAIN":
@@ -165,18 +162,14 @@ class BBRSender(RateSender):
         self._cycle_stamp = now
         self.pacing_gain = PROBE_BW_GAINS[0]
         if self.tracer is not None:
-            self.trace(
-                "rate.decision", reason="bbr:enter:PROBE_BW", rate_bps=self.rate_bps
-            )
+            self.trace(DECISION, "bbr:enter:PROBE_BW", self.rate_bps)
 
     def _enter_probe_rtt(self, now: float, min_duration_s: float | None = None) -> None:
         if self.state != "PROBE_RTT":
             self._saved_state = self.state
         self.state = "PROBE_RTT"
         if self.tracer is not None:
-            self.trace(
-                "rate.decision", reason="bbr:enter:PROBE_RTT", rate_bps=self.rate_bps
-            )
+            self.trace(DECISION, "bbr:enter:PROBE_RTT", self.rate_bps)
         duration = min_duration_s if min_duration_s is not None else PROBE_RTT_DURATION_S
         self._probe_rtt_done_at = now + duration
         self._probe_rtt_min = None
@@ -226,6 +219,4 @@ class BBRSender(RateSender):
         self.state = "STARTUP"
         self.inflight_cap = self.initial_cwnd_pkts()
         if self.tracer is not None:
-            self.trace(
-                "rate.decision", reason="bbr:timeout:restart", rate_bps=self.rate_bps
-            )
+            self.trace(DECISION, "bbr:timeout:restart", self.rate_bps)

@@ -22,12 +22,15 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..core.tracepoint import tracepoint
 from .base import AckInfo
 from .bbr import BBRSender
 
 DEVIATION_THRESHOLD_S = 0.004
 FORCED_PROBE_RTT_S = 0.040
 DEVIATION_WINDOW_RTTS = 60.0
+
+YIELD = tracepoint("rate.decision", "reason", "rate_bps", "rtt_deviation_s")
 
 
 class BBRScavengerSender(BBRSender):
@@ -92,11 +95,6 @@ class BBRScavengerSender(BBRSender):
             and deviation > self.deviation_threshold_s
         ):
             if self.tracer is not None:
-                self.trace(
-                    "rate.decision",
-                    reason="bbr-s:yield",
-                    rate_bps=self.rate_bps,
-                    rtt_deviation_s=deviation,
-                )
+                self.trace(YIELD, "bbr-s:yield", self.rate_bps, deviation)
             self._enter_probe_rtt(now, min_duration_s=self.forced_probe_rtt_s)
             self._apply_control()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import AckInfo, RateSender
+from .base import CWND_CHANGE, AckInfo, RateSender
 
 RTT_MIN_WINDOW_S = 10.0
 
@@ -111,4 +111,4 @@ class CopaSender(RateSender):
         self.velocity = 1.0
         self.inflight_cap = self.cwnd
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="copa:timeout")
+            self.trace(CWND_CHANGE, self.cwnd, "copa:timeout")

@@ -8,7 +8,7 @@ one reduction (losses of packets sent before the reduction are ignored).
 
 from __future__ import annotations
 
-from .base import AckInfo, WindowSender
+from .base import CWND_CHANGE, AckInfo, WindowSender
 
 
 class CubicSender(WindowSender):
@@ -73,7 +73,7 @@ class CubicSender(WindowSender):
         self.ssthresh = self.cwnd
         self._epoch_start = None
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="cubic:loss")
+            self.trace(CWND_CHANGE, self.cwnd, "cubic:loss")
 
     def on_timeout(self) -> None:
         self.ssthresh = max(self.min_cwnd, self.cwnd / 2.0)
@@ -81,7 +81,7 @@ class CubicSender(WindowSender):
         self._epoch_start = None
         self._recovery_end = self.sim.now
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="cubic:timeout")
+            self.trace(CWND_CHANGE, self.cwnd, "cubic:timeout")
 
 
 class RenoSender(WindowSender):
@@ -107,11 +107,11 @@ class RenoSender(WindowSender):
         self.cwnd = max(self.min_cwnd, self.cwnd / 2.0)
         self.ssthresh = self.cwnd
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="reno:loss")
+            self.trace(CWND_CHANGE, self.cwnd, "reno:loss")
 
     def on_timeout(self) -> None:
         self.ssthresh = max(self.min_cwnd, self.cwnd / 2.0)
         self.cwnd = self.min_cwnd
         self._recovery_end = self.sim.now
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="reno:timeout")
+            self.trace(CWND_CHANGE, self.cwnd, "reno:timeout")

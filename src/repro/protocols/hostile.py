@@ -18,9 +18,12 @@ seeded stream, so a hostile scenario replays bit-identically.
 from __future__ import annotations
 
 from ..core.rng import Rng
+from ..core.tracepoint import tracepoint
 from ..sim.engine import Event, Simulator
 from ..sim.flow import Flow
-from .base import RateSender, SenderBase
+from .base import RATE_CHANGE, RateSender, SenderBase
+
+BURST = tracepoint("hostile.burst", "packets")
 
 
 class BurstFloodSender(SenderBase):
@@ -81,7 +84,7 @@ class BurstFloodSender(SenderBase):
                 break
             sent += 1
         if sent and self.tracer is not None:
-            self.trace("hostile.burst", packets=sent)
+            self.trace(BURST, sent)
         jitter = 1.0 + self.jitter_frac * (2.0 * self._hostile_rng.random() - 1.0)
         self._burst_event = self.sim.schedule(self.period_s * jitter, self._fire_burst)
 
@@ -164,5 +167,5 @@ class OnOffSquareSender(RateSender):
         if self._tick_event is not None:
             self._tick_event.cancel()
             self._tick_event = None
-        self.trace("rate.change", rate_bps=0.0, reason="hostile:off")
+        self.trace(RATE_CHANGE, 0.0, "hostile:off")
         self._toggle_event = self.sim.schedule(self._jittered(self.off_s), self._go_on)

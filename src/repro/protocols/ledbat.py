@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import AckInfo, WindowSender
+from .base import CWND_CHANGE, AckInfo, WindowSender
 
 BASE_HISTORY_BUCKETS = 10
 BUCKET_SECONDS = 60.0
@@ -87,14 +87,14 @@ class LedbatSender(WindowSender):
         self.ssthresh = self.cwnd
         self._slow_start = False
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="ledbat:loss")
+            self.trace(CWND_CHANGE, self.cwnd, "ledbat:loss")
 
     def on_timeout(self) -> None:
         self.ssthresh = max(self.min_cwnd, self.cwnd / 2.0)
         self.cwnd = self.min_cwnd
         self._slow_start = False
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="ledbat:timeout")
+            self.trace(CWND_CHANGE, self.cwnd, "ledbat:timeout")
 
 
 class Ledbat25Sender(LedbatSender):

@@ -16,7 +16,7 @@ revision that ships there.  Its changes over RFC 6817, reproduced here:
 
 from __future__ import annotations
 
-from .base import AckInfo
+from .base import CWND_CHANGE, AckInfo
 from .ledbat import LedbatSender
 
 SLOWDOWN_HOLD_RTTS = 2.0
@@ -73,4 +73,4 @@ class LedbatPPSender(LedbatSender):
         self._slowdown_until = now + SLOWDOWN_HOLD_RTTS * rtt
         self._next_slowdown = None
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="ledbat++:slowdown")
+            self.trace(CWND_CHANGE, self.cwnd, "ledbat++:slowdown")

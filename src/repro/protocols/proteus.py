@@ -34,6 +34,18 @@ OVERLOAD_PERSISTENCE_MIS = 3
 
 RTT_ACCEPT = tracepoint("rtt_filter.accept", "seq", "rtt_s")
 RTT_REJECT = tracepoint("rtt_filter.reject", "seq", "rtt_s")
+MI_START = tracepoint("mi.start", "mi_id", "tag", "rate_bps", "duration_s")
+# An MI's utility terms exist only once it is scored, so a discarded
+# one carries its identity and counters alone.
+MI_DISCARD = tracepoint(
+    "mi.discard", "reason",
+    "mi_id", "tag", "rate_bps", "duration_s", "n_sent", "n_acked", "n_lost", "utility",
+)
+MI_END = tracepoint(
+    "mi.end",
+    "mi_id", "tag", "rate_bps", "duration_s", "n_sent", "n_acked", "n_lost", "utility",
+    "throughput_mbps", "loss_rate", "avg_rtt_s", "rtt_gradient", "rtt_deviation_s",
+)
 
 
 class ProteusSender(RateSender):
@@ -88,12 +100,7 @@ class ProteusSender(RateSender):
         self._overload_streak = 0
         self.mi_log: list[MonitorInterval] = []
         self.keep_mi_log = False  # opt-in; MIs are many in long runs
-        self.controller.trace_hook = self._trace_decision
-
-    def _trace_decision(self, reason: str, rate_bps: float, **fields) -> None:
-        """Controller decision → ``rate.decision`` tracepoint."""
-        if self.tracer is not None:
-            self.trace("rate.decision", reason=reason, rate_bps=rate_bps, **fields)
+        self.controller.trace_hook = self.trace  # rate.decision rows
 
     # ------------------------------------------------------------------
     # Application-facing API (the paper's "simple API call")
@@ -170,13 +177,7 @@ class ProteusSender(RateSender):
         self._cancel_mi_close()
         self._mi_close_event = self.sim.schedule(mi.duration_s, self._close_mi)
         if self.tracer is not None:
-            self.trace(
-                "mi.start",
-                mi_id=mi.mi_id,
-                tag=tag,
-                rate_bps=rate,
-                duration_s=mi.duration_s,
-            )
+            self.trace(MI_START, mi.mi_id, tag, rate, mi.duration_s)
 
     def ff_rate_stable_until(self) -> float | None:
         """Hybrid fast-forward: the send rate cannot change before the
@@ -207,7 +208,10 @@ class ProteusSender(RateSender):
             mi.tag = "discarded:" + (mi.tag or "")
             self._current_mi = None
             if self.tracer is not None:
-                self.trace("mi.discard", reason="aborted", **mi.trace_fields())
+                self.trace(
+                    MI_DISCARD, "aborted", mi.mi_id, mi.tag, mi.rate_bps, mi.duration_s,
+                    mi.n_sent, mi.n_acked, mi.n_lost, mi.utility,
+                )
             self.controller.on_result(mi, None)
             self._drain_completed()
 
@@ -224,7 +228,10 @@ class ProteusSender(RateSender):
             # Application-limited intervals carry no information about the
             # network's response to the planned rate.
             if self.tracer is not None:
-                self.trace("mi.discard", reason="app-limited", **mi.trace_fields())
+                self.trace(
+                    MI_DISCARD, "app-limited", mi.mi_id, mi.tag, mi.rate_bps, mi.duration_s,
+                    mi.n_sent, mi.n_acked, mi.n_lost, mi.utility,
+                )
             self.controller.on_result(mi, None)
             return
         metrics = mi.compute_metrics()
@@ -232,7 +239,12 @@ class ProteusSender(RateSender):
         mi.metrics = filtered
         mi.utility = self.utility(filtered)
         if self.tracer is not None:
-            self.trace("mi.end", **mi.trace_fields())
+            self.trace(
+                MI_END, mi.mi_id, mi.tag, mi.rate_bps, mi.duration_s,
+                mi.n_sent, mi.n_acked, mi.n_lost, mi.utility,
+                filtered.throughput_mbps, filtered.loss_rate, filtered.avg_rtt_s,
+                filtered.rtt_gradient, filtered.rtt_deviation_s,
+            )
         if self.keep_mi_log:
             self.mi_log.append(mi)
         # Persistence filter: a single high-loss MI can be sampling noise;

@@ -9,7 +9,7 @@ per RTT: below ``alpha`` queued packets, grow; above ``beta``, shrink.
 
 from __future__ import annotations
 
-from .base import AckInfo, WindowSender
+from .base import CWND_CHANGE, AckInfo, WindowSender
 
 
 class VegasSender(WindowSender):
@@ -66,10 +66,10 @@ class VegasSender(WindowSender):
         self._slow_start = False
         self.cwnd = max(self.min_cwnd, self.cwnd * 0.75)
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="vegas:loss")
+            self.trace(CWND_CHANGE, self.cwnd, "vegas:loss")
 
     def on_timeout(self) -> None:
         self.cwnd = self.min_cwnd
         self._slow_start = False
         if self.tracer is not None:
-            self.trace("cwnd.change", cwnd=self.cwnd, reason="vegas:timeout")
+            self.trace(CWND_CHANGE, self.cwnd, "vegas:timeout")

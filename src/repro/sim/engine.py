@@ -54,8 +54,16 @@ import os
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..core.tracepoint import tracepoint
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .invariants import InvariantChecker
+
+RUN_BEGIN = tracepoint("sim.run.begin", "until_s", "max_events", "max_wall_s")
+RUN_END = tracepoint("sim.run.end", "events_fired")
+SCHEDULE_PAST = tracepoint("sim.schedule.past", "scheduled_s", "lag_s")
+BUDGET_EVENTS = tracepoint("sim.budget.exceeded", "budget", "events_fired", "max_events")
+BUDGET_WALL = tracepoint("sim.budget.exceeded", "budget", "events_fired", "max_wall_s")
 
 _COMPACT_MIN_HEAP = 64
 """Heap size below which compaction is not worth the heapify cost."""
@@ -292,12 +300,7 @@ class Simulator:
         if time_s < self.now:
             tracer = self.tracer
             if tracer is not None:
-                tracer.emit(
-                    "sim.schedule.past",
-                    self.now,
-                    scheduled_s=time_s,
-                    lag_s=self.now - time_s,
-                )
+                tracer.record((SCHEDULE_PAST, self.now, None, None, time_s, self.now - time_s))
             time_s = self.now
         self._seq += 1
         heapq.heappush(self._heap, (time_s, self._seq, fn, args, None))
@@ -396,13 +399,7 @@ class Simulator:
         inv = self.invariants
         tracer = self.tracer
         if tracer is not None:
-            tracer.emit(
-                "sim.run.begin",
-                self.now,
-                until_s=until,
-                max_events=max_events,
-                max_wall_s=max_wall_s,
-            )
+            tracer.record((RUN_BEGIN, self.now, None, None, until, max_events, max_wall_s))
         try:
             self._drain(until, inv, max_events, max_wall_s)
             if until is not None and until > self.now:
@@ -410,7 +407,7 @@ class Simulator:
             if inv is not None:
                 inv.final_check()
             if tracer is not None:
-                tracer.emit("sim.run.end", self.now, events_fired=self.events_fired)
+                tracer.record((RUN_END, self.now, None, None, self.events_fired))
         finally:
             self._running = False
 
@@ -466,12 +463,8 @@ class Simulator:
                         # Back on the heap: pending() still sees it.
                         heapq.heappush(heap, entry)
                         if self.tracer is not None:
-                            self.tracer.emit(
-                                "sim.budget.exceeded",
-                                self.now,
-                                budget="events",
-                                events_fired=fired,
-                                max_events=max_events,
+                            self.tracer.record(
+                                (BUDGET_EVENTS, self.now, None, None, "events", fired, max_events)
                             )
                         raise SimBudgetExceeded(
                             f"event budget exhausted: {fired} events fired in one "
@@ -486,12 +479,8 @@ class Simulator:
                     if wall_now > deadline:
                         heapq.heappush(heap, entry)
                         if self.tracer is not None:
-                            self.tracer.emit(
-                                "sim.budget.exceeded",
-                                self.now,
-                                budget="wall",
-                                events_fired=fired,
-                                max_wall_s=max_wall_s,
+                            self.tracer.record(
+                                (BUDGET_WALL, self.now, None, None, "wall", fired, max_wall_s)
                             )
                         raise SimBudgetExceeded(
                             f"wall-clock budget exhausted: {max_wall_s:g}s of host "

@@ -1,22 +1,10 @@
-"""Positive fixtures: emit sites whose field sets cannot be reconciled."""
+"""Positive fixtures: declarations of one event that no field tells apart."""
 
+from repro.core.tracepoint import tracepoint
 
-def sample_rtt(tracer, rtt_s):
-    tracer.emit("fix.sample", rtt_s=rtt_s)
+FIX_SAMPLE_RTT = tracepoint("fix.sample", "rtt_s")
+FIX_SAMPLE_LOSS = tracepoint("fix.sample", "loss_pkts")  # disagrees, no discriminator
 
-
-def sample_loss(tracer, loss_pkts):
-    tracer.emit("fix.sample", loss_pkts=loss_pkts)  # disagrees with rtt site
-
-
-def hook_util(tracer, reason, util):
-    tracer.emit("fix.mixed", reason=reason, util=util)
-
-
-def hook_rtt(tracer, reason, rtt_s):
-    # Same dynamic discriminator, different payload: wildcard sites must agree.
-    tracer.emit("fix.mixed", reason=reason, rtt_s=rtt_s)
-
-
-def boot_mixed(tracer):
-    tracer.emit("fix.mixed", reason="boot", util=0.0)
+FIX_MIXED_UTIL = tracepoint("fix.mixed", "reason", "util")
+# Each carries a discriminator, but not the same one.
+FIX_MIXED_RTT = tracepoint("fix.mixed", "status", "rtt_s")

@@ -1,4 +1,4 @@
-"""Tracepoint schema analyzer: conflicts, variants, and the docs gates."""
+"""Tracepoint analyzer: declarations, the sites checked against them, and the docs gates."""
 
 from pathlib import Path
 
@@ -37,19 +37,43 @@ def test_declared_rows_are_sites_and_a_short_row_is_flagged():
     assert [f.rule_id for f in findings] == ["trace-arity-mismatch"]
     assert "'fix.enqueue'" in findings[0].message and "6 values, not 7" in findings[0].message
 
-    schemas = {s.event: s for s in build_schema(project)}
-    # A conditional first slot is one site per name; an imported name resolves.
-    assert sorted(schemas) == [
-        "fix.accept", "fix.enqueue", "fix.imported", "fix.lost", "fix.reject",
+    assert [(d.event, d.fields) for d in build_schema(project)] == [
+        ("fix.accept", ("seq", "rtt_s")),
+        ("fix.enqueue", ("node", "seq", "backlog_bytes")),
+        ("fix.imported", ("seq", "rtt_s")),
+        ("fix.lost", ("node", "reason", "seq")),
+        ("fix.lost", ("node", "reason", "seq", "backlog_bytes")),
+        ("fix.reject", ("seq", "rtt_s")),
     ]
-    assert schemas["fix.imported"].variants[0].required == {"seq", "rtt_s"}
-    assert len(schemas["fix.enqueue"].variants[0].sites) == 2
-    # Constants are taken by position: the discriminated variants derive.
-    lost = {v.value: v.required for v in schemas["fix.lost"].variants}
-    assert lost == {
-        "wire": {"node", "reason", "seq"},
-        "tail": {"node", "reason", "seq", "backlog_bytes"},
-    }
+    # A conditional first slot is checked against each name; an imported name resolves.
+    project.add_source(
+        CASE / "trace_short.py",
+        "from trace_rows import FIX_ACCEPT, FIX_REJECT\n"
+        "from trace_shapes import FIX_IMPORTED\n\n\n"
+        "def short(tracer, ok):\n"
+        "    tracer.record((FIX_ACCEPT if ok else FIX_REJECT, 0.0, 1, None, 7))\n"
+        "    tracer.record((FIX_IMPORTED, 0.0, 1, None, 7))\n",
+    )
+    short = [
+        f.message.split("'")[1]
+        for f in sorted(ANALYZERS["tracepoints"].analyze(project))
+        if f.path.endswith("trace_short.py")
+    ]
+    assert sorted(short) == ["fix.accept", "fix.imported", "fix.reject"]
+
+
+def test_a_short_helper_call_is_flagged():
+    findings = findings_for([CASE / "trace_helper.py"])
+    assert [f.rule_id for f in findings] == ["trace-arity-mismatch"]
+    assert "'fix.cwnd'" in findings[0].message and "1 values after its shape, not the 2" in (
+        findings[0].message
+    )
+    assert findings[0].line == 16
+
+
+def test_a_by_name_emit_is_undeclared():
+    findings = findings_for([CASE / "trace_emit.py"])
+    assert [(f.rule_id, f.line) for f in findings] == [("trace-undeclared", 5)]
 
 
 def test_discriminated_and_wildcard_sites_are_consistent():
@@ -57,30 +81,25 @@ def test_discriminated_and_wildcard_sites_are_consistent():
 
 
 def test_schema_variants():
-    schemas = {s.event: s for s in build_schema(Project.load([OK_FILE]))}
-    assert sorted(schemas) == ["fix.decision", "fix.drop", "fix.rate"]
-
-    drop = schemas["fix.drop"]
-    values = sorted(v.value for v in drop.variants)
-    assert values == ["outage", "tail"]
-    tail = next(v for v in drop.variants if v.value == "tail")
-    assert "backlog_bytes" in tail.required
-
-    # Identical sites collapse to one undistinguished variant.
-    rate = schemas["fix.rate"]
-    assert len(rate.variants) == 1 and rate.variants[0].discriminator is None
-
-    # Dynamic-discriminator sites group into the `reason=*` wildcard.
-    decision = schemas["fix.decision"]
-    wildcard = [v for v in decision.variants if v.value is None]
-    assert len(wildcard) == 1 and wildcard[0].discriminator == "reason"
-    assert len(wildcard[0].sites) == 2
+    schema = build_schema(Project.load([OK_FILE]))
+    assert [(d.event, d.name) for d in schema] == [
+        ("fix.decision", "trace_ok.FIX_DECISION"),
+        ("fix.decision", "trace_ok.FIX_DECISION_BOOT"),
+        ("fix.drop", "trace_ok.FIX_DROP"),
+        ("fix.drop", "trace_ok.FIX_DROP_TAIL"),
+        ("fix.rate", "trace_ok.FIX_RATE"),
+    ]
+    # Fields keep their declared (row) order.
+    assert schema[3].fields == ("reason", "seq", "backlog_bytes")
 
 
-def test_rendered_markdown_shows_wildcard_variants():
+def test_rendered_markdown_has_one_row_per_declaration():
     rendered = render_schema_md(build_schema(Project.load([OK_FILE])))
-    assert "`reason=*`" in rendered
-    assert "`reason=tail`" in rendered
+    assert "| `fix.drop` | `trace_ok.FIX_DROP_TAIL` | `reason`, `seq`, `backlog_bytes` |" in (
+        rendered
+    )
+    assert rendered.count("| `fix.") == 5
+    assert "optional" not in rendered and "*dynamic*" not in rendered
 
 
 def test_missing_schema_doc_is_stale_until_generated(tmp_path):

@@ -85,6 +85,7 @@ def test_list_checks(capsys):
         "trace-field-mismatch",
         "trace-arity-mismatch",
         "trace-reserved-field",
+        "trace-undeclared",
         "layer-violation",
         "import-cycle",
     ):
@@ -94,7 +95,7 @@ def test_list_checks(capsys):
 def test_update_schema_writes_the_doc(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "emitter.py").write_text(
-        'def f(tracer, rtt_s):\n    tracer.emit("ev.x", rtt_s=rtt_s)\n'
+        'from repro.core.tracepoint import tracepoint\n\nEV_X = tracepoint("ev.x", "rtt_s")\n'
     )
     docs = tmp_path / "docs"
     docs.mkdir()

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from repro.harness import (
     write_run_json,
     write_throughput_series_csv,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +151,28 @@ def test_cli_reports_a_flow_starting_after_the_run_in_one_line(command):
         f"repro {command}: flow 1 (proteus-s) starts at 10 s, "
         "not before the end of the run (duration 5 s)"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single", "--bandwidth", "0"],
+        ["pair", "--rtt", "-5"],
+        ["fairness", "--flows", "0"],
+        ["many", "--flows", "0"],
+        ["sweep", "--bandwidths", "0"],
+        ["single", "--loss", "1.5"],
+        ["single", "--noise", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_cli_bad_scenario_input_is_one_line(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--duration", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"repro {argv[0]}: ")
+    assert done.stderr.count("\n") == 1 and done.stdout == ""

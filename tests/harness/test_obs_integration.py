@@ -184,8 +184,24 @@ def test_an_emit_only_tracer_receives_every_event_by_name():
     ]
     assert {"link.enqueue", "rtt_filter.accept", "mi.start"} <= {c[0] for c in mine.calls}
     # Field order is the keyword order the sites always had.
-    enqueue = next(c for c in mine.calls if c[0] == "link.enqueue")
-    assert list(enqueue[4]) == ["node", "seq", "size_bytes", "backlog_bytes"]
+    orders = {}
+    for kind, _, _, _, fields in mine.calls:
+        orders.setdefault(kind, set()).add(tuple(fields))
+    assert orders["link.enqueue"] == {("node", "seq", "size_bytes", "backlog_bytes")}
+    assert orders["mi.start"] == {("mi_id", "tag", "rate_bps", "duration_s")}
+    mi = ("mi_id", "tag", "rate_bps", "duration_s", "n_sent", "n_acked", "n_lost", "utility")
+    terms = ("throughput_mbps", "loss_rate", "avg_rtt_s", "rtt_gradient", "rtt_deviation_s")
+    assert orders["mi.end"] == {mi + terms}
+    assert orders["sim.run.begin"] == {("until_s", "max_events", "max_wall_s")}
+    decision = ("reason", "rate_bps")
+    assert decision in orders["rate.decision"]
+    assert orders["rate.decision"] <= {
+        decision,
+        decision + ("votes",),
+        decision + ("votes", "gradient"),
+        decision + ("step_k",),
+        decision + ("rtt_deviation_s",),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,24 @@ def test_validation():
         LinkConfig(bandwidth_mbps=10.0, rtt_ms=-1.0, buffer_kb=100.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("loss_rate", -0.1, "loss_rate"),
+        ("loss_rate", 1.0, "loss_rate"),
+        ("loss_rate", 1.5, "loss_rate"),
+        ("noise_severity", -1.0, "noise"),
+        ("reverse_noise_severity", -0.5, "noise"),
+    ],
+)
+def test_validation_rejects_impossible_loss_and_noise(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        LinkConfig(bandwidth_mbps=10.0, rtt_ms=30.0, buffer_kb=100.0, **{field: value})
+    # The edges of the valid ranges still build.
+    LinkConfig(bandwidth_mbps=10.0, rtt_ms=30.0, buffer_kb=100.0, loss_rate=0.999)
+    LinkConfig(bandwidth_mbps=10.0, rtt_ms=30.0, buffer_kb=100.0, noise_severity=0.0)
+
+
 def test_config_matrix_full_size_is_180():
     assert len(config_matrix()) == 180
 
