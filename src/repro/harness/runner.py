@@ -434,9 +434,11 @@ def _run_flows_live(
             )
         flows.append(flow)
         stats.append(flow.stats)
-    # With the whole flow set known, mark the flows whose packet legs
-    # may collapse (both modes; exact mode under stricter rules).
-    activate_fastforward(sim, flows)
+    # With the whole flow set known, mark what may skip the event chain
+    # (both modes; exact mode under stricter rules).  A sampled link's
+    # queue is read mid-run, so no walk may run ahead of its clock.
+    observed = (network.monitor,) if sample_period_s is not None else ()
+    activate_fastforward(sim, flows, observed)
     sim.run(until=duration_s, max_events=max_events, max_wall_s=max_wall_s)
     link_events = list(driver.applied) if driver is not None else []
     result = RunResult(

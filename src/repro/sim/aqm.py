@@ -248,9 +248,10 @@ class DynamicLink(LinkBase):
         loss_rate / noise / rng: As for :class:`~repro.sim.link.Link`.
     """
 
-    # Event-based queue state cannot be advanced analytically: flows
-    # whose path crosses a DynamicLink must stay packet-exact even in
-    # hybrid fidelity (see repro.sim.fidelity.activate_fastforward).
+    # Event-based queue state cannot be advanced analytically: no walk
+    # admits into a DynamicLink and no round trip across one collapses,
+    # though its deliveries may walk on into an analytic link (see
+    # repro.sim.fidelity.activate_fastforward).
     can_fastforward = False
 
     def __init__(
@@ -410,7 +411,7 @@ class DynamicLink(LinkBase):
                     (DEQUEUE, now, packet.flow_id, self.name, self.node, packet.seq,
                      now, deliver_at)
                 )
-            self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
+            self.forward(packet, dst, deliver_at)
         self._serve_next()
 
 

@@ -239,8 +239,8 @@ class Simulator:
         # without a heap dispatch.  ``events_fired + events_virtual`` is
         # the event chain's length in either fidelity mode.
         self.events_virtual: int = 0
-        # ``until`` of the current run() (inf when unbounded): a collapsed
-        # round trip never absorbs a delivery past it (``Flow.transmit_ff``).
+        # ``until`` of the current run() (inf when unbounded): the walk
+        # never absorbs a delivery past it (``LinkBase.forward``).
         self.horizon: float = float("inf")
         if check_invariants is None:
             check_invariants = os.environ.get("REPRO_CHECK_INVARIANTS", "") not in (

@@ -3,36 +3,49 @@
 The PCC architecture acts only at monitor-interval boundaries, so
 packet-level fidelity *between* MI edges is usually wasted work: the
 arrival process on a link is rate-stable until the next control decision,
-timeline event, or queue transition.  Two mechanisms exploit that (see
+timeline event, or queue transition.  Three mechanisms exploit that (see
 ``docs/PERFORMANCE.md`` for the full model):
 
-* **collapsed round trips** (both modes) — the data-delivery and
-  ACK-delivery hops of an eligible flow are computed analytically at
-  send time (the link's queue is already analytic, so the delivery
-  timestamp is a closed-form expression) and only *one* engine event
-  fires per packet: the ACK arriving back at the sender.  Byte counts,
-  stats, timestamps and link counters match the event chain; the
-  skipped delivery dispatch is counted in ``events_virtual``.
+* **the walk** (exact mode) — a link every packet of which comes
+  through one upstream link admits packets in that upstream's order, so
+  its admission of a packet can be computed the moment the upstream
+  admits it.  Each hop into such a *walkable* link then costs no engine
+  event: the link's delivery handler runs ahead of the clock at the
+  delivery time (``LinkBase.forward``).  A clean single-hop flow whose
+  reverse link is walkable from its forward link fuses its whole round
+  trip inline (``Flow.transmit_ff``), so only the ACK arriving back at
+  the sender fires.  Byte counts, stats, timestamps, random draws and
+  link counters match the event chain; each skipped dispatch is counted
+  in ``events_virtual``.
+* **collapsed round trips** (hybrid) — the same fused round trip, also
+  on links with loss or noise and on reverse links fed by several
+  forward links, where it approximates the chain.
 * **paced-send bursts (fluid fast-forward)** (hybrid only) — a
   rate-paced sender whose rate is provably stable up to a horizon (for
   PCC senders: the MI-close event) transmits a whole burst of future
   packets in one engine event, advancing link byte/backlog accounting
-  analytically to the burst end.  Bursts are the one thing hybrid adds,
-  and its one approximation.  Each skip is documented by a
+  analytically to the burst end.  Each skip is documented by a
   ``sim.fastforward`` trace event.
 
-Eligibility is conservative: multi-hop paths, event-based links,
-bounded/chunked flows and application delivery callbacks veto a flow,
-and a round trip that would cross a pending timeline event or the end
-of the current ``run(until=...)``, or meet loss, noise or an outage,
-takes the event chain.  Packet-exact mode (``REPRO_FIDELITY=exact``, the
-default) collapses only where that is provably identical to the event
-chain (:func:`activate_fastforward`), so its results are byte-identical
-to a traced run, which keeps every event.  That assumes no exact float
-tie at an ACK's arrival time: a collapsed ACK takes its heap sequence
-number at send time, the chain's at delivery time, so an event
-scheduled in between for the very same instant would swap order with
-it.  The differential tests have found no such tie.
+Packet-exact mode (``REPRO_FIDELITY=exact``, the default) walks only
+where that is provably the event chain, so its results are
+byte-identical to a traced run, which keeps every event.  One rule: a
+link is walkable when it is an analytic ``Link`` and every packet it
+can receive comes from exactly one upstream link.  Three guards on each
+computed delivery time ``t`` into it push a normal event instead:
+``t <= sim.horizon`` (a run split into legs stays exact),
+``t < link.ff_barrier_s`` (no admission past a pending timeline step),
+and ``link.chain_pending < sim.now`` (no delivery into the link is
+still on the heap).  See :func:`activate_fastforward`.  That assumes no exact float tie
+at a walked delivery, a walked ACK's arrival or a completion event: a
+walked event takes its heap sequence number when it is computed, the
+chain's when its predecessor fires, so an event scheduled in between
+for the very same instant would swap order with it.  The differential
+tests have found no such tie.  Hybrid's eligibility is conservative:
+multi-hop paths, event-based links, bounded/chunked flows and
+application delivery callbacks veto a flow, and a round trip that would
+cross a pending timeline event or the end of the current
+``run(until=...)`` takes the event chain.
 
 Fidelity is part of every harness cache key: an exact and a hybrid run
 of the same scenario are different experiments.
@@ -109,80 +122,114 @@ EXACT = Fidelity(mode="exact")
 HYBRID = Fidelity(mode="hybrid")
 
 
-def activate_fastforward(sim, flows) -> int:
-    """Enable collapsed sends for every eligible flow; returns the count.
+def activate_fastforward(sim, flows, observed=()) -> int:
+    """Mark what may skip the event chain; returns the collapsed-flow count.
 
     Must be called after the *entire* flow set of a scenario exists:
-    eligibility is a property of all flows sharing a link, not of one
-    flow alone.  A flow may collapse when
+    both rules below are properties of every flow sharing a link, not of
+    one flow alone.  ``observed`` names links whose queue is read while
+    the run is under way (a backlog sampler); they are never walked.
 
-    * it is unbounded and not chunked (no completion bookkeeping rides
-      on delivery timing) and has no ``on_delivery`` callback,
-    * its forward and reverse paths are single-hop and every link on
-      them supports the analytic collapse (``can_fastforward`` — true
-      for the analytic ``Link``, false for the event-based
-      ``DynamicLink``, whose explicit queue cannot be advanced in
-      closed form), and
-    * **every** flow using its links is itself collapse-capable — a
-      packet-exact flow sharing a link with collapsed traffic would see
-      the link's transmitter pre-claimed at virtual future times,
-      distorting its queueing in a way packet-exact mode never would.
+    **Exact mode** (untraced; a traced run *is* the event chain and
+    skips nothing) follows one rule.  A link is *walkable* when it is an
+    analytic ``Link`` and every packet it can receive comes from one
+    upstream link: through a ``_Hop`` of some path, or through the
+    receivers of flows whose last forward link it is.  That upstream
+    delivers in FIFO order, so the link admits packets in the order the
+    upstream admits them, and an admission can be computed at the
+    moment the upstream's is (:meth:`~repro.sim.link.LinkBase.forward`
+    walks it).  The walk pushes a normal event instead when one of three
+    guards fails on the computed delivery time ``t``:
 
-    Exact mode collapses only where the result is provably the event
-    chain's, so it adds three rules: no tracer is attached (a traced
-    exact run *is* the event chain), neither link draws randomness (loss
-    or noise) at activation, and every ACK on a reverse link comes
-    through one forward link and nothing else sends on it — that link's
-    FIFO guard then admits ACKs in the order the chain would.  Senders
-    that support paced bursts (``ff_supports_burst``) are armed in
-    hybrid mode only.
+    * ``t <= sim.horizon``: a run split into legs stays exact;
+    * ``t < link.ff_barrier_s``: no admission is carried past a pending
+      timeline step on the link;
+    * ``link.chain_pending < sim.now``: no delivery into the link still
+      waits on the heap, so a walked packet never overtakes one.
+
+    A receiver declines a delivery with an ``on_delivery`` callback, and
+    the delivery that completes a bounded flow runs ``check_complete``
+    as a real event at its delivery time.  A flow whose both paths are single
+    links and whose reverse link is walkable from its forward link
+    collapses its round trip (``ff_collapse``): ``Flow.transmit_ff``
+    fuses it inline on clean links.  The result is the event chain's,
+    byte for byte, given no exact float tie at a walked delivery or a
+    completion event: a walked event takes its heap sequence number when
+    it is computed, the chain's when its predecessor fires, so an event
+    scheduled in between for the very same instant would swap order with
+    it.
+
+    **Hybrid mode** walks nothing.  A flow collapses when it is
+    unbounded and not chunked, has no ``on_delivery`` callback, its
+    forward and reverse paths are single analytic links, and **every**
+    flow using those links is itself collapse-capable — a packet-exact
+    flow sharing a link with collapsed traffic would see the link's
+    transmitter pre-claimed at virtual future times.  Senders that
+    support paced bursts (``ff_supports_burst``) are armed.
     """
     hybrid = sim.fidelity.hybrid
-    if sim.tracer is not None and not hybrid:
-        return 0
     flows = list(flows)
+    walk = not hybrid and sim.tracer is None
+    # Each link's single upstream link, or None when packets reach it
+    # from a sender or from two links.
+    upstream: dict[int, object] = {}
+    links: dict[int, object] = {}
 
-    def capable(flow) -> bool:
-        links = (*flow.forward_path.links, *flow.reverse_path.links)
+    def feeds(link, source) -> None:
+        links[id(link)] = link
+        if upstream.setdefault(id(link), source) is not source:
+            upstream[id(link)] = None
+
+    for f in flows:
+        fwd = f.forward_path.links
+        rev = f.reverse_path.links
+        feeds(fwd[0], None)
+        for source, link in zip((*fwd, *rev), (*fwd[1:], *rev)):
+            feeds(link, source)
+    blocked = {id(link) for link in observed}
+    for lid, link in links.items():
+        link.walkable = (
+            walk
+            and upstream[lid] is not None
+            and lid not in blocked
+            and getattr(link, "can_fastforward", False)
+        )
+
+    def eligible(flow) -> bool:
         return (
             flow.bytes_unsent == float("inf")
             and flow.on_delivery is None
             and not flow.completed
             and len(flow.forward_path.links) == 1
             and len(flow.reverse_path.links) == 1
-            and all(getattr(link, "can_fastforward", False) for link in links)
-            and (
-                hybrid
-                or not any(
-                    link.loss_rate > 0.0 or link.noise is not None or link.loss_model is not None
-                    for link in links
-                )
-            )
+            and getattr(flow.fwd_link, "can_fastforward", False)
         )
 
-    caps = {id(f): capable(f) for f in flows}
+    if not hybrid:
+        enabled = 0
+        for f in flows:
+            f.ff_collapse = ok = walk and eligible(f) and f.rev_link.walkable
+            enabled += ok
+        return enabled
+
+    caps = {
+        id(f): eligible(f) and getattr(f.rev_link, "can_fastforward", False)
+        for f in flows
+    }
     users: dict[int, list] = {}
     for f in flows:
         for link in (*f.forward_path.links, *f.reverse_path.links):
             users.setdefault(id(link), []).append(f)
     link_ok = {lid: all(caps[id(f)] for f in fl) for lid, fl in users.items()}
-    if not hybrid:
-        # What feeds each link: 0 for a sender, the forward link's id for
-        # ACKs.  One linear pass; a link fed two ways is vetoed.
-        fed_by: dict[int, int] = {}
-        for f in flows:
-            for link, feeder in ((f.fwd_link, 0), (f.rev_link, id(f.fwd_link))):
-                if fed_by.setdefault(id(link), feeder) != feeder:
-                    link_ok[id(link)] = False
     enabled = 0
     for f in flows:
-        fwd_id = id(f.forward_path.links[0])
-        rev_id = id(f.reverse_path.links[0])
+        fwd_id = id(f.fwd_link)
+        rev_id = id(f.rev_link)
         ok = caps[id(f)] and link_ok[fwd_id] and link_ok[rev_id]
         f.ff_collapse = ok
         if ok:
             enabled += 1
-            if hybrid and getattr(f.sender, "ff_supports_burst", False):
+            if getattr(f.sender, "ff_supports_burst", False):
                 f.sender.ff_burst_armed = True
                 # Solo flows burst freely; shared links get the short
                 # cap (see _SHARED_BURST_CAP) to bound the pre-claim

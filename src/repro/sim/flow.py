@@ -73,21 +73,30 @@ class Path:
 class _Hop:
     """Forwards what one link delivers onto the next link of a path."""
 
-    __slots__ = ("link", "dst")
+    __slots__ = ("into", "dst")
 
     def __init__(self, link: Link, dst: Receiver):
-        self.link = link
+        self.into = link
         self.dst = dst
 
     def receive(self, packet: Packet) -> None:
-        self.link.send(packet, self.dst)
+        self.into.send(packet, self.dst)
+
+    def receive_at(self, packet: Packet, at_s: float) -> "tuple[Packet, Receiver]":
+        """The walk's :meth:`receive`: ``packet`` goes on to ``dst``."""
+        return packet, self.dst
 
 
 class FlowReceiver:
-    """Receiver endpoint: records deliveries and returns one ACK per packet."""
+    """Receiver endpoint: records deliveries and returns one ACK per packet.
+
+    ``into`` is the link its ACKs enter, the first link of the flow's
+    reverse path.
+    """
 
     def __init__(self, flow: "Flow"):
         self.flow = flow
+        self.into: "Link | None" = None
         self._ack_seq = 0
 
     def receive(self, packet: Packet) -> None:
@@ -112,30 +121,53 @@ class FlowReceiver:
         if flow.size_bytes is not None:
             flow.check_complete()
 
+    def receive_at(self, packet: Packet, at_s: float) -> "tuple[Packet, Receiver] | None":
+        """The walk's :meth:`receive` at ``at_s``: returns the ACK and its route.
+
+        Declines (returns None, changing nothing) when the flow has an
+        ``on_delivery`` callback, read here because applications may set
+        it after the flow is built.  The delivery that completes a
+        bounded flow walks its ACK too, but ``check_complete`` stays a
+        real event at the delivery time, in the place the delivery event
+        would take on the heap.
+        """
+        flow = self.flow
+        if flow.on_delivery is not None:
+            return None
+        size = packet.size_bytes
+        stats = flow.stats
+        stats.delivered_bytes += size
+        if (
+            flow.size_bytes is not None
+            and not flow.completed
+            and stats.delivered_bytes >= flow.size_bytes > stats.delivered_bytes - size
+        ):
+            sim = flow.sim
+            sim.schedule_fast_at(at_s, flow.check_complete)
+            # That event is the delivery's dispatch, so it is not skipped.
+            sim.events_virtual -= 1
+        if stats.first_delivery is None:
+            stats.first_delivery = at_s
+        stats.last_delivery = at_s
+        self._ack_seq += 1
+        ack = Packet(
+            flow.flow_id, self._ack_seq, ACK_BYTES, at_s,
+            True, packet.seq, packet.sent_time, at_s,
+        )
+        return ack, flow.rev_dst
+
     def receive_ff(self, packet: Packet, at_s: float) -> None:
         """Collapsed delivery at virtual time ``at_s`` (hybrid fidelity).
 
-        Runs the same bookkeeping as :meth:`receive` with the clock read
-        replaced by the analytic delivery time, sends the ACK through the
+        Runs :meth:`receive_at`'s bookkeeping, sends the ACK through the
         reverse link analytically, and schedules the *one* real event of
         the collapsed chain: the ACK arriving back at the sender.  Only
-        reachable for flows without completion/delivery callbacks (see
-        ``fidelity.activate_fastforward``), so those hooks are skipped.
+        reachable for unbounded flows without a delivery callback (see
+        ``fidelity.activate_fastforward``).
         """
         flow = self.flow
         sim = flow.sim
-        flow.stats.record_delivery(at_s, packet.size_bytes)
-        self._ack_seq += 1
-        ack = Packet(
-            flow_id=flow.flow_id,
-            seq=self._ack_seq,
-            size_bytes=ACK_BYTES,
-            sent_time=at_s,
-            is_ack=True,
-            data_seq=packet.seq,
-            data_sent_time=packet.sent_time,
-            data_recv_time=at_s,
-        )
+        ack, _ = self.receive_at(packet, at_s)
         # The skipped data-delivery dispatch, whether or not the ACK
         # also survives the reverse link.
         sim.events_virtual += 1
@@ -214,6 +246,7 @@ class Flow:
         # collapsed flow (single-hop by eligibility) they are *the* links.
         self.fwd_link, self.fwd_dst = forward_path.route(self.receiver)
         self.rev_link, self.rev_dst = reverse_path.route(sender)
+        self.receiver.into = self.rev_link
         # Unbounded flows always have data; bounded/chunked flows meter it.
         if chunked:
             self.bytes_unsent: float = 0.0
@@ -261,23 +294,23 @@ class Flow:
         Sends the data packet analytically through the (single-link)
         forward path and runs the receiver + ACK chain inline; the only
         heap event of the whole round trip is the ACK arriving back at
-        the sender.  A send at the real clock takes the event chain
-        (:meth:`transmit`) instead when the packet's round trip would
-        cross a link's fast-forward barrier (pending timeline event),
-        when a packet this forward link sent down the chain is still
-        undelivered (so ACKs keep entering the reverse link in delivery
-        order), or — in exact mode — when a link needs per-packet
-        decisions.  A delivery past the current ``run(until=...)`` is
-        pushed as an event like :meth:`Link.send` does, never absorbed.
+        the sender.  A send at the real clock takes :meth:`transmit`
+        instead, whose deliveries then walk wherever exact mode allows
+        (:meth:`~repro.sim.link.LinkBase.forward`), in three cases: a
+        delivery into the reverse link is still on the heap (ACKs must
+        keep entering it in delivery order); the round trip would cross
+        a link's fast-forward barrier (pending timeline event); in exact
+        mode, a link needs per-packet decisions (loss, noise, an
+        outage).  A delivery past the current ``run(until=...)`` goes
+        through the forward door, never absorbed.
 
         For healthy static links with no tracer attached the whole
         chain — both link legs, the receiver bookkeeping, and the ACK
         scheduling — is fused inline below with no intermediate packet
         object.  It is the one inlined specialisation of
-        ``Link._admit`` + ``FlowReceiver.receive_ff``, which remain the
-        hybrid reference path whenever a link needs per-packet
-        decisions; the traced-vs-untraced and exact-vs-hybrid digest
-        tests pin the two together.
+        ``Link._admit`` + ``FlowReceiver.receive_at``; the
+        traced-vs-untraced and exact-vs-hybrid digest tests pin them
+        together.
 
         Returns the seq exactly like :meth:`transmit`.
         """
@@ -300,16 +333,14 @@ class Flow:
         if rev.ff_barrier_s < limit:
             limit = rev.ff_barrier_s
         if at_s <= now and (
-            fwd.ff_tail >= now
+            rev.chain_pending >= now
             or not (fused or sim.fidelity.hybrid)
             or (
                 limit != _INF
                 and fwd.peek_round_trip_ff(size_bytes, at_s, rev, ACK_BYTES) + 1e-6 >= limit
             )
         ):
-            seq = self.transmit(size_bytes)
-            fwd.ff_tail = fwd._last_delivery
-            return seq
+            return self.transmit(size_bytes)
         self._next_seq += 1
         seq = self._next_seq
         stats = self.stats
@@ -338,9 +369,11 @@ class Flow:
             fwd._last_delivery = deliver_at
             fwd_stats.delivered += 1
             if deliver_at > sim.horizon:
-                self._deliver_later(Packet(self.flow_id, seq, size_bytes, at_s), deliver_at)
+                fwd.forward(
+                    Packet(self.flow_id, seq, size_bytes, at_s), self.fwd_dst, deliver_at
+                )
                 return seq
-            # ---- receiver bookkeeping (receive_ff, inlined) ----
+            # ---- receiver bookkeeping (receive_at, inlined) ----
             stats.delivered_bytes += size_bytes
             if stats.first_delivery is None:
                 stats.first_delivery = deliver_at
@@ -382,25 +415,18 @@ class Flow:
                 (ack_arrive, sim._seq, self.sender.receive, (ack,), None),
             )
             return seq
+        # Hybrid only: exact mode sends what it cannot fuse by transmit().
         packet = Packet(self.flow_id, seq, size_bytes, at_s)
         deliver_at = fwd.send_ff(packet, at_s)
         if deliver_at is not None:
-            if deliver_at > sim.horizon:
-                self._deliver_later(packet, deliver_at)
+            # Noise can carry the delivery past the noise-free estimate
+            # the barrier check above used, and the reverse link must not
+            # admit the ACK at or past its barrier.
+            if deliver_at > sim.horizon or deliver_at >= rev.ff_barrier_s:
+                fwd.forward(packet, self.fwd_dst, deliver_at)
             else:
                 self.receiver.receive_ff(packet, deliver_at)
         return seq
-
-    def _deliver_later(self, packet: Packet, deliver_at: float) -> None:
-        """Hand a packet whose forward leg is computed to the event chain.
-
-        Pushes its delivery the way :meth:`Link.send` does, and records it
-        as the forward link's chain tail (see :meth:`transmit_ff`).
-        """
-        sim = self.sim
-        sim._seq += 1
-        heapq.heappush(sim._heap, (deliver_at, sim._seq, self.fwd_dst.receive, (packet,), None))
-        self.fwd_link.ff_tail = deliver_at
 
     def requeue_bytes(self, nbytes: int) -> None:
         """Return lost bytes to the unsent pool (models retransmission)."""

@@ -39,7 +39,14 @@ DROP_TAIL = tracepoint("link.drop", "node", "reason", "seq", "backlog_bytes")
 
 
 class Receiver(Protocol):
-    """Anything that can accept delivered packets."""
+    """Anything that can accept delivered packets.
+
+    A receiver that admits what it receives into a link may also name
+    that link as ``into`` and offer ``receive_at(packet, at_s)``: the
+    same handling at a delivery time ahead of the clock, short of the
+    admission, returning ``(packet it sends on, that packet's
+    receiver)``, or ``None`` to decline (see :meth:`LinkBase.forward`).
+    """
 
     def receive(self, packet: Packet) -> None: ...
 
@@ -118,6 +125,16 @@ class LinkBase:
         self.node = ""
         self.stats = LinkStats()
         self._last_delivery = 0.0
+        # Fast-forward state (see repro.sim.fidelity).  ``ff_barrier_s``
+        # is the next time at which this link's behaviour changes (a
+        # timeline event), maintained by the TimelineDriver; ``inf`` on
+        # static links.  ``walkable`` is set by ``activate_fastforward``
+        # when every packet this link receives comes through one upstream
+        # link.  ``chain_pending`` is the latest delivery pushed as an
+        # event whose handler admits into this link.
+        self.ff_barrier_s = float("inf")
+        self.walkable = False
+        self.chain_pending = float("-inf")
         if sim.invariants is not None:
             sim.invariants.register_link(self)
 
@@ -133,6 +150,52 @@ class LinkBase:
         self.delay_s = delay_s
         if delay_s < self.min_delay_s:
             self.min_delay_s = delay_s
+
+    def forward(self, packet: Packet, dst: Receiver, at_s: float) -> None:
+        """Hand ``packet``, delivered at ``at_s``, to ``dst``: the one door.
+
+        A receiver that admits into a walkable link (its ``into``) takes
+        the packet now, ahead of the clock: ``dst.receive_at(packet,
+        at_s)`` does what ``dst.receive`` would at ``at_s`` short of the
+        admission, and hands back what it sends on and to whom; the walk
+        admits that into ``into`` at ``at_s`` and carries on with its
+        delivery.  A normal heap event is pushed instead when the walk
+        could change what the event chain would do: the delivery lies
+        past the current ``run(until=...)``, at or past that link's next
+        timeline step, or behind a delivery into it still on the heap
+        (``chain_pending``), or the receiver declines.
+        """
+        sim = self.sim
+        while True:
+            into = getattr(dst, "into", None)
+            if into is None:
+                break
+            if (
+                into.walkable
+                and at_s <= sim.horizon
+                and at_s < into.ff_barrier_s
+                and into.chain_pending < sim.now
+            ):
+                onward = dst.receive_at(packet, at_s)
+                if onward is not None:
+                    sim.events_virtual += 1
+                    packet, dst = onward
+                    at_s = into._admit(packet, at_s)
+                    if not at_s:
+                        return
+                    continue
+            if at_s > into.chain_pending:
+                into.chain_pending = at_s
+            break
+        # Deliveries are fire-and-forget and dominate the heap, so the
+        # entry is pushed here (``schedule_fast_at``, inlined).  The call
+        # is kept for its past-time clamp, which only a noise model
+        # sampling a negative delay can need.
+        if at_s >= sim.now:
+            sim._seq += 1
+            heappush(sim._heap, (at_s, sim._seq, dst.receive, (packet,), None))
+        else:
+            sim.schedule_fast_at(at_s, dst.receive, packet)
 
 
 # ``Link._admit`` result for a packet accepted, then lost on the wire: falsy
@@ -181,16 +244,6 @@ class Link(LinkBase):
         self.loss_model = loss_model
         self._busy_until = 0.0
         self._down = False
-        # Fast-forward state (see repro.sim.fidelity).  ``ff_barrier_s``
-        # is the next time at which this link's behaviour changes
-        # (timeline event); analytic sends whose virtual window would
-        # cross it fall back to packet-exact delivery.  Maintained by the
-        # TimelineDriver; ``inf`` on static links.  ``ff_tail`` is the
-        # delivery time of the last packet a collapsed flow sent down the
-        # event chain over this link: until it has arrived, later packets
-        # take the chain too, so ACKs reach the reverse link in order.
-        self.ff_barrier_s = float("inf")
-        self.ff_tail = float("-inf")
 
     # ------------------------------------------------------------------
     def backlog_bytes(self) -> float:
@@ -319,19 +372,9 @@ class Link(LinkBase):
         Returns True if the packet was accepted (it may still be randomly
         lost on the wire) and False on a tail drop or outage drop.
         """
-        sim = self.sim
-        now = sim.now
-        deliver_at = self._admit(packet, now)
+        deliver_at = self._admit(packet, self.sim.now)
         if deliver_at:
-            # Deliveries are fire-and-forget and dominate the heap, so the
-            # entry is pushed here (``schedule_fast_at``, inlined).  The
-            # call is kept for its past-time clamp, which only a noise
-            # model sampling a negative delay can need.
-            if deliver_at >= now:
-                sim._seq += 1
-                heappush(sim._heap, (deliver_at, sim._seq, dst.receive, (packet,), None))
-            else:
-                sim.schedule_fast_at(deliver_at, dst.receive, packet)
+            self.forward(packet, dst, deliver_at)
         return deliver_at is not None
 
     def send_ff(self, packet: Packet, at_s: float) -> "float | None":

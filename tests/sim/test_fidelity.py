@@ -1,10 +1,10 @@
 """Fidelity unit and integration tests.
 
 Covers the :mod:`repro.sim.fidelity` configuration surface, the
-all-or-nothing per-link eligibility rule of ``activate_fastforward``
-and exact mode's extra vetoes (tracer, randomness, a reverse link fed
-two ways), the run-horizon rule, the ``sim.fastforward`` tracepoints,
-and the virtual-event accounting.
+all-or-nothing per-link eligibility rule of hybrid mode, exact mode's
+walkable-link rule (a tracer walks nothing, a random link walks, a
+reverse link fed two ways does not), the run-horizon rule, the
+``sim.fastforward`` tracepoints, and the virtual-event accounting.
 The statistical closeness of hybrid results to packet-exact on paper
 scenarios is pinned separately in ``tests/test_fidelity_acceptance.py``.
 """
@@ -127,22 +127,46 @@ def test_a_tracer_vetoes_exact_mode_collapse():
 
 
 @pytest.mark.parametrize("hazard", ["loss", "noise"])
-def test_a_random_link_vetoes_exact_mode_collapse(hazard):
-    # The chain draws the reverse link's randomness at delivery time;
-    # a collapsed round trip would draw it at send time.
+def test_a_random_link_collapses_and_equals_its_traced_run(hazard):
+    # Every link draws from its own stream, and the walk admits each
+    # packet at its delivery time in the order the chain admits it, so a
+    # lossy or noisy link draws what the chain draws.
+    from repro.devtools import stats_digest
+    from repro.harness import LinkConfig
+    from repro.obs import CollectingTracer
     from repro.sim.noise import GaussianJitter
 
     kwargs = {"loss_rate": 0.01} if hazard == "loss" else {"noise": GaussianJitter(0.001)}
     sim = Simulator(check_invariants=False, fidelity=EXACT)
-    assert activate_fastforward(sim, _wire(sim, 2, **kwargs)) == 0
-    sim = Simulator(check_invariants=False, fidelity=HYBRID)
     assert activate_fastforward(sim, _wire(sim, 2, **kwargs)) == 2
+    # Hybrid collapses them too, as its approximation.
+    sim = Simulator(check_invariants=False, fidelity=HYBRID)
+    flows = _wire(sim, 2, **kwargs)
+    assert activate_fastforward(sim, flows) == 2
+    assert all(f.ff_collapse for f in flows)
+    config = (
+        LinkConfig(50.0, 30.0, 375.0, loss_rate=0.01)
+        if hazard == "loss"
+        else LinkConfig(50.0, 30.0, 375.0, noise_severity=1.0, reverse_noise_severity=1.0)
+    )
+    untraced, traced = (
+        run_flows(SPECS, config, duration_s=3.0, seed=7, fidelity=EXACT, tracer=tracer)
+        for tracer in (None, CollectingTracer())
+    )
+    assert stats_digest(untraced.stats) == stats_digest(traced.stats)
+    for name, link in untraced.dumbbell.links.items():
+        twin = traced.dumbbell.links[name].stats
+        for slot in type(link.stats).__slots__:
+            assert getattr(link.stats, slot) == getattr(twin, slot), (name, slot)
+    sim, chain = untraced.dumbbell.sim, traced.dumbbell.sim
+    assert sim.events_virtual > 0
+    assert sim.events_fired + sim.events_virtual == chain.events_fired
 
 
-def test_a_reverse_link_fed_by_two_forward_links_vetoes_exact_mode_collapse():
+def test_a_reverse_link_fed_by_two_forward_links_is_not_walkable():
     # Two forward links' deliveries interleave in time but not in send
-    # order, so collapsed ACKs would reach the shared reverse link out
-    # of the order the chain admits them.
+    # order, so walked ACKs would reach the shared reverse link out of
+    # the order the chain admits them.
     sim = Simulator(check_invariants=False, fidelity=EXACT)
     a = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
     b = Link(sim, bandwidth_bps=10e6, delay_s=0.02, buffer_bytes=50_000)
@@ -152,13 +176,41 @@ def test_a_reverse_link_fed_by_two_forward_links_vetoes_exact_mode_collapse():
         Flow(sim, _NullSender(), Path([b]), Path([rev]), flow_id=2),
     ]
     assert activate_fastforward(sim, flows) == 0
-    # So does a sender putting data on it.
+    assert not rev.walkable
+    # Nor is one a sender puts data on; the ACKs that sender gets back
+    # come through ``rev`` alone, so their link ``b`` is.
     back = Flow(sim, _NullSender(), Path([rev]), Path([b]), flow_id=3)
-    assert activate_fastforward(sim, [flows[0], back]) == 0
-    # One forward link feeding it is fine; so is hybrid's approximation.
+    assert activate_fastforward(sim, [flows[0], back]) == 1
+    assert not rev.walkable and b.walkable and back.ff_collapse
+    # One forward link feeding it is fine.  Hybrid collapses anyway (its
+    # approximation) and walks nothing.
     assert activate_fastforward(sim, flows[:1]) == 1
+    assert rev.walkable
     sim.fidelity = HYBRID
     assert activate_fastforward(sim, flows) == 2
+    assert not rev.walkable
+
+
+def test_a_sampled_link_is_not_walked():
+    # A one-group multi-dumbbell's core is fed by one access link, so it
+    # is walkable, but it is the link a backlog sampler reads mid-run:
+    # walked admissions would show it queue it has not yet received.
+    from repro.harness.scenarios import TopologySpec
+    from repro.obs import CollectingTracer, MetricsRegistry
+
+    def sampled(tracer):
+        registry = MetricsRegistry()
+        result = run_flows(
+            SPECS, EMULAB_DEFAULT, duration_s=2.0, seed=3, fidelity=EXACT,
+            topology=TopologySpec(preset="multi-dumbbell", n_hops=1),
+            sample_period_s=0.01, metrics=registry, tracer=tracer,
+        )
+        return registry.snapshot()["histograms"], result.dumbbell
+
+    untraced, net = sampled(None)
+    traced, _ = sampled(CollectingTracer())
+    assert not net.monitor.walkable and net.sim.events_virtual > 0
+    assert untraced == traced
 
 
 def test_activate_enables_all_unbounded_flows():
@@ -255,6 +307,47 @@ def test_hybrid_counts_no_delivery_after_the_run_ends():
     result = _run(HYBRID, duration_s=6.0)
     for stats in result.stats:
         assert stats.last_delivery <= 6.0
+
+
+def test_hybrid_collapses_unless_a_delivery_into_its_reverse_link_is_pending():
+    # Hybrid's in-order guard: a send takes the chain while a delivery
+    # into the reverse link waits on the heap (``chain_pending``), so no
+    # collapsed ACK enters that link ahead of the chain's.  A chain packet
+    # dropped on the forward link leaves nothing pending there, so the
+    # next send collapses although a collapsed packet is still in flight.
+    class _Acks(_NullSender):
+        def receive(self, ack):
+            arrivals.append((self.flow.sim.now, ack.data_seq))
+
+    arrivals = []
+    sim = Simulator(check_invariants=False, fidelity=HYBRID)
+    fwd = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=1500)
+    rev = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
+    flow = Flow(sim, _Acks(), Path([fwd]), Path([rev]), flow_id=1)
+    assert activate_fastforward(sim, [flow]) == 1
+    virtual = []
+
+    def send(barrier_s=float("inf")):
+        # A barrier inside the round trip sends this packet down the chain.
+        fwd.ff_barrier_s = barrier_s
+        flow.transmit_ff(1500, sim.now)
+        fwd.ff_barrier_s = float("inf")
+        virtual.append(sim.events_virtual)
+
+    def at_zero():
+        send()  # 1 collapses and fills the one-packet buffer
+        send(barrier_s=0.005)  # 2 takes the chain and is tail-dropped
+
+    sim.schedule_at(0.0, at_zero)
+    sim.schedule_at(0.002, send)  # 3 collapses while 1 is in flight
+    sim.schedule_at(0.004, lambda: send(barrier_s=0.005))  # 4: chain, delivered
+    sim.schedule_at(0.006, send)  # 5 waits behind 4's pending delivery
+    sim.schedule_at(0.020, send)  # 6: 4 has been delivered, so it collapses
+    sim.run(until=1.0)
+    assert fwd.stats.tail_drops == 1
+    assert virtual == [1, 1, 2, 2, 2, 3]
+    assert [seq for _, seq in arrivals] == [1, 3, 4, 5, 6]
+    assert arrivals == sorted(arrivals)
 
 
 def _staged_run(stops):

@@ -38,11 +38,12 @@ into ``src/repro`` frames, and how many of those calls were ``record``
 row first, then calls ``record``)."""
 
 EXPECTED = {
-    "pair_exact": (19045, 12074, 16972, 196847, 0, 0),
-    "pair_hybrid": (12289, 12712, 12955, 110033, 0, 0),
-    "pair_traced": (31119, 0, 16972, 339880, 56066, 0),
-    "many_flows": (23141, 0, 5261, 139773, 0, 0),
-    "codel_parking_lot": (69576, 0, 8087, 345788, 0, 0),
+    "pair_exact": (19045, 12074, 16972, 196920, 0, 0),
+    "pair_hybrid": (12289, 12712, 12955, 110323, 0, 0),
+    "pair_traced": (31119, 0, 16972, 364102, 56066, 0),
+    "many_flows": (12756, 10385, 5261, 137020, 0, 0),
+    "many_flows_traced": (23141, 0, 5261, 205894, 44440, 0),
+    "codel_parking_lot": (46541, 23035, 8087, 322765, 0, 0),
 }
 
 
@@ -52,14 +53,21 @@ def _pair(duration_s, **kwargs):
     return run_flows(specs, CONFIG, duration_s=duration_s, seed=1, **kwargs)
 
 
+def _many(**kwargs):
+    """100 x 50 KB cubic flows against 4 proteus-s over the shared core, 2 s."""
+    return run_many(
+        "cubic", "proteus-s", EMULAB_DEFAULT,
+        n_flows=100, duration_s=2.0, seed=1, fidelity="exact", **kwargs,
+    )
+
+
 SCENARIOS = {
     "pair_exact": lambda tracer: _pair(3.0, fidelity="exact"),
     "pair_hybrid": lambda tracer: _pair(3.0, fidelity="hybrid"),
     "pair_traced": lambda tracer: _pair(3.0, fidelity="exact", tracer=tracer),
-    "many_flows": lambda tracer: run_many(
-        "cubic", "proteus-s", EMULAB_DEFAULT,
-        n_flows=100, duration_s=2.0, seed=1, fidelity="exact",
-    ),
+    "many_flows": lambda tracer: _many(),
+    # Its own tracer: ``pair_traced``'s holds exactly that run's rows.
+    "many_flows_traced": lambda tracer: _many(tracer=CollectingTracer()),
     "codel_parking_lot": lambda tracer: _pair(
         2.0, fidelity="exact", topology=load_topology("parking-lot-codel")
     ),
@@ -141,6 +149,18 @@ def test_exact_mode_collapse_neither_drops_nor_adds_work(measured):
     assert packets == traced_packets
 
 
+def test_exact_mode_walk_neither_drops_nor_adds_work(measured):
+    # The shared-core twin of the test above: each ACK hop of a short
+    # flow is walked, and a bounded flow's completion stays an event.
+    table, _ = measured
+    fired, virtual, packets, *_ = table["many_flows"]
+    traced_fired, traced_virtual, traced_packets, *_ = table["many_flows_traced"]
+    assert traced_virtual == 0 and virtual > 0
+    assert fired + virtual == traced_fired
+    assert packets == traced_packets
+    assert fired <= 0.6 * traced_fired
+
+
 def test_an_exact_mode_event_stays_under_ten_calls(measured):
     # Per event of the chain (dispatched + absorbed), so collapsing a
     # round trip cannot hide a dearer hop.  A flow's route is resolved
@@ -155,8 +175,10 @@ def test_tracing_costs_nothing_until_a_tracer_is_attached(measured):
     table, tracer = measured
     doors = {name: row[COLUMNS.index("records"):] for name, row in table.items()}
     records, emits = doors.pop("pair_traced")
+    many_records, many_emits = doors.pop("many_flows_traced")
     assert set(doors.values()) == {(0, 0)}, doors
     assert records == len(tracer.events) > 0
+    assert many_records > 0 and many_emits == 0
 
 
 def test_per_packet_sites_record_rows(measured):
