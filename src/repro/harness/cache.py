@@ -221,6 +221,17 @@ def decode_entry(data: bytes) -> tuple[list[FlowStats], dict | None]:
 # ----------------------------------------------------------------------
 # The cache proper
 # ----------------------------------------------------------------------
+class NotCached(BaseException):
+    """A replay-only run reached the point where it would simulate live.
+
+    :func:`repro.harness.runner.run_flows` raises it while the active
+    cache's :attr:`ResultCache.replay_only` flag is set, on a miss or an
+    observed run, before it builds anything.  It derives from
+    ``BaseException`` so that no ``except Exception`` between the run
+    and the replaying caller mistakes it for the workload's own failure.
+    """
+
+
 class ResultCache:
     """Content-addressed store of run results under ``root``.
 
@@ -231,6 +242,11 @@ class ResultCache:
     same key leaves a torn entry.  One that is corrupt anyway (full
     disk, hand edit, ...) is quarantined to ``<key>.corrupt`` on first
     read so it is detected once, not on every subsequent run.
+
+    While ``replay_only`` is set, a run the cache cannot answer raises
+    :class:`NotCached` instead of simulating (see
+    :mod:`repro.harness.parallel`, which sets it around a batch's cached
+    prefix).
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -241,9 +257,16 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
+        self.replay_only = False
 
     def stats(self) -> dict:
-        """Counter snapshot: hits, misses, stores, quarantined."""
+        """Counter snapshot: hits, misses, stores, quarantined.
+
+        The counters are per process: lookups made in pool workers count
+        in the workers' copies, not here.  A replay-only lookup that
+        fails counts as a miss, even though a worker then runs and
+        stores the same key.
+        """
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -34,6 +34,20 @@ whose calls are heterogeneous — wraps it in :class:`ParallelCallError`
 naming the call; :func:`repro.harness.supervise.supervised_map` records
 it, retries and journals.  The two that raise stop at the first failure,
 which cancels every call that has not started.
+
+The pool carries only work that simulates.  With a result cache active,
+``map`` and ``run_all`` first run the batch's items here, in order, with
+the cache replay-only (:attr:`~repro.harness.cache.ResultCache.replay_only`),
+for as long as the cache answers them.  The cached prefix ends at the
+first item that raises :class:`~repro.harness.cache.NotCached` (it and
+every later item go to the pool untouched) or at the first item that
+finishes without a cache hit (its value is kept; the rest go to the
+pool).  A batch cached from start to end starts no pool.  A pool door
+reached inside a replay runs its calls serially, so its ``NotCached``
+belongs to the outer item, and :func:`dispatch_round` refuses to fork
+while the flag is set.  An exception a replayed item raises re-raises
+unchanged, as on the serial path.  ``supervised_map`` never replays:
+its crash isolation needs every attempt in a worker.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from contextlib import closing
 from typing import Any, TypeVar
 
 from ..obs import active_tracer
+from .cache import NotCached, ResultCache, active_cache
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -112,6 +127,35 @@ def pool_helps(jobs: int, fn: Callable[..., Any], items: Sequence[Any]) -> bool:
     return wanted and _is_picklable(fn) and _is_picklable(items[0])
 
 
+def _replaying() -> bool:
+    """Whether the active cache is replay-only (a cached prefix is running)."""
+    cache = active_cache()
+    return cache is not None and cache.replay_only
+
+
+def _replay_prefix(fn: Callable[[T], R], items: Sequence[T], cache: ResultCache) -> list[R]:
+    """``fn`` over the leading items the cache answers, in this process.
+
+    Stops before the first item that raises :class:`NotCached` and after
+    the first one that finishes without a cache hit.  The flag is
+    cleared on the way out, before any pool can fork.
+    """
+    values: list[R] = []
+    cache.replay_only = True
+    try:
+        for item in items:
+            hits = cache.hits
+            try:
+                values.append(fn(item))
+            except NotCached:
+                break
+            if cache.hits == hits:
+                break  # fn never read the cache: the rest is work
+    finally:
+        cache.replay_only = False
+    return values
+
+
 def _init_worker() -> None:  # pragma: no cover - runs in the child
     """Pin workers to serial so nested harness calls never fork again."""
     os.environ.update(_FORCE_SERIAL_ENV)
@@ -132,7 +176,13 @@ def dispatch_round(
     Use under :func:`contextlib.closing`: closing the generator early
     cancels the calls that have not started, so a consumer that stops at
     the first failure does not wait for the rest of the batch.
+
+    Inside a replay it raises :class:`NotCached` instead of forking:
+    workers must never inherit a replay-only cache, and the calls would
+    simulate.
     """
+    if _replaying():
+        raise NotCached("a process pool was asked for inside a replay")
     pool = ProcessPoolExecutor(
         max_workers=min(jobs, len(items)), initializer=_init_worker
     )
@@ -179,15 +229,22 @@ class ParallelExecutor:
     def _ordered(self, fn: Callable[[T], R], items: list[T], calls: bool) -> list[R]:
         """``[fn(x) for x in items]``, over the pool when it can help.
 
-        The first failing item ends the batch.  Its exception re-raises
-        unchanged, unless the items are the ``(fn, args)`` pairs of
-        :meth:`run_all` (``calls``): then it is attributed to its pair.
+        With a cache active, the cached prefix runs here first (see the
+        module docstring) and only the rest goes to the pool.  The first
+        failing item ends the batch.  Its exception re-raises unchanged,
+        unless a worker raised it and the items are the ``(fn, args)``
+        pairs of :meth:`run_all` (``calls``): then it is attributed to
+        its pair.
         """
-        if not pool_helps(self.jobs, fn, items):
+        if _replaying() or not pool_helps(self.jobs, fn, items):
             return [fn(item) for item in items]
-        results = []
-        with closing(dispatch_round(fn, items, self.jobs)) as outcomes:
-            for index, (item, (value, exc)) in enumerate(zip(items, outcomes)):
+        cache = active_cache()
+        results = [] if cache is None else _replay_prefix(fn, items, cache)
+        rest = items[len(results):]
+        if not rest:
+            return results
+        with closing(dispatch_round(fn, rest, self.jobs)) as outcomes:
+            for index, (item, (value, exc)) in enumerate(zip(rest, outcomes), len(results)):
                 if exc is None:
                     results.append(value)
                 elif not _is_picklable(item):

@@ -39,7 +39,7 @@ from ..sim import (
     make_rng,
     resolve_fidelity,
 )
-from .cache import active_cache, hex_floats
+from .cache import NotCached, active_cache, hex_floats
 from .parallel import ParallelExecutor
 from .scenarios import TOPOLOGIES, LinkConfig, Timeline, TopologySpec
 
@@ -318,7 +318,9 @@ def run_flows(
     byte-identical (see :mod:`repro.harness.cache`), including the
     metrics snapshot.  A run with a tracer or a caller registry attached
     always simulates live (observation needs the events), though its
-    result is still stored for later unobserved calls.
+    result is still stored for later unobserved calls.  While the cache
+    is replay-only, a run that would simulate live raises
+    :class:`~repro.harness.cache.NotCached` instead.
     """
     if not specs:
         raise ValueError("need at least one flow")
@@ -349,6 +351,8 @@ def run_flows(
                     timeline=timeline, topology=topology, link_events=events,
                     metrics_snapshot=snapshot,
                 )
+        if cache.replay_only:
+            raise NotCached(key)
     result = _run_flows_live(
         specs, config, duration_s, seed, timeline,
         tracer=tracer, metrics=metrics, sample_period_s=sample_period_s,
@@ -607,10 +611,12 @@ def run_pair(
     The solo baseline and the paired run are independent simulations, so
     they are dispatched concurrently when ``jobs``/``REPRO_JOBS`` allows;
     with the result cache active the solo baseline — identical across
-    every scavenger sweep point — is computed once and reused.  With a
-    tracer attached both runs execute serially in-process instead, so
-    every event reaches the caller's tracer (worker processes cannot
-    stream into it).
+    every scavenger sweep point — is computed once and reused, and a
+    warm pair starts no pool: both runs are read from the cache in this
+    process (see :mod:`repro.harness.parallel`).  With a tracer attached
+    both runs execute serially in-process instead, so every event
+    reaches the caller's tracer (worker processes cannot stream into
+    it).
     """
     tracer = as_sink(tracer)
     fidelity = resolve_fidelity(fidelity)

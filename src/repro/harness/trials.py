@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -49,6 +50,26 @@ class TrialSummary:
         )
 
 
+_PLAN: tuple[tuple[int, int, int], Callable[[Sequence[float]], tuple]] | None = None
+
+
+def _resample_plan(n: int, ci_resamples: int, seed: int) -> Callable[[Sequence[float]], tuple]:
+    """Gather every bootstrap draw of ``n`` values in one call.
+
+    The positions ``Rng(seed).choices`` picks depend only on ``n``,
+    ``ci_resamples`` and ``seed``, so the plan for the latest such triple
+    is kept: a sweep summarises many cells of the same size.
+    """
+    global _PLAN
+    triple = (n, ci_resamples, seed)
+    if _PLAN is None or _PLAN[0] != triple:
+        # A list, not the range itself: choices() indexes its population
+        # once per draw, and a list hands back its stored ints.
+        positions = Rng(seed).choices(list(range(n)), k=n * ci_resamples)
+        _PLAN = (triple, itemgetter(*positions))
+    return _PLAN[1]
+
+
 def summarize(values: Sequence[float], ci_resamples: int = 2000, seed: int = 0) -> TrialSummary:
     """Summarise trial outcomes with a bootstrap CI of the mean."""
     if not values:
@@ -66,8 +87,10 @@ def summarize(values: Sequence[float], ci_resamples: int = 2000, seed: int = 0) 
         # all of them, summed n at a time.  choices() takes its k values
         # from random() one after another, so this is the same stream and
         # the same left-to-right additions as one call per resample: the
-        # CI is bit-identical (pinned by the regression test).
-        draws = iter(Rng(seed).choices(ordered, k=n * ci_resamples))
+        # CI is bit-identical (pinned by the regression test).  choices()
+        # picks population[floor(random() * n)], so drawing the positions
+        # once and gathering them is the same sequence of values.
+        draws = iter(_resample_plan(n, ci_resamples, seed)(ordered))
         inv_n = 1.0 / n
         means = sorted(total * inv_n for total in map(sum, zip(*[draws] * n)))
         ci_low = means[int(0.025 * ci_resamples)]

@@ -58,8 +58,9 @@ class BBRSender(RateSender):
         self._probe_rtt_done_at: float | None = None
         self._probe_rtt_min: float | None = None
         self._saved_state = "PROBE_BW"
-        # Delivery-rate estimation: bytes acked with timestamps (~1 RTT).
-        self._delivered: deque[tuple[float, int]] = deque()
+        # Delivery-rate estimation over ~1 RTT of ACKs:
+        # (ack time, bytes acked, send time of the acked packet).
+        self._delivered: deque[tuple[float, int, float]] = deque()
         self._delivered_sum = 0
 
     # ------------------------------------------------------------------
@@ -73,14 +74,19 @@ class BBRSender(RateSender):
             self._delivered_sum -= dq.popleft()[1]
         if len(dq) < 2:
             return None
-        span = dq[-1][0] - dq[0][0]
+        # The BBR rate-sample rule: the interval is the larger of the ACK
+        # span and the send span, so ACKs compressed on the way back
+        # (noise, the FIFO guard) cannot inflate the rate past what was
+        # sent.
+        first, last = dq[0], dq[-1]
+        span = max(last[0] - first[0], last[2] - first[2])
         if span <= 0:
             return None
-        total = self._delivered_sum - dq[0][1]
+        total = self._delivered_sum - first[1]
         return total * 8.0 / span
 
     def _update_model(self, info: AckInfo, now: float) -> None:
-        self._delivered.append((now, info.nbytes))
+        self._delivered.append((now, info.nbytes, info.sent_time))
         self._delivered_sum += info.nbytes
         sample = self._delivery_rate_sample(now)
         if sample is not None:

@@ -17,10 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.devtools import stats_digest
+from repro.obs import MetricsRegistry
 from repro.harness import FlowSpec, LinkConfig, run_flows
 from repro.harness import cache as cache_mod
 from repro.harness.cache import (
     SCHEMA_VERSION,
+    NotCached,
     ResultCache,
     _pack,
     decode_entry,
@@ -42,6 +44,21 @@ def cache(tmp_path):
     cache = enable_cache(tmp_path / "cache")
     yield cache
     reset_cache_state()
+
+
+def test_replay_only_run_raises_instead_of_simulating(cache, monkeypatch):
+    def no_simulator(*args, **kwargs):
+        raise AssertionError("a replay-only run built a simulator")
+
+    run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=7)
+    cache.replay_only = True
+    monkeypatch.setattr("repro.harness.runner.Simulator", no_simulator)
+    assert run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=7).dumbbell is None
+    with pytest.raises(NotCached):
+        run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=8)  # a miss
+    with pytest.raises(NotCached):
+        run_flows(SPECS, CONFIG, duration_s=DURATION_S, seed=7, metrics=MetricsRegistry())
+    assert (cache.hits, cache.misses, cache.stores) == (1, 2, 1)
 
 
 def test_hit_on_identical_config_and_seed(cache):

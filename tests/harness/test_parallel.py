@@ -6,13 +6,20 @@ import time
 
 import pytest
 
+from repro.harness import FlowSpec, LinkConfig, run_flows, run_pair
+from repro.harness import parallel as parallel_mod
+from repro.harness import runner as runner_mod
+from repro.harness import supervise as supervise_mod
+from repro.harness.cache import enable_cache, reset_cache_state
 from repro.harness.parallel import (
     ParallelCallError,
     ParallelExecutor,
     call_repr,
     default_jobs,
+    dispatch_round,
     pmap,
 )
+from repro.harness.supervise import supervised_map
 
 
 def _square(x: int) -> int:  # module-level: picklable for real workers
@@ -154,3 +161,121 @@ def test_run_all_unpicklable_call_runs_in_process():
 
 def test_call_repr_names_function_and_args():
     assert call_repr(_affine, (1, "x")) == "_affine(1, 'x')"
+
+
+# ----------------------------------------------------------------------
+# The cached prefix: with a cache active, the pool carries only misses
+# ----------------------------------------------------------------------
+SHORT = LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0, buffer_kb=50.0)
+
+
+def _short_run(seed: int) -> str:
+    result = run_flows([FlowSpec("cubic")], SHORT, duration_s=0.5, seed=seed)
+    return result.throughput_mbps(0).hex()
+
+
+def _short_pair(item: tuple[str, int]) -> float:
+    scavenger, seed = item
+    return run_pair("cubic", scavenger, SHORT, duration_s=0.6, seed=seed).utilization
+
+
+def _short_run_then_raise(seed: int) -> str:
+    _short_run(seed)
+    raise KeyError(f"after the run of seed {seed}")
+
+
+@pytest.fixture
+def cache(tmp_path):
+    cache = enable_cache(tmp_path / "cache")
+    yield cache
+    reset_cache_state()
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Every batch handed to ``dispatch_round`` in this process."""
+    seen = []
+
+    def recording(fn, items, jobs):
+        seen.append(list(items))
+        return dispatch_round(fn, items, jobs)
+
+    monkeypatch.setattr(parallel_mod, "dispatch_round", recording)
+    monkeypatch.setattr(supervise_mod, "dispatch_round", recording)
+    return seen
+
+
+def test_warm_pmap_starts_no_pool(cache, rounds):
+    seeds = [1, 2, 3]
+    cold = pmap(_short_run, seeds, jobs=1)
+    assert pmap(_short_run, seeds, jobs=2) == cold
+    assert rounds == []
+    assert cache.hits == len(seeds)
+    assert not cache.replay_only
+
+
+def test_warm_run_pair_starts_no_pool(cache, rounds):
+    serial = run_pair("cubic", "proteus-s", SHORT, duration_s=0.6, seed=4, jobs=1)
+    assert run_pair("cubic", "proteus-s", SHORT, duration_s=0.6, seed=4, jobs=2) == serial
+    assert rounds == []
+
+
+def test_cold_batch_goes_to_the_pool_whole(cache, rounds, monkeypatch):
+    built = []
+
+    class CountingSimulator(runner_mod.Simulator):
+        def __init__(self, *args, **kwargs):
+            built.append(os.getpid())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "Simulator", CountingSimulator)
+    seeds = [5, 6, 7]
+    values = pmap(_short_run, seeds, jobs=2)
+    assert rounds == [seeds]
+    assert os.getpid() not in built  # the caller only looked the first one up
+    reset_cache_state()
+    assert values == pmap(_short_run, seeds, jobs=1)
+
+
+def test_cached_prefix_sends_exactly_the_suffix(cache, rounds):
+    pmap(_short_run, [1, 2], jobs=1)
+    seeds = [1, 2, 8, 9]
+    values = pmap(_short_run, seeds, jobs=2)
+    assert rounds == [[8, 9]]
+    assert values == pmap(_short_run, seeds, jobs=1)
+
+
+def test_function_that_never_reads_the_cache_ends_the_prefix(cache, rounds):
+    assert pmap(_square, range(5), jobs=2) == [_square(i) for i in range(5)]
+    assert rounds == [[1, 2, 3, 4]]
+
+
+def test_nested_run_pair_sends_its_outer_item_to_the_pool(cache, rounds, monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    _short_pair(("proteus-s", 1))
+    rounds.clear()
+    # The second pair shares the first's solo baseline (a hit), but its
+    # joint run is a miss: the whole outer item goes to the pool.
+    items = [("proteus-s", 1), ("cubic", 1)]
+    values = pmap(_short_pair, items, jobs=2)
+    assert rounds == [[("cubic", 1)]]
+    assert values == pmap(_short_pair, items, jobs=1)
+
+
+def test_cached_item_that_raises_reraises_unchanged(cache, rounds):
+    with pytest.raises(KeyError):
+        _short_run_then_raise(3)  # stores the run, then raises
+    with pytest.raises(KeyError, match="seed 3"):
+        pmap(_short_run_then_raise, [3, 4], jobs=2)
+    with pytest.raises(KeyError, match="seed 3"):
+        ParallelExecutor(jobs=2).run_all([(_short_run_then_raise, (3,)), (_square, (2,))])
+    assert rounds == []
+    assert not cache.replay_only
+
+
+def test_warm_supervised_map_dispatches_every_attempt(cache, rounds):
+    seeds = [1, 2, 3]
+    cold = pmap(_short_run, seeds, jobs=1)
+    outcomes = supervised_map(_short_run, seeds, jobs=2)
+    assert [o.value for o in outcomes] == cold
+    assert [[task[1] for task in batch] for batch in rounds] == [seeds]

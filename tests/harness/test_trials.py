@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rng import Rng
-from repro.harness import run_trials, run_trials_multi, summarize
+from repro.harness import FlowSpec, LinkConfig, run_flows, run_trials, run_trials_multi, summarize
+from repro.harness import parallel as parallel_mod
+from repro.harness import trials as trials_mod
+from repro.harness.cache import enable_cache, reset_cache_state
 from repro.harness.trials import TrialSummary
 
 
@@ -84,6 +87,8 @@ def test_single_draw_bootstrap_equals_per_resample_draws(values, ci_resamples, s
 
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_summarize_makes_one_choices_call(monkeypatch, n):
+    # One draw per (n, ci_resamples, seed) while that plan is the latest:
+    # repeats reuse it, and a different triple in between replaces it.
     calls = []
 
     def counting_choices(self, *args, **kwargs):
@@ -91,8 +96,15 @@ def test_summarize_makes_one_choices_call(monkeypatch, n):
         return random.Random.choices(self, *args, **kwargs)
 
     monkeypatch.setattr(Rng, "choices", counting_choices)
-    summarize([float(v) for v in range(n)])
+    monkeypatch.setattr(trials_mod, "_PLAN", None)
+    values = [float(v) for v in range(n)]
+    summarize(values, seed=17)
+    first = summarize(values, seed=17)
+    summarize([v + 1.0 for v in values], seed=17)
     assert calls == [n * 2000]
+    summarize(values, ci_resamples=7, seed=17)
+    assert summarize(values, seed=17) == first
+    assert calls == [n * 2000, n * 7, n * 2000]
 
 
 def test_bootstrap_ci_pinned_for_fixed_seed():
@@ -157,3 +169,22 @@ def test_run_trials_multi_collects_all_metrics():
     assert set(out) == {"a", "b"}
     assert out["a"].mean == pytest.approx(2.0)
     assert out["b"].mean == pytest.approx(4.0)
+
+
+def _short_throughput(seed: int) -> float:  # module-level: picklable for workers
+    config = LinkConfig(bandwidth_mbps=10.0, rtt_ms=20.0, buffer_kb=50.0)
+    return run_flows([FlowSpec("cubic")], config, duration_s=0.5, seed=seed).throughput_mbps(0)
+
+
+def test_warm_run_trials_starts_no_pool(tmp_path, monkeypatch):
+    enable_cache(tmp_path / "cache")
+    try:
+        serial = run_trials(_short_throughput, n_trials=4, jobs=1)
+        rounds = []
+        monkeypatch.setattr(
+            parallel_mod, "dispatch_round", lambda fn, items, jobs: rounds.append(items)
+        )
+        assert run_trials(_short_throughput, n_trials=4, jobs=2) == serial
+        assert rounds == []
+    finally:
+        reset_cache_state()
