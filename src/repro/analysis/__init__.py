@@ -1,10 +1,5 @@
-"""Metrics and theory: fairness, paper statistics, equilibria, dynamics."""
+"""Metrics and theory: fairness, paper statistics, and equilibria."""
 
-from .convergence import (
-    ConvergenceReport,
-    fairness_convergence_time,
-    throughput_convergence,
-)
 from .equilibrium import (
     GameConfig,
     SenderSpec,
@@ -24,10 +19,7 @@ from .stats import (
 )
 
 __all__ = [
-    "ConvergenceReport",
     "GameConfig",
-    "fairness_convergence_time",
-    "throughput_convergence",
     "SenderSpec",
     "best_response",
     "cdf_points",

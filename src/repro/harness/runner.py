@@ -1,4 +1,4 @@
-"""Experiment execution: build a dumbbell, run flows, collect metrics.
+"""Experiment execution: build a topology, run flows, collect metrics.
 
 This is the Pantheon stand-in: a declarative flow list goes in, per-flow
 stats and scenario-level summaries come out.  Every run is deterministic
@@ -28,13 +28,13 @@ from ..obs import MetricsRegistry, PeriodicSampler
 from ..obs.trace import as_sink
 from ..protocols import make_sender
 from ..sim import (
-    Dumbbell,
     Fidelity,
     FlowStats,
     LinkEvent,
     Rng,
     Simulator,
     TimelineDriver,
+    Topology,
     activate_fastforward,
     make_rng,
     resolve_fidelity,
@@ -72,11 +72,11 @@ def reset_scale_cache() -> None:
 class FlowSpec:
     """Declarative description of one flow in an experiment.
 
-    ``route`` places the flow between two named topology nodes when the
-    run uses a :class:`~repro.harness.scenarios.TopologySpec` (e.g.
+    ``route`` places the flow between two named topology nodes (e.g.
     ``("n1", "n2")`` for parking-lot cross traffic).  ``None`` uses the
-    topology's default endpoints for the flow's index; single-bottleneck
-    (dumbbell) runs ignore it.
+    topology's default endpoints for the flow's index.  The classic
+    dumbbell has one route, ``("src", "dst")``; any other raises
+    :class:`~repro.sim.topology.TopologyError`.
     """
 
     protocol: str
@@ -90,19 +90,19 @@ class FlowSpec:
 class RunResult:
     """Outcome of one experiment run.
 
-    ``dumbbell`` holds the live network — a
-    :class:`~repro.sim.topology.Dumbbell` for classic runs, or whatever
-    :class:`~repro.sim.topology.Topology` the run's ``topology`` spec
-    built (the field keeps its historical name).  It is None when the
-    result was rebuilt from the on-disk cache (the live topology is not
-    serialised, only the measurement record — every metric below
-    derives from ``stats`` alone).
+    ``dumbbell`` holds the live network — the
+    :class:`~repro.sim.topology.Topology` built from the run's
+    ``topology`` spec (a :class:`~repro.sim.topology.Dumbbell` for the
+    default ``None``; the field keeps its historical name).  It is None
+    when the result was rebuilt from the on-disk cache (the live
+    topology is not serialised, only the measurement record — every
+    metric below derives from ``stats`` alone).
     """
 
     config: LinkConfig
     duration_s: float
     stats: list[FlowStats]
-    dumbbell: Dumbbell | None
+    dumbbell: Topology | None
     specs: list[FlowSpec]
     timeline: Timeline | None = None
     # The declarative topology spec the run was built from (None for the
@@ -271,19 +271,20 @@ def run_flows(
     fidelity: Fidelity | str | None = None,
     topology: TopologySpec | None = None,
 ) -> RunResult:
-    """Run ``specs`` over a dumbbell built from ``config``.
+    """Run ``specs`` over a topology built from ``config``.
 
     All arguments after ``config`` are keyword-only.  ``duration_s``
     defaults to 30 simulated seconds; every flow must start before it
     (``ValueError`` otherwise, raised before anything is built).
 
-    ``topology`` swaps the classic single-bottleneck dumbbell for a
-    declarative multi-hop graph (see
+    ``topology`` is a declarative graph (see
     :class:`~repro.harness.scenarios.TopologySpec`): parking-lot chains
     with per-hop AQM, shared-core multi-dumbbells, or an AQM-equipped
-    dumbbell.  ``config`` still supplies per-hop bandwidth, delay and
-    buffer; each ``FlowSpec.route`` may pin a flow between two named
-    nodes.  The spec is pure data and *is* part of the cache key.
+    dumbbell.  ``None`` is the classic single-bottleneck ``dumbbell``
+    preset.  ``config`` supplies per-hop bandwidth, delay and buffer;
+    each ``FlowSpec.route`` may pin a flow between two named nodes.  The
+    spec is pure data and *is* part of the cache key (``None`` hashes as
+    itself, not as the preset it builds).
 
     ``timeline`` scripts mid-run link dynamics (bandwidth steps/flaps,
     delay shifts, outages, burst loss — see
@@ -383,20 +384,9 @@ def _run_flows_live(
     topology: TopologySpec | None = None,
 ) -> RunResult:
     sim = Simulator(tracer=tracer, fidelity=fidelity)
-    rng = make_rng(seed)
-    if topology is not None:
-        network = topology.build(sim, config, rng)
-    else:
-        network = Dumbbell(
-            sim,
-            bandwidth_bps=config.bandwidth_bps,
-            rtt_s=config.rtt_s,
-            buffer_bytes=config.buffer_bytes,
-            loss_rate=config.loss_rate,
-            noise=config.make_noise(),
-            reverse_noise=config.make_reverse_noise(),
-            rng=rng,
-        )
+    network = (topology or TopologySpec(preset="dumbbell")).build(
+        sim, config, make_rng(seed)
+    )
     driver = None
     if timeline is not None:
         # Timeline events address links by registered name — for the
@@ -419,23 +409,13 @@ def _run_flows_live(
     flows = []
     for i, spec in enumerate(specs):
         sender = make_sender(spec.protocol, seed=seed * 1000 + i, **spec.kwargs)
-        if topology is not None:
-            src, dst = spec.route if spec.route is not None else (None, None)
-            flow = network.add_flow(
-                sender,
-                src=src,
-                dst=dst,
-                flow_id=i + 1,
-                size_bytes=spec.size_bytes,
-                start_time=spec.start_time,
-            )
-        else:
-            flow = network.add_flow(
-                sender,
-                flow_id=i + 1,
-                size_bytes=spec.size_bytes,
-                start_time=spec.start_time,
-            )
+        flow = network.add_flow(
+            sender,
+            *(spec.route or ()),
+            flow_id=i + 1,
+            size_bytes=spec.size_bytes,
+            start_time=spec.start_time,
+        )
         flows.append(flow)
         stats.append(flow.stats)
     # With the whole flow set known, mark what may skip the event chain
@@ -714,17 +694,7 @@ def run_streaming(
 
     tracer = as_sink(tracer)
     sim = Simulator(tracer=tracer)
-    rng = make_rng(seed)
-    dumbbell = Dumbbell(
-        sim,
-        bandwidth_bps=config.bandwidth_bps,
-        rtt_s=config.rtt_s,
-        buffer_bytes=config.buffer_bytes,
-        loss_rate=config.loss_rate,
-        noise=config.make_noise(),
-        reverse_noise=config.make_reverse_noise(),
-        rng=rng,
-    )
+    dumbbell = TopologySpec(preset="dumbbell").build(sim, config, make_rng(seed))
     sessions = []
     for i, video in enumerate(videos):
         sender = make_sender(protocol, seed=seed * 100 + i)
@@ -738,6 +708,7 @@ def run_streaming(
             sender = make_sender(spec.protocol, seed=seed * 100 + 50 + j, **spec.kwargs)
             dumbbell.add_flow(
                 sender,
+                *(spec.route or ()),
                 flow_id=100 + j,
                 size_bytes=spec.size_bytes,
                 start_time=spec.start_time,

@@ -13,8 +13,8 @@ hops.
 Presets:
 
 * :class:`Dumbbell` — the classic single shared bottleneck plus an
-  uncongested reverse path, re-expressed on the graph model and
-  byte-identical to the pre-graph implementation;
+  uncongested reverse path (the ``dumbbell`` preset of
+  :class:`~repro.harness.scenarios.TopologySpec`);
 * :class:`ParkingLot` — N bottlenecks in series with cross-traffic
   joining at each hop, the canonical multi-bottleneck fairness topology;
 * :class:`MultiDumbbell` — several access bottlenecks feeding one shared
@@ -238,37 +238,32 @@ class Topology:
         src: str | None = None,
         dst: str | None = None,
         flow_id: int | None = None,
-        size_bytes: int | None = None,
-        start_time: float = 0.0,
-        chunked: bool = False,
-        on_complete=None,
-        on_delivery=None,
+        **options,
     ) -> Flow:
         """Attach a sender between ``src`` and ``dst`` and return its Flow.
 
         The reverse (ACK) path is routed independently from ``dst`` back
         to ``src``.  Omitted endpoints fall back to
-        :meth:`default_endpoints` for this flow's index.
+        :meth:`default_endpoints` for this flow's index.  ``options``
+        (``size_bytes``, ``start_time``, ``chunked``, ``on_complete``,
+        ``on_delivery``) go to :class:`~repro.sim.flow.Flow`.
         """
-        index = self._flow_count
-        self._flow_count += 1
-        if flow_id is None:
-            flow_id = self._flow_count
         if src is None or dst is None:
-            default_src, default_dst = self.default_endpoints(index)
+            default_src, default_dst = self.default_endpoints(self._flow_count)
             src = src if src is not None else default_src
             dst = dst if dst is not None else default_dst
+        return self._flow(sender, src, dst, flow_id, options)
+
+    def _flow(self, sender, src: str, dst: str, flow_id: int | None, options) -> Flow:
+        """Build the routed Flow; ``flow_id`` defaults to its 1-based index."""
+        self._flow_count += 1
         return Flow(
             self.sim,
             sender,
             self.path(src, dst),
             self.path(dst, src),
-            flow_id=flow_id,
-            size_bytes=size_bytes,
-            start_time=start_time,
-            chunked=chunked,
-            on_complete=on_complete,
-            on_delivery=on_delivery,
+            flow_id=self._flow_count if flow_id is None else flow_id,
+            **options,
         )
 
     # ------------------------------------------------------------------
@@ -299,7 +294,11 @@ class Topology:
 
 
 class Dumbbell(Topology):
-    """Single shared bottleneck with per-flow access/return links.
+    """Single shared bottleneck plus an uncongested reverse path.
+
+    Every flow runs ``src -> dst`` over the bottleneck; a flow that needs
+    more propagation delay than the others needs its own access hop, on
+    a :class:`Topology`.
 
     Args:
         sim: Simulator instance.
@@ -365,59 +364,20 @@ class Dumbbell(Topology):
     def default_endpoints(self, index: int) -> tuple[str, str]:
         return "src", "dst"
 
-    def add_flow(  # type: ignore[override]
+    def add_flow(
         self,
         sender,
-        flow_id: int | None = None,
-        size_bytes: int | None = None,
-        start_time: float = 0.0,
-        extra_delay_s: float = 0.0,
-        chunked: bool = False,
-        on_complete=None,
-        on_delivery=None,
         src: str | None = None,
         dst: str | None = None,
+        flow_id: int | None = None,
+        **options,
     ) -> Flow:
-        """Attach a sender to the shared bottleneck and return its Flow."""
+        """Attach a sender across the bottleneck (the one route, src -> dst)."""
         if src not in (None, "src") or dst not in (None, "dst"):
             raise TopologyError(
                 f"Dumbbell flows run src -> dst; got {src!r} -> {dst!r}"
             )
-        self._flow_count += 1
-        if flow_id is None:
-            flow_id = self._flow_count
-        forward_links = [self.bottleneck]
-        reverse_links = [self.reverse]
-        if extra_delay_s > 0.0:
-            # Per-flow private access/return stubs: kept off the shared
-            # graph (no cross traffic can route over them) exactly as
-            # the pre-graph Dumbbell built them.
-            access = Link(
-                self.sim,
-                bandwidth_bps=self.bandwidth_bps * 40.0,
-                delay_s=extra_delay_s / 2.0,
-                name=f"access-{flow_id}",
-            )
-            back = Link(
-                self.sim,
-                bandwidth_bps=self.bandwidth_bps * 40.0,
-                delay_s=extra_delay_s / 2.0,
-                name=f"back-{flow_id}",
-            )
-            forward_links = [access, self.bottleneck]
-            reverse_links = [self.reverse, back]
-        return Flow(
-            self.sim,
-            sender,
-            Path(forward_links),
-            Path(reverse_links),
-            flow_id=flow_id,
-            size_bytes=size_bytes,
-            start_time=start_time,
-            chunked=chunked,
-            on_complete=on_complete,
-            on_delivery=on_delivery,
-        )
+        return self._flow(sender, "src", "dst", flow_id, options)
 
 
 DisciplineFactory = Callable[[int], "QueueDiscipline | None"]

@@ -27,10 +27,12 @@ from repro.harness import (
     run_many,
     run_result_summary,
     run_single,
+    run_streaming,
     topology_from_dict,
 )
 from repro.harness.cache import enable_cache, reset_cache_state
 from repro.obs import CollectingTracer
+from repro.sim import TopologyError
 
 SMALL_CONFIG = LinkConfig(bandwidth_mbps=10.0, rtt_ms=40.0, buffer_kb=75.0)
 
@@ -122,6 +124,46 @@ def test_flow_route_participates_in_cache_key(cache):
 # ----------------------------------------------------------------------
 # Acceptance: a scavenger across multiple congested hops
 # ----------------------------------------------------------------------
+LOSSY_NOISY = LinkConfig(
+    bandwidth_mbps=10.0, rtt_ms=40.0, buffer_kb=75.0,
+    loss_rate=0.01, noise_severity=0.5, reverse_noise_severity=0.5,
+)
+
+
+def _link_counters(result) -> list:
+    return [
+        (link.name, [getattr(link.stats, slot) for slot in link.stats.__slots__])
+        for link in result.dumbbell.iter_links()
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("config", [SMALL_CONFIG, LOSSY_NOISY], ids=["clean", "lossy-noisy"])
+def test_no_topology_is_the_dumbbell_preset(config, seed):
+    specs = [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=0.5)]
+    runs = [
+        run_flows(specs, config, duration_s=2.0, seed=seed, topology=topology)
+        for topology in (None, TopologySpec(preset="dumbbell"))
+    ]
+    classic, preset = runs
+    assert stats_digest(classic.stats) == stats_digest(preset.stats)
+    assert _link_counters(classic) == _link_counters(preset)
+    assert classic.metrics_snapshot == preset.metrics_snapshot
+
+
+def test_classic_dumbbell_rejects_any_other_route():
+    # Only ("src", "dst") crosses the bottleneck.
+    run_flows([FlowSpec("cubic", route=("src", "dst"))], SMALL_CONFIG, duration_s=0.5)
+    for route in [("dst", "src"), ("n0", "n1")]:
+        with pytest.raises(TopologyError):
+            run_flows([FlowSpec("cubic", route=route)], SMALL_CONFIG, duration_s=0.5)
+        with pytest.raises(TopologyError):
+            run_streaming(
+                [], "cubic", SMALL_CONFIG, duration_s=0.5,
+                background=[FlowSpec("cubic", route=route)],
+            )
+
+
 def test_parking_lot_scavenger_yields_across_congested_hops():
     tracer = CollectingTracer()
     specs = [

@@ -122,17 +122,6 @@ def test_losses_are_detected_via_ack_gaps():
     assert flow.stats.loss_count() > 0
 
 
-def test_extra_delay_adds_rtt():
-    sim, dumbbell = build(rtt_ms=40.0)
-    near = dumbbell.add_flow(FixedRateSender(rate_bps=mbps(0.5)))
-    far = dumbbell.add_flow(
-        FixedRateSender(rate_bps=mbps(0.5)), extra_delay_s=0.060
-    )
-    sim.run(until=5.0)
-    assert near.stats.min_rtt() == pytest.approx(0.040, abs=0.01)
-    assert far.stats.min_rtt() == pytest.approx(0.100, abs=0.01)
-
-
 def test_sender_factory_rejects_unknown_protocol():
     with pytest.raises(ValueError, match="unknown protocol"):
         make_sender("not-a-protocol")
