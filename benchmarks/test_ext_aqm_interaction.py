@@ -20,11 +20,11 @@ from repro.harness import print_table
 from repro.protocols import make_sender
 from repro.sim import (
     CoDelDiscipline,
-    Dumbbell,
     DynamicLink,
     REDDiscipline,
     Simulator,
     TailDropDiscipline,
+    Topology,
     make_rng,
     mbps,
 )
@@ -47,24 +47,26 @@ def make_discipline(kind: str):
 
 def run(kind: str, scavenger: str | None, duration: float, seed: int = 3):
     sim = Simulator()
-    bottleneck = DynamicLink(
-        sim,
-        rate_bps=mbps(BANDWIDTH_MBPS),
-        delay_s=RTT_S / 2,
-        discipline=make_discipline(kind),
-        rng=make_rng(seed),
+    # A dumbbell whose bottleneck draws RED's coin flips from the run
+    # seed itself, so it is built by hand and attached.
+    net = Topology(sim, rng=make_rng(seed))
+    net.attach_link(
+        "src",
+        "dst",
+        DynamicLink(
+            sim,
+            rate_bps=mbps(BANDWIDTH_MBPS),
+            delay_s=RTT_S / 2,
+            discipline=make_discipline(kind),
+            rng=make_rng(seed),
+        ),
     )
-    dumbbell = Dumbbell(
-        sim,
-        bandwidth_bps=mbps(BANDWIDTH_MBPS),
-        rtt_s=RTT_S,
-        buffer_bytes=BUFFER_BYTES,
-        rng=make_rng(seed),
-        bottleneck=bottleneck,
+    net.add_link(
+        "dst", "src", bandwidth_bps=mbps(BANDWIDTH_MBPS) * 40.0, delay_s=RTT_S / 2
     )
-    primary = dumbbell.add_flow(make_sender("cubic"), flow_id=1)
+    primary = net.add_flow(make_sender("cubic"), flow_id=1)
     if scavenger is not None:
-        dumbbell.add_flow(make_sender(scavenger), flow_id=2, start_time=5.0)
+        net.add_flow(make_sender(scavenger), flow_id=2, start_time=5.0)
     sim.run(until=duration)
     window = (duration * 0.4, duration)
     return primary.stats.throughput_bps(*window) / 1e6

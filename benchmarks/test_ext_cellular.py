@@ -16,10 +16,10 @@ from repro.harness import print_table
 from repro.protocols import make_sender
 from repro.sim import (
     Dumbbell,
-    DynamicLink,
     Simulator,
     TailDropDiscipline,
-    cellular_rate,
+    TimelineDriver,
+    cellular_events,
     make_rng,
     mbps,
 )
@@ -37,22 +37,24 @@ PROTOCOLS = (
 )
 
 
-def build(seed):
+def build(seed, duration):
     sim = Simulator()
-    bottleneck = DynamicLink(
-        sim,
-        rate_bps=cellular_rate(mbps(MEAN_MBPS), period_s=2.0, depth=0.6, seed=seed),
-        delay_s=RTT_S / 2,
-        discipline=TailDropDiscipline(BUFFER_BYTES),
-        rng=make_rng(seed),
-    )
     dumbbell = Dumbbell(
         sim,
         bandwidth_bps=mbps(MEAN_MBPS),
         rtt_s=RTT_S,
         buffer_bytes=BUFFER_BYTES,
         rng=make_rng(seed),
-        bottleneck=bottleneck,
+        discipline=TailDropDiscipline(BUFFER_BYTES),
+    )
+    # Built before any flow, so each epoch's rate is in place before a
+    # packet starting service at that instant reads it.
+    TimelineDriver(
+        sim,
+        dumbbell.links,
+        cellular_events(
+            "bottleneck", mbps(MEAN_MBPS), duration, period_s=2.0, depth=0.6, seed=seed
+        ),
     )
     return sim, dumbbell
 
@@ -61,7 +63,7 @@ def experiment():
     duration = scaled(40.0)
     solo = {}
     for proto in PROTOCOLS:
-        sim, dumbbell = build(seed=21)
+        sim, dumbbell = build(seed=21, duration=duration)
         flow = dumbbell.add_flow(make_sender(proto))
         sim.run(until=duration)
         solo[proto] = flow.stats.throughput_bps(duration * 0.3, duration) / 1e6
@@ -69,7 +71,7 @@ def experiment():
     # Scavenger ordering on the varying channel: BBR primary + scavenger.
     pair = {}
     for scavenger in ("proteus-s", "proteus-s-noise-aware", "ledbat"):
-        sim, dumbbell = build(seed=22)
+        sim, dumbbell = build(seed=22, duration=duration)
         primary = dumbbell.add_flow(make_sender("bbr"), flow_id=1)
         kwargs = {}
         if scavenger == "proteus-s-noise-aware":

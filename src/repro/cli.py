@@ -37,14 +37,16 @@ from .harness import (
 )
 from .harness.export import write_run_json, write_throughput_series_csv
 from .protocols import PROTOCOL_NAMES
+from .sim.dynamics import DynamicsError
 
 
 @contextmanager
 def _one_line_errors(args: argparse.Namespace):
-    """Bad scenario input (a ``ValueError``) ends the command with one line."""
+    """Bad scenario input ends the command with one line: a ``ValueError``,
+    or a ``DynamicsError`` from a timeline the topology cannot carry."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, DynamicsError) as exc:
         raise SystemExit(f"repro {args.command}: {exc}") from exc
 
 

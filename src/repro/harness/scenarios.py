@@ -36,10 +36,9 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from ..core.rng import Rng, spawn
+from ..core.rng import Rng
 from ..sim.aqm import (
     CoDelDiscipline,
-    DynamicLink,
     HeadDropDiscipline,
     RandomDropDiscipline,
     REDDiscipline,
@@ -47,7 +46,7 @@ from ..sim.aqm import (
 )
 from ..sim.dynamics import LinkEvent
 from ..sim.noise import NoiseModel, wifi_noise
-from ..sim.topology import Dumbbell, MultiDumbbell, ParkingLot, Topology
+from ..sim.topology import Dumbbell, Topology
 
 
 @dataclass(frozen=True)
@@ -708,7 +707,15 @@ def load_timeline(name_or_path: str) -> Timeline:
 TOPOLOGY_PRESETS = ("dumbbell", "parking-lot", "multi-dumbbell")
 """Graph shapes a :class:`TopologySpec` can name."""
 
-AQM_KINDS = ("", "taildrop", "head-drop", "random-drop", "red", "codel")
+_DISCIPLINES = {
+    "taildrop": TailDropDiscipline,
+    "head-drop": HeadDropDiscipline,
+    "random-drop": RandomDropDiscipline,
+    "red": REDDiscipline,
+    "codel": CoDelDiscipline,
+}
+
+AQM_KINDS = ("", *_DISCIPLINES)
 """Per-hop queue disciplines; ``""`` keeps hops analytic (FIFO
 :class:`~repro.sim.link.Link`), anything else makes the congested hops
 event-based :class:`~repro.sim.aqm.DynamicLink` instances."""
@@ -769,40 +776,24 @@ class TopologySpec:
         return record
 
     def make_discipline(self, config: LinkConfig):
-        """A fresh discipline instance for one hop (disciplines carry
-        per-queue state and must never be shared between links)."""
-        buffer_bytes = config.buffer_bytes
-        if self.aqm == "":
+        """A fresh discipline instance for one hop, or ``None`` for an
+        analytic hop (disciplines carry per-queue state and must never
+        be shared between links)."""
+        if not self.aqm:
             return None
-        if self.aqm == "taildrop":
-            return TailDropDiscipline(buffer_bytes)
-        if self.aqm == "head-drop":
-            return HeadDropDiscipline(buffer_bytes)
-        if self.aqm == "random-drop":
-            return RandomDropDiscipline(buffer_bytes)
-        if self.aqm == "red":
-            return REDDiscipline(buffer_bytes)
-        if self.aqm == "codel":
-            return CoDelDiscipline(buffer_bytes)
-        raise ValueError(f"unknown aqm {self.aqm!r}")  # pragma: no cover
+        return _DISCIPLINES[self.aqm](config.buffer_bytes)
 
     def build(self, sim, config: LinkConfig, rng: Rng | None = None) -> Topology:
-        """Instantiate the topology graph for one run."""
+        """Instantiate the topology graph for one run.
+
+        Each preset is written once as :meth:`Topology.add_link` calls:
+        the reverse links run at 40x the forward rate so ACKs never
+        queue, and each link draws from the ``rng`` child labelled with
+        its name.
+        """
         if rng is None:
             rng = Rng(0)
         if self.preset == "dumbbell":
-            bottleneck = None
-            if self.aqm:
-                bottleneck = DynamicLink(
-                    sim,
-                    rate_bps=config.bandwidth_bps,
-                    delay_s=config.rtt_s / 2.0,
-                    discipline=self.make_discipline(config),
-                    loss_rate=config.loss_rate,
-                    noise=config.make_noise(),
-                    rng=spawn(rng, "bottleneck"),
-                    name="bottleneck",
-                )
             return Dumbbell(
                 sim,
                 bandwidth_bps=config.bandwidth_bps,
@@ -812,40 +803,77 @@ class TopologySpec:
                 noise=config.make_noise(),
                 reverse_noise=config.make_reverse_noise(),
                 rng=rng,
-                bottleneck=bottleneck,
+                discipline=self.make_discipline(config),
             )
+        net = Topology(sim, rng=rng)
+        bandwidth_bps = config.bandwidth_bps
+        buffer_bytes = config.buffer_bytes
+        n = self.n_hops
         if self.preset == "parking-lot":
-            factory = None
-            if self.aqm:
-                factory = lambda _hop: self.make_discipline(config)  # noqa: E731
-            return ParkingLot(
-                sim,
-                n_hops=self.n_hops,
-                bandwidth_bps=config.bandwidth_bps,
-                rtt_s=config.rtt_s,
-                buffer_bytes=config.buffer_bytes,
+            # Nodes n0 .. n{n}; long flows cross every hop, and the delay
+            # is split so their base RTT equals the config's.  Forward
+            # latency noise models the last-mile hop.
+            hop_delay_s = config.rtt_s / (2.0 * n)
+            noise = config.make_noise()
+            for i in range(n):
+                net.add_link(
+                    f"n{i}",
+                    f"n{i + 1}",
+                    bandwidth_bps=bandwidth_bps,
+                    delay_s=hop_delay_s,
+                    buffer_bytes=buffer_bytes,
+                    discipline=self.make_discipline(config),
+                    loss_rate=config.loss_rate,
+                    noise=noise if i == n - 1 else None,
+                    name=f"hop{i}",
+                )
+            for i in range(n, 0, -1):
+                net.add_link(
+                    f"n{i}",
+                    f"n{i - 1}",
+                    bandwidth_bps=bandwidth_bps * 40.0,
+                    delay_s=hop_delay_s,
+                    name=f"rev{i - 1}",
+                )
+            return net
+        # multi-dumbbell: access groups s0 .. s{n-1} -> core -> sink,
+        # every flow crossing its access bottleneck and the shared core.
+        core_bps = self.core_mbps * 1e6 if self.core_mbps > 0 else bandwidth_bps
+        quarter_s = config.rtt_s / 4.0
+        for i in range(n):
+            net.add_link(
+                f"s{i}",
+                "core",
+                bandwidth_bps=bandwidth_bps,
+                delay_s=quarter_s,
+                buffer_bytes=buffer_bytes,
                 loss_rate=config.loss_rate,
-                noise=config.make_noise(),
-                rng=rng,
-                discipline_factory=factory,
+                name=f"access{i}",
             )
-        if self.preset == "multi-dumbbell":
-            core_bps = (
-                self.core_mbps * 1e6 if self.core_mbps > 0 else config.bandwidth_bps
+        net.monitor = net.add_link(
+            "core",
+            "sink",
+            bandwidth_bps=core_bps,
+            delay_s=quarter_s,
+            buffer_bytes=buffer_bytes,
+            discipline=self.make_discipline(config),
+            noise=config.make_noise(),
+            name="core",
+        )
+        net.add_link(
+            "sink", "core", bandwidth_bps=core_bps * 40.0, delay_s=quarter_s,
+            name="core-rev",
+        )
+        for i in range(n):
+            net.add_link(
+                "core",
+                f"s{i}",
+                bandwidth_bps=bandwidth_bps * 40.0,
+                delay_s=quarter_s,
+                name=f"access{i}-rev",
             )
-            return MultiDumbbell(
-                sim,
-                n_groups=self.n_hops,
-                bandwidth_bps=config.bandwidth_bps,
-                core_bandwidth_bps=core_bps,
-                rtt_s=config.rtt_s,
-                buffer_bytes=config.buffer_bytes,
-                loss_rate=config.loss_rate,
-                noise=config.make_noise(),
-                rng=rng,
-                core_discipline=self.make_discipline(config) if self.aqm else None,
-            )
-        raise ValueError(f"unknown preset {self.preset!r}")  # pragma: no cover
+        net.sources = tuple(f"s{i}" for i in range(n))
+        return net
 
 
 def topology_from_dict(data: dict) -> TopologySpec:

@@ -13,15 +13,13 @@ from .aqm import (
     RandomDropDiscipline,
     REDDiscipline,
     TailDropDiscipline,
-    cellular_rate,
-    step_rate,
 )
 from .dynamics import (
     DynamicsError,
-    DynamicsLog,
     GilbertElliott,
     LinkEvent,
     TimelineDriver,
+    cellular_events,
 )
 from .engine import Event, SimBudgetExceeded, SimulationError, Simulator
 from .fidelity import (
@@ -45,8 +43,6 @@ from .packet import ACK_BYTES, MTU_BYTES, Packet
 from ..core.rng import Rng, make_rng, spawn
 from .topology import (
     Dumbbell,
-    MultiDumbbell,
-    ParkingLot,
     Topology,
     TopologyError,
     mbps,
@@ -60,17 +56,13 @@ __all__ = [
     "Dumbbell",
     "DynamicLink",
     "HeadDropDiscipline",
-    "MultiDumbbell",
-    "ParkingLot",
     "RandomDropDiscipline",
     "REDDiscipline",
     "TailDropDiscipline",
     "Topology",
     "TopologyError",
-    "cellular_rate",
-    "step_rate",
+    "cellular_events",
     "DynamicsError",
-    "DynamicsLog",
     "EXACT",
     "Event",
     "Fidelity",

@@ -12,9 +12,11 @@ observe.  This module provides:
   variants evict an already-queued packet and accept the arrival, the
   classic LinkQueue drop-policy family);
 * :class:`DynamicLink` — an event-based (per-packet queued) link that
-  supports a queue discipline *and* a time-varying service rate
-  (``rate_fn``), standing in for cellular/LTE-like channels the paper's
-  §7.2 discussion defers to future work.
+  supports a queue discipline.  Its service rate, like any link's,
+  varies only through a timeline (``bandwidth`` events, see
+  :mod:`repro.sim.dynamics`; :func:`~repro.sim.dynamics.cellular_events`
+  stands in for the cellular/LTE-like channels the paper's §7.2
+  discussion defers to future work).
 
 Drop accounting: arrivals refused at a full buffer count as
 ``stats.tail_drops``; drops *decided by the discipline* (CoDel dequeue
@@ -28,7 +30,7 @@ part of invariant packet conservation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .engine import Simulator
 from .link import DEQUEUE, DROP, DROP_TAIL, ENQUEUE, LinkBase, Receiver
@@ -231,18 +233,13 @@ class CoDelDiscipline:
         return True
 
 
-RateFunction = Callable[[float], float]
-"""Maps simulated time to the link's service rate in bits/s."""
-
-
 class DynamicLink(LinkBase):
-    """Event-based link: explicit queue, AQM hooks, time-varying rate.
+    """Event-based link: explicit queue, AQM hooks.
 
     Args:
         sim: The simulator.
-        rate_bps: Constant bits/s, or a callable ``rate_fn(now) -> bps``
-            sampled at each packet's service start (Mahimahi-style
-            channel variation at per-packet granularity).
+        rate_bps: Service rate in bits/s; a packet is served at the rate
+            current when its service starts.
         delay_s: Propagation delay.
         discipline: Queue discipline (defaults to 256 KB tail drop).
         loss_rate / noise / rng: As for :class:`~repro.sim.link.Link`.
@@ -257,7 +254,7 @@ class DynamicLink(LinkBase):
     def __init__(
         self,
         sim: Simulator,
-        rate_bps: float | RateFunction,
+        rate_bps: float,
         delay_s: float,
         discipline: QueueDiscipline | None = None,
         loss_rate: float = 0.0,
@@ -265,13 +262,10 @@ class DynamicLink(LinkBase):
         rng: Rng | None = None,
         name: str = "dynamic-link",
     ):
-        if callable(rate_bps):
-            self._rate_fn: RateFunction = rate_bps
-        else:
-            if rate_bps <= 0:
-                raise ValueError("rate_bps must be positive")
-            self._rate_fn = lambda _t, _r=rate_bps: _r
+        if rate_bps <= 0:
+            raise ValueError("rate_bps must be positive")
         super().__init__(sim, delay_s, loss_rate, noise, rng, name)
+        self.rate_bps = rate_bps
         self.discipline = discipline if discipline is not None else TailDropDiscipline(256e3)
         self._queue: deque[tuple[Packet, Receiver, float]] = deque()
         self._queue_bytes = 0.0
@@ -285,29 +279,33 @@ class DynamicLink(LinkBase):
         """Packets waiting in (or being served from) the explicit queue."""
         return len(self._queue)
 
-    def current_rate_bps(self) -> float:
-        return max(1.0, self._rate_fn(self.sim.now))
-
     # ------------------------------------------------------------------
     # Mid-run dynamics (driven by repro.sim.dynamics.TimelineDriver)
     # ------------------------------------------------------------------
     def set_bandwidth_bps(self, bandwidth_bps: float) -> None:
-        """Pin the service rate to a new constant from now on.
+        """Change the service rate from now on.
 
         The packet currently in service (if any) keeps its already
         scheduled finish time — it is past the serializer — and every
-        later packet is served at the new rate.  Replaces any
-        caller-supplied ``rate_fn``.
+        later packet is served at the new rate.
         """
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be positive")
-        self._rate_fn = lambda _t, _r=bandwidth_bps: _r
+        self.rate_bps = bandwidth_bps
         self.stats.rate_changes += 1
 
     def send(self, packet: Packet, dst: Receiver) -> bool:
         now = self.sim.now
         tracer = self.sim.tracer
         self.stats.offered += 1
+        if self._down:
+            # The queue keeps serving what it holds; arrivals are refused.
+            self.stats.outage_drops += 1
+            if tracer is not None:
+                tracer.record(
+                    (DROP, now, packet.flow_id, self.name, self.node, "outage", packet.seq)
+                )
+            return False
         while self.discipline.on_enqueue(packet, self._queue_bytes, now, self.rng):
             # Disciplines with an eviction policy (head/random drop) make
             # room by sacrificing a queued packet; anything else is a
@@ -368,7 +366,7 @@ class DynamicLink(LinkBase):
             return
         self._serving = True
         packet, _dst, _enq = self._queue[0]
-        service_time = packet.size_bytes * 8.0 / self.current_rate_bps()
+        service_time = packet.size_bytes * 8.0 / self.rate_bps
         self.sim.schedule_fast(service_time, self._finish_service)
 
     def _finish_service(self) -> None:
@@ -413,50 +411,3 @@ class DynamicLink(LinkBase):
                 )
             self.forward(packet, dst, deliver_at)
         self._serve_next()
-
-
-def step_rate(levels: list[tuple[float, float]]) -> RateFunction:
-    """Piecewise-constant rate function from (start_time, bps) steps."""
-    if not levels:
-        raise ValueError("need at least one level")
-    times = [t for t, _ in levels]
-    if times != sorted(times):
-        raise ValueError("levels must be time-ordered")
-
-    def rate_fn(now: float) -> float:
-        current = levels[0][1]
-        for start, bps in levels:
-            if now >= start:
-                current = bps
-            else:
-                break
-        return current
-
-    return rate_fn
-
-
-def cellular_rate(
-    mean_bps: float,
-    period_s: float = 2.0,
-    depth: float = 0.6,
-    seed: int = 0,
-) -> RateFunction:
-    """LTE-ish rate variation: random walk over ``period_s`` epochs.
-
-    The rate at each epoch is drawn uniformly from
-    ``[mean * (1 - depth), mean * (1 + depth)]`` — a coarse stand-in for
-    cellular scheduling dynamics (§7.2 defers real LTE modelling to
-    future work).
-    """
-    if mean_bps <= 0 or not 0 <= depth < 1 or period_s <= 0:
-        raise ValueError("invalid cellular rate parameters")
-    cache: dict[int, float] = {}
-
-    def rate_fn(now: float) -> float:
-        epoch = int(now / period_s)
-        if epoch not in cache:
-            epoch_rng = Rng(f"cellular:{seed}:{epoch}")
-            cache[epoch] = mean_bps * (1.0 + depth * (2.0 * epoch_rng.random() - 1.0))
-        return cache[epoch]
-
-    return rate_fn

@@ -17,6 +17,9 @@ the runtime half of the dynamics subsystem:
 * :class:`GilbertElliott` — the classic two-state burst-loss channel:
   correlated loss runs rather than i.i.d. coin flips, which is exactly
   the impairment the noise-tolerance machinery must survive.
+* :func:`cellular_events` — a seeded per-epoch random walk of a link's
+  rate as ``bandwidth`` events: a timeline is the one way a link's rate
+  changes.
 
 Everything here is deterministic given the simulation seed: event times
 come from the timeline spec, and the Gilbert-Elliott draws come from the
@@ -26,7 +29,7 @@ reproducible seed-for-seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .engine import SimulationError, Simulator
@@ -242,15 +245,31 @@ class TimelineDriver:
             link.ff_barrier_s = times[0] if times else float("inf")
 
 
-@dataclass
-class DynamicsLog:
-    """Carrier for applied-event telemetry on a finished run.
 
-    Kept as a tiny dataclass (rather than a bare list) so cached results
-    can rebuild the exact same structure the live driver produced.
+def cellular_events(
+    link: str,
+    mean_bps: float,
+    duration_s: float,
+    period_s: float = 2.0,
+    depth: float = 0.6,
+    seed: int = 0,
+) -> list[LinkEvent]:
+    """LTE-ish rate variation on ``link``: one ``bandwidth`` event per epoch.
+
+    Epoch ``k`` starts at ``k * period_s`` and draws its rate uniformly
+    from ``[mean * (1 - depth), mean * (1 + depth)]`` off its own
+    ``cellular:{seed}:{k}`` stream — a coarse stand-in for cellular
+    scheduling dynamics (§7.2 defers real LTE modelling to future work).
+    Every epoch that starts before ``duration_s`` gets an event, epoch 0
+    included, for a :class:`TimelineDriver`.
     """
-
-    events: list[LinkEvent] = field(default_factory=list)
-
-    def for_link(self, name: str) -> list[LinkEvent]:
-        return [event for event in self.events if event.link == name]
+    if mean_bps <= 0 or not 0 <= depth < 1 or period_s <= 0:
+        raise ValueError("invalid cellular rate parameters")
+    events = []
+    epoch = 0
+    while epoch * period_s < duration_s:
+        draw = Rng(f"cellular:{seed}:{epoch}").random()
+        rate_bps = mean_bps * (1.0 + depth * (2.0 * draw - 1.0))
+        events.append(LinkEvent(epoch * period_s, link, "bandwidth", (rate_bps,)))
+        epoch += 1
+    return events

@@ -125,6 +125,7 @@ class LinkBase:
         self.node = ""
         self.stats = LinkStats()
         self._last_delivery = 0.0
+        self._down = False
         # Fast-forward state (see repro.sim.fidelity).  ``ff_barrier_s``
         # is the next time at which this link's behaviour changes (a
         # timeline event), maintained by the TimelineDriver; ``inf`` on
@@ -150,6 +151,20 @@ class LinkBase:
         self.delay_s = delay_s
         if delay_s < self.min_delay_s:
             self.min_delay_s = delay_s
+
+    def is_down(self) -> bool:
+        """True while an outage window is active (all sends are dropped)."""
+        return self._down
+
+    def set_down(self, down: bool) -> None:
+        """Begin (True) or end (False) an outage window.
+
+        While down, every offered packet is refused (``outage_drops``).
+        Packets accepted before the outage still arrive: past the
+        serializer in the analytic model, served from the explicit
+        queue in the event-based one.
+        """
+        self._down = bool(down)
 
     def forward(self, packet: Packet, dst: Receiver, at_s: float) -> None:
         """Hand ``packet``, delivered at ``at_s``, to ``dst``: the one door.
@@ -243,7 +258,6 @@ class Link(LinkBase):
         self.buffer_bytes = buffer_bytes
         self.loss_model = loss_model
         self._busy_until = 0.0
-        self._down = False
 
     # ------------------------------------------------------------------
     def backlog_bytes(self) -> float:
@@ -257,10 +271,6 @@ class Link(LinkBase):
     def queued_packets(self) -> int:
         """Packets held in an explicit queue (none: the queue is analytic)."""
         return 0
-
-    def is_down(self) -> bool:
-        """True while an outage window is active (all sends are dropped)."""
-        return self._down
 
     # ------------------------------------------------------------------
     # Mid-run dynamics (driven by repro.sim.dynamics.TimelineDriver)
@@ -284,15 +294,6 @@ class Link(LinkBase):
         self.bandwidth_bps = bandwidth_bps
         self._busy_until = now + residual_bits / bandwidth_bps
         self.stats.rate_changes += 1
-
-    def set_down(self, down: bool) -> None:
-        """Begin (True) or end (False) an outage window.
-
-        While down, every offered packet is dropped (``outage_drops``).
-        Packets accepted before the outage are already past the
-        serializer in the analytic model and still arrive.
-        """
-        self._down = bool(down)
 
     # ------------------------------------------------------------------
     def _admit(self, packet: Packet, now: float) -> "float | None":

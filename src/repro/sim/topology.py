@@ -1,8 +1,7 @@
-"""Topology graphs and builders.
+"""Topology graphs.
 
-The paper's transport experiments all run over a single bottleneck, and
-until PR 8 so did this repo: :class:`Dumbbell` wrapped one shared
-:class:`~repro.sim.link.Link`.  The general model here is
+The paper's transport experiments all run over a single bottleneck
+(:class:`Dumbbell`).  The general model here is
 :class:`Topology` — a directed graph of named nodes connected by links
 (analytic :class:`~repro.sim.link.Link` or event-based
 :class:`~repro.sim.aqm.DynamicLink` with a per-hop queue discipline)
@@ -10,16 +9,13 @@ with static shortest-hop routing — on which a flow's
 :class:`~repro.sim.flow.Path` may traverse several potentially-congested
 hops.
 
-Presets:
-
-* :class:`Dumbbell` — the classic single shared bottleneck plus an
-  uncongested reverse path (the ``dumbbell`` preset of
-  :class:`~repro.harness.scenarios.TopologySpec`);
-* :class:`ParkingLot` — N bottlenecks in series with cross-traffic
-  joining at each hop, the canonical multi-bottleneck fairness topology;
-* :class:`MultiDumbbell` — several access bottlenecks feeding one shared
-  core link, the substrate for many-short-flows-vs-scavenger scale
-  scenarios.
+:meth:`Topology.add_link` is the one place a topology's links are
+made, and the one place a link class is chosen; a caller that builds a
+link by hand registers it with :meth:`Topology.attach_link`.  The
+multi-hop presets (parking lot, shared core) are builders in
+:class:`~repro.harness.scenarios.TopologySpec` that call ``add_link``
+on a plain :class:`Topology`; :class:`Dumbbell` stays a class for the
+classic single shared bottleneck plus an uncongested reverse path.
 
 Routing is deterministic: breadth-first shortest hop count with ties
 broken by link insertion order, overridable per (src, dst) pair with
@@ -29,7 +25,7 @@ broken by link insertion order, overridable per (src, dst) pair with
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .aqm import DynamicLink, QueueDiscipline
 from .engine import Simulator
@@ -53,9 +49,9 @@ class Topology:
 
     Args:
         sim: Simulator instance.
-        rng: Seeded RNG; a child is spawned per link (labelled with the
-            link name) for loss/noise draws unless the link brings its
-            own.
+        rng: Seeded RNG; :meth:`add_link` spawns a child per link,
+            labelled with the link name, for its loss/noise draws (a
+            link built by hand and attached brings its own).
 
     Nodes are created implicitly by :meth:`add_link` /
     :meth:`attach_link`; both directions of a bidirectional hop are
@@ -74,9 +70,12 @@ class Topology:
         self._route_overrides: dict[tuple[str, str], list] = {}
         self._path_cache: dict[tuple[str, str], Path] = {}
         self._flow_count = 0
-        # The link scenario samplers/summaries should watch by default;
-        # presets point it at their primary bottleneck.
+        # The link scenario samplers/summaries watch by default: the
+        # first link attached, unless a builder points it elsewhere.
         self.monitor: object | None = None
+        # Nodes that flows without explicit endpoints round-robin over
+        # by flow index; empty means the first-added node.
+        self.sources: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # Construction
@@ -113,7 +112,6 @@ class Topology:
         discipline: QueueDiscipline | None = None,
         loss_rate: float = 0.0,
         noise: NoiseModel | None = None,
-        rng: Rng | None = None,
         name: str | None = None,
     ) -> object:
         """Create and attach the edge ``src -> dst``.
@@ -125,8 +123,7 @@ class Topology:
         """
         if name is None:
             name = f"{src}->{dst}"
-        if rng is None:
-            rng = spawn(self.rng, name)
+        rng = spawn(self.rng, name)
         if discipline is not None:
             link = DynamicLink(
                 self.sim,
@@ -222,12 +219,15 @@ class Topology:
     def default_endpoints(self, index: int) -> tuple[str, str]:
         """Endpoints for the ``index``-th flow when none are given.
 
-        The generic graph uses first-added -> last-added node; presets
-        override (e.g. :class:`MultiDumbbell` round-robins sources).
+        The source is ``sources[index % len(sources)]`` when a builder
+        set ``sources`` (the shared core round-robins its access
+        groups), else the first-added node; the sink is the last-added
+        node.
         """
         if len(self.nodes) < 2:
             raise TopologyError("topology has no flow endpoints yet")
-        return self.nodes[0], self.nodes[-1]
+        sources = self.sources or self.nodes[:1]
+        return sources[index % len(sources)], self.nodes[-1]
 
     # ------------------------------------------------------------------
     # Flows
@@ -305,14 +305,17 @@ class Dumbbell(Topology):
         bandwidth_bps: Bottleneck rate.
         rtt_s: Base round-trip propagation time; split evenly between the
             forward bottleneck and the reverse path.
-        buffer_bytes: Bottleneck tail-drop buffer.
+        buffer_bytes: Bottleneck tail-drop buffer (a ``discipline``
+            holds its own).
         loss_rate: Random loss probability on the bottleneck.
         noise: Optional forward-direction latency noise.
         reverse_noise: Optional ACK-direction latency noise (WiFi uplink
             experiments apply noise both ways).
         rng: Seeded RNG; children are spawned for each stochastic element.
-        bottleneck: Caller-supplied forward bottleneck (e.g. a
-            DynamicLink with an AQM discipline or time-varying rate).
+        discipline: Queue discipline for the bottleneck, making it an
+            event-based :class:`~repro.sim.aqm.DynamicLink` (see
+            :meth:`Topology.add_link`); ``None`` keeps the analytic
+            tail-drop :class:`~repro.sim.link.Link`.
     """
 
     def __init__(
@@ -325,25 +328,22 @@ class Dumbbell(Topology):
         noise: NoiseModel | None = None,
         reverse_noise: NoiseModel | None = None,
         rng: Rng | None = None,
-        bottleneck=None,
+        discipline: QueueDiscipline | None = None,
     ):
         super().__init__(sim, rng=rng)
         self.bandwidth_bps = bandwidth_bps
         self.rtt_s = rtt_s
-        if bottleneck is not None:
-            self.bottleneck = self.attach_link("src", "dst", bottleneck)
-        else:
-            self.bottleneck = self.add_link(
-                "src",
-                "dst",
-                bandwidth_bps=bandwidth_bps,
-                delay_s=rtt_s / 2.0,
-                buffer_bytes=buffer_bytes,
-                loss_rate=loss_rate,
-                noise=noise,
-                rng=spawn(self.rng, "bottleneck"),
-                name="bottleneck",
-            )
+        self.bottleneck = self.add_link(
+            "src",
+            "dst",
+            bandwidth_bps=bandwidth_bps,
+            delay_s=rtt_s / 2.0,
+            buffer_bytes=buffer_bytes,
+            discipline=discipline,
+            loss_rate=loss_rate,
+            noise=noise,
+            name="bottleneck",
+        )
         # The reverse path is fast and deep enough never to be the
         # constraint: ACK traffic is ~3% of data traffic by bytes.
         self.reverse = self.add_link(
@@ -352,17 +352,12 @@ class Dumbbell(Topology):
             bandwidth_bps=bandwidth_bps * 40.0,
             delay_s=rtt_s / 2.0,
             noise=reverse_noise,
-            rng=spawn(self.rng, "reverse"),
             name="reverse",
         )
-        self.monitor = self.bottleneck
 
     def bdp_bytes(self) -> float:
         """Bandwidth-delay product of the bottleneck in bytes."""
         return self.bandwidth_bps * self.rtt_s / 8.0
-
-    def default_endpoints(self, index: int) -> tuple[str, str]:
-        return "src", "dst"
 
     def add_flow(
         self,
@@ -378,169 +373,3 @@ class Dumbbell(Topology):
                 f"Dumbbell flows run src -> dst; got {src!r} -> {dst!r}"
             )
         return self._flow(sender, "src", "dst", flow_id, options)
-
-
-DisciplineFactory = Callable[[int], "QueueDiscipline | None"]
-"""Maps a hop index to that hop's queue discipline (``None`` = analytic
-tail-drop FIFO)."""
-
-
-class ParkingLot(Topology):
-    """``n_hops`` bottlenecks in series, cross traffic joining per hop.
-
-    Nodes ``n0 .. n{n_hops}``; forward hop ``i`` is the link
-    ``n{i} -> n{i+1}`` (name ``hop{i}``), every one a potential
-    bottleneck at ``bandwidth_bps``.  The reverse direction is provisioned
-    at 40x so ACKs never queue.  Long flows run ``n0 -> n{n_hops}``
-    across every hop; cross flows join at a single hop via
-    :meth:`add_cross_flow`.  Propagation delay is split so a long flow's
-    base RTT equals ``rtt_s``; a hop-``i`` cross flow sees
-    ``rtt_s / n_hops``.
-
-    Args:
-        discipline_factory: Optional per-hop AQM — called with the hop
-            index, returning a discipline (making that hop an
-            event-based :class:`~repro.sim.aqm.DynamicLink`) or ``None``
-            for the analytic FIFO.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n_hops: int,
-        bandwidth_bps: float,
-        rtt_s: float,
-        buffer_bytes: float,
-        loss_rate: float = 0.0,
-        noise: NoiseModel | None = None,
-        rng: Rng | None = None,
-        discipline_factory: DisciplineFactory | None = None,
-    ):
-        if n_hops < 1:
-            raise TopologyError("n_hops must be >= 1")
-        super().__init__(sim, rng=rng)
-        self.n_hops = n_hops
-        self.bandwidth_bps = bandwidth_bps
-        self.rtt_s = rtt_s
-        hop_delay_s = rtt_s / (2.0 * n_hops)
-        for i in range(n_hops):
-            self.add_link(
-                f"n{i}",
-                f"n{i + 1}",
-                bandwidth_bps=bandwidth_bps,
-                delay_s=hop_delay_s,
-                buffer_bytes=buffer_bytes,
-                discipline=(
-                    discipline_factory(i) if discipline_factory is not None else None
-                ),
-                loss_rate=loss_rate,
-                # Forward latency noise models the last-mile hop.
-                noise=noise if i == n_hops - 1 else None,
-                name=f"hop{i}",
-            )
-        for i in range(n_hops, 0, -1):
-            self.add_link(
-                f"n{i}",
-                f"n{i - 1}",
-                bandwidth_bps=bandwidth_bps * 40.0,
-                delay_s=hop_delay_s,
-                name=f"rev{i - 1}",
-            )
-        self.src = "n0"
-        self.dst = f"n{n_hops}"
-        self.monitor = self.links["hop0"]
-
-    def bdp_bytes(self) -> float:
-        """Bandwidth-delay product of one hop over the full-path RTT."""
-        return self.bandwidth_bps * self.rtt_s / 8.0
-
-    def default_endpoints(self, index: int) -> tuple[str, str]:
-        return self.src, self.dst
-
-    def add_cross_flow(self, sender, hop: int, **kwargs) -> Flow:
-        """A single-hop flow entering at ``n{hop}``, leaving at ``n{hop+1}``."""
-        if not 0 <= hop < self.n_hops:
-            raise TopologyError(f"hop must be in [0, {self.n_hops})")
-        return self.add_flow(sender, f"n{hop}", f"n{hop + 1}", **kwargs)
-
-
-class MultiDumbbell(Topology):
-    """``n_groups`` access bottlenecks feeding one shared core link.
-
-    Nodes ``s0 .. s{n_groups-1} -> core -> sink``: flow group ``i``
-    enters at ``s{i}`` over its private access bottleneck
-    (``bandwidth_bps``) and everything shares the core
-    (``core_bandwidth_bps``), so every flow crosses two potentially
-    congested hops.  Reverse links are provisioned at 40x.  Flows added
-    without explicit endpoints round-robin over the groups by flow
-    index — the substrate for "many short primaries vs. a few
-    scavengers over a shared core" scale scenarios.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n_groups: int,
-        bandwidth_bps: float,
-        core_bandwidth_bps: float,
-        rtt_s: float,
-        buffer_bytes: float,
-        core_buffer_bytes: float | None = None,
-        loss_rate: float = 0.0,
-        noise: NoiseModel | None = None,
-        rng: Rng | None = None,
-        core_discipline: QueueDiscipline | None = None,
-    ):
-        if n_groups < 1:
-            raise TopologyError("n_groups must be >= 1")
-        super().__init__(sim, rng=rng)
-        self.n_groups = n_groups
-        self.bandwidth_bps = bandwidth_bps
-        self.core_bandwidth_bps = core_bandwidth_bps
-        self.rtt_s = rtt_s
-        if core_buffer_bytes is None:
-            core_buffer_bytes = buffer_bytes
-        quarter_s = rtt_s / 4.0
-        for i in range(n_groups):
-            self.add_link(
-                f"s{i}",
-                "core",
-                bandwidth_bps=bandwidth_bps,
-                delay_s=quarter_s,
-                buffer_bytes=buffer_bytes,
-                loss_rate=loss_rate,
-                name=f"access{i}",
-            )
-        self.core = self.add_link(
-            "core",
-            "sink",
-            bandwidth_bps=core_bandwidth_bps,
-            delay_s=quarter_s,
-            buffer_bytes=core_buffer_bytes,
-            discipline=core_discipline,
-            noise=noise,
-            name="core",
-        )
-        self.add_link(
-            "sink",
-            "core",
-            bandwidth_bps=core_bandwidth_bps * 40.0,
-            delay_s=quarter_s,
-            name="core-rev",
-        )
-        for i in range(n_groups):
-            self.add_link(
-                "core",
-                f"s{i}",
-                bandwidth_bps=bandwidth_bps * 40.0,
-                delay_s=quarter_s,
-                name=f"access{i}-rev",
-            )
-        self.monitor = self.core
-
-    def bdp_bytes(self) -> float:
-        """Bandwidth-delay product of the core link in bytes."""
-        return self.core_bandwidth_bps * self.rtt_s / 8.0
-
-    def default_endpoints(self, index: int) -> tuple[str, str]:
-        return f"s{index % self.n_groups}", "sink"

@@ -163,6 +163,8 @@ def test_cli_reports_a_flow_starting_after_the_run_in_one_line(command):
         ["sweep", "--bandwidths", "0"],
         ["single", "--loss", "1.5"],
         ["single", "--noise", "-1"],
+        # The step-down timeline addresses the dumbbell's "bottleneck".
+        ["single", "--topology", "parking-lot", "--timeline", "step-down"],
     ],
     ids=" ".join,
 )

@@ -19,6 +19,7 @@ from repro.harness import (
     GilbertLoss,
     LinkConfig,
     LossStep,
+    Outage,
     Timeline,
     TopologySpec,
     load_topology,
@@ -270,6 +271,26 @@ def test_burst_loss_on_aqm_hop_takes_effect_and_a_loss_step_clears_it():
     cleared = bottleneck_after(burst, LossStep(at_s=1.0, loss_rate=0.0))
     assert cleared.loss_model is None
     assert 0 < cleared.stats.random_losses < lossy.stats.random_losses
+
+
+def test_outage_on_aqm_hop_refuses_arrivals_and_conserves_packets():
+    # The TimelineDriver used to reject "down" events on an event-based
+    # link, so ``--topology dumbbell-codel --timeline mobility-trace``
+    # died before the run started.
+    result = run_flows(
+        [FlowSpec("cubic")],
+        LinkConfig(bandwidth_mbps=20.0, rtt_ms=30.0, buffer_kb=150.0),
+        duration_s=3.0,
+        topology=TOPOLOGIES["dumbbell-codel"](),
+        timeline=Timeline((Outage(start_s=1.0, end_s=1.5),)),
+    )
+    assert [event.kind for event in result.link_events] == ["down", "up"]
+    result.dumbbell.assert_conservation()
+    bottleneck = result.dumbbell.links["bottleneck"]
+    assert bottleneck.stats.outage_drops > 0
+    assert not bottleneck.is_down()
+    # Delivery resumes once the outage ends.
+    assert result.stats[0].throughput_bps(2.0, 3.0) > 0
 
 
 def test_summary_reports_topology_and_per_link_stats():

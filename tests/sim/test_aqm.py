@@ -4,22 +4,22 @@ import random
 
 import pytest
 
+from repro.harness import LinkConfig, TopologySpec
 from repro.obs import CollectingTracer
 from repro.protocols import CubicSender, FixedRateSender, make_sender
 from repro.sim import (
     CoDelDiscipline,
-    Dumbbell,
     DynamicLink,
     HeadDropDiscipline,
+    LinkEvent,
     Packet,
     RandomDropDiscipline,
     REDDiscipline,
     Simulator,
     TailDropDiscipline,
-    cellular_rate,
+    TimelineDriver,
+    cellular_events,
     make_rng,
-    mbps,
-    step_rate,
 )
 
 
@@ -200,41 +200,66 @@ def test_drained_aqm_run_leaves_no_heap_entries():
 
 
 def test_dynamic_link_step_rate_changes_service_speed():
-    sim = Simulator()
-    # 8 Mbps for the first second, then 0.8 Mbps.
-    rate_fn = step_rate([(0.0, 8e6), (1.0, 0.8e6)])
-    link = DynamicLink(sim, rate_bps=rate_fn, delay_s=0.0)
-    sink = TimedSink(sim)
-    link.send(Packet(1, 1, size_bytes=1000), sink)
-    sim.run()
-    fast = sink.arrivals[-1][0]
-    sim2 = Simulator()
-    link2 = DynamicLink(sim2, rate_bps=rate_fn, delay_s=0.0)
-    sink2 = TimedSink(sim2)
-    sim2.schedule(2.0, link2.send, Packet(1, 1, size_bytes=1000), sink2)
-    sim2.run()
-    slow = sink2.arrivals[-1][0] - 2.0
+    def one_packet_at(t):
+        # 8 Mbps for the first second, then 0.8 Mbps.
+        sim = Simulator()
+        link = DynamicLink(sim, rate_bps=8e6, delay_s=0.0, name="l")
+        TimelineDriver(sim, {"l": link}, [LinkEvent(1.0, "l", "bandwidth", (0.8e6,))])
+        sink = TimedSink(sim)
+        sim.schedule(t, link.send, Packet(1, 1, size_bytes=1000), sink)
+        sim.run()
+        return sink.arrivals[-1][0] - t
+
+    fast = one_packet_at(0.0)
+    slow = one_packet_at(2.0)
     assert slow == pytest.approx(10 * fast, rel=0.01)
 
 
-def test_step_rate_validation():
+def test_dynamic_link_rate_validation():
     with pytest.raises(ValueError):
-        step_rate([])
+        DynamicLink(Simulator(), rate_bps=0.0, delay_s=0.0)
+    link = DynamicLink(Simulator(), rate_bps=1e6, delay_s=0.0)
     with pytest.raises(ValueError):
-        step_rate([(1.0, 1e6), (0.0, 2e6)])
+        link.set_bandwidth_bps(-1e6)
 
 
 def test_cellular_rate_varies_but_stays_bounded():
-    rate_fn = cellular_rate(mean_bps=10e6, period_s=1.0, depth=0.5, seed=3)
-    samples = [rate_fn(t * 0.5) for t in range(40)]
-    assert all(5e6 <= s <= 15e6 for s in samples)
-    assert len(set(round(s) for s in samples)) > 5  # actually varies
-    assert rate_fn(3.2) == rate_fn(3.7)  # constant within an epoch
+    events = cellular_events("l", mean_bps=10e6, duration_s=20.0, period_s=1.0,
+                             depth=0.5, seed=3)
+    # One bandwidth event per epoch, at each epoch's start.
+    assert [e.time_s for e in events] == [float(k) for k in range(20)]
+    assert {(e.link, e.kind) for e in events} == {("l", "bandwidth")}
+    rates = [e.value[0] for e in events]
+    assert all(5e6 <= r <= 15e6 for r in rates)
+    assert len(set(round(r) for r in rates)) > 5  # actually varies
+    # Same seed, same walk; a longer run only appends epochs.
+    longer = cellular_events("l", 10e6, 30.0, period_s=1.0, depth=0.5, seed=3)
+    assert longer[:20] == events
 
 
 def test_cellular_rate_validation():
     with pytest.raises(ValueError):
-        cellular_rate(0.0)
+        cellular_events("l", 0.0, 10.0)
+
+
+def test_dynamic_link_outage_refuses_arrivals_and_serves_its_queue():
+    tracer = CollectingTracer()
+    sim = Simulator(tracer=tracer)
+    link = DynamicLink(sim, rate_bps=8e5, delay_s=0.0, name="hop")  # 15 ms/packet
+    sink = TimedSink(sim)
+    for seq in range(3):
+        link.send(Packet(1, seq, size_bytes=1500), sink)
+    link.set_down(True)
+    assert link.is_down()
+    assert link.send(Packet(1, 3, size_bytes=1500), sink) is False
+    sim.run()
+    # What was queued before the outage still arrives.
+    assert [pkt.seq for _, pkt in sink.arrivals] == [0, 1, 2]
+    assert link.stats.outage_drops == 1 and link.stats.offered == 4
+    drops = [e for e in tracer.to_dicts() if e["kind"] == "link.drop"]
+    assert [(e["reason"], e["seq"]) for e in drops] == [("outage", 3)]
+    link.set_down(False)
+    assert link.send(Packet(1, 4, size_bytes=1500), sink) is True
 
 
 def _overfill_link(discipline, n_packets=5, tracer=None, node=""):
@@ -314,31 +339,16 @@ def test_dynamic_link_trace_carries_node_and_drop_reason():
 # ----------------------------------------------------------------------
 # End-to-end: flows over a DynamicLink bottleneck
 # ----------------------------------------------------------------------
-def make_aqm_dumbbell(discipline, bandwidth_mbps=20.0, seed=1):
+def make_aqm_dumbbell(aqm, bandwidth_mbps=20.0, buffer_kb=500.0, seed=1):
     sim = Simulator()
-    bottleneck = DynamicLink(
-        sim,
-        rate_bps=mbps(bandwidth_mbps),
-        delay_s=0.015,
-        discipline=discipline,
-        rng=make_rng(seed),
-        name="aqm-bottleneck",
-    )
-    dumbbell = Dumbbell(
-        sim,
-        bandwidth_bps=mbps(bandwidth_mbps),
-        rtt_s=0.030,
-        buffer_bytes=1e6,  # unused: bottleneck supplied
-        rng=make_rng(seed),
-        bottleneck=bottleneck,
-    )
-    return sim, dumbbell, bottleneck
+    config = LinkConfig(bandwidth_mbps=bandwidth_mbps, rtt_ms=30.0, buffer_kb=buffer_kb)
+    dumbbell = TopologySpec(preset="dumbbell", aqm=aqm).build(sim, config, make_rng(seed))
+    return sim, dumbbell, dumbbell.bottleneck
 
 
 def test_cubic_over_codel_keeps_queue_short():
-    sim, dumbbell, bottleneck = make_aqm_dumbbell(
-        CoDelDiscipline(buffer_bytes=500e3)
-    )
+    sim, dumbbell, bottleneck = make_aqm_dumbbell("codel")
+    assert isinstance(bottleneck.discipline, CoDelDiscipline)
     flow = dumbbell.add_flow(CubicSender())
     sim.run(until=20.0)
     # CoDel holds sojourn near target: p95 RTT stays far below the
@@ -352,24 +362,21 @@ def test_cubic_over_codel_keeps_queue_short():
 
 
 def test_proteus_over_red_performs():
-    sim, dumbbell, _ = make_aqm_dumbbell(REDDiscipline(buffer_bytes=500e3))
+    sim, dumbbell, _ = make_aqm_dumbbell("red")
     flow = dumbbell.add_flow(make_sender("proteus-p"))
     sim.run(until=20.0)
     assert flow.stats.throughput_bps(10.0, 20.0) / 1e6 > 12.0
 
 
 def test_fixed_rate_over_cellular_link_tracks_capacity():
-    sim = Simulator()
-    bottleneck = DynamicLink(
-        sim,
-        rate_bps=cellular_rate(mean_bps=10e6, period_s=1.0, depth=0.5, seed=4),
-        delay_s=0.015,
-        discipline=TailDropDiscipline(200e3),
-        rng=make_rng(5),
+    sim, dumbbell, _ = make_aqm_dumbbell(
+        "taildrop", bandwidth_mbps=10.0, buffer_kb=200.0, seed=5
     )
-    dumbbell = Dumbbell(
-        sim, bandwidth_bps=10e6, rtt_s=0.030, buffer_bytes=1e6,
-        rng=make_rng(5), bottleneck=bottleneck,
+    TimelineDriver(
+        sim,
+        dumbbell.links,
+        cellular_events("bottleneck", mean_bps=10e6, duration_s=20.0, period_s=1.0,
+                        depth=0.5, seed=4),
     )
     flow = dumbbell.add_flow(FixedRateSender(rate_bps=20e6))
     sim.run(until=20.0)

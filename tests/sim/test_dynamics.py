@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     DynamicsError,
-    DynamicsLog,
     GilbertElliott,
     Link,
     LinkEvent,
@@ -168,18 +167,6 @@ def test_loss_event_clears_stateful_model():
     sim.run(until=2.5)
     assert link.loss_model is None
     assert link.loss_rate == pytest.approx(0.05)
-
-
-def test_dynamics_log_filters_by_link():
-    log = DynamicsLog(
-        [
-            LinkEvent(1.0, "a", "down"),
-            LinkEvent(2.0, "b", "up"),
-            LinkEvent(3.0, "a", "up"),
-        ]
-    )
-    assert [event.time_s for event in log.for_link("a")] == [1.0, 3.0]
-    assert log.for_link("c") == []
 
 
 # ----------------------------------------------------------------------

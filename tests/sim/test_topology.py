@@ -2,15 +2,14 @@
 
 import pytest
 
+from repro.harness import LinkConfig, TopologySpec
 from repro.protocols import CubicSender, FixedRateSender, make_sender
 from repro.sim import (
     CoDelDiscipline,
     Dumbbell,
     DynamicLink,
     Link,
-    MultiDumbbell,
     Packet,
-    ParkingLot,
     Path,
     Simulator,
     Topology,
@@ -212,10 +211,16 @@ def test_dumbbell_is_a_topology_graph():
     assert dumbbell.monitor is dumbbell.bottleneck
 
 
+def _preset(sim, buffer_kb, loss_rate=0.0, **spec):
+    config = LinkConfig(
+        bandwidth_mbps=20.0, rtt_ms=30.0, buffer_kb=buffer_kb, loss_rate=loss_rate
+    )
+    return TopologySpec(**spec).build(sim, config, make_rng(1))
+
+
 def test_parking_lot_structure_and_cross_flow_validation():
     sim = Simulator()
-    lot = ParkingLot(sim, n_hops=3, bandwidth_bps=mbps(20.0), rtt_s=0.030,
-                     buffer_bytes=250e3, rng=make_rng(1))
+    lot = _preset(sim, 250.0, preset="parking-lot", n_hops=3)
     assert [link.name for link in lot.route_links("n0", "n3")] == [
         "hop0", "hop1", "hop2"
     ]
@@ -224,15 +229,14 @@ def test_parking_lot_structure_and_cross_flow_validation():
     rev = lot.path("n3", "n0").base_delay()
     assert fwd + rev == pytest.approx(0.030)
     with pytest.raises(TopologyError):
-        lot.add_cross_flow(CubicSender(), hop=3)
+        lot.add_flow(CubicSender(), "n3", "n4")  # no hop 3
 
 
 def test_parking_lot_conservation_under_cross_traffic():
     sim = Simulator()
-    lot = ParkingLot(sim, n_hops=3, bandwidth_bps=mbps(20.0), rtt_s=0.030,
-                     buffer_bytes=100e3, loss_rate=0.01, rng=make_rng(1))
+    lot = _preset(sim, 100.0, loss_rate=0.01, preset="parking-lot", n_hops=3)
     lot.add_flow(make_sender("proteus-s", seed=1))
-    lot.add_cross_flow(make_sender("cubic", seed=2), hop=1)
+    lot.add_flow(make_sender("cubic", seed=2), "n1", "n2")  # cross hop 1
     sim.run(until=8.0)
     lot.assert_conservation()
     # Hop 1 carries both flows: it is the contended one.
@@ -241,20 +245,12 @@ def test_parking_lot_conservation_under_cross_traffic():
 
 def test_parking_lot_aqm_hops_are_dynamic_links():
     sim = Simulator()
-    disciplines = []
-
-    def factory(hop):
-        disc = CoDelDiscipline(buffer_bytes=250e3)
-        disciplines.append(disc)
-        return disc
-
-    lot = ParkingLot(sim, n_hops=2, bandwidth_bps=mbps(20.0), rtt_s=0.030,
-                     buffer_bytes=250e3, rng=make_rng(1),
-                     discipline_factory=factory)
+    lot = _preset(sim, 250.0, preset="parking-lot", n_hops=2, aqm="codel")
     assert isinstance(lot.links["hop0"], DynamicLink)
     assert isinstance(lot.links["hop1"], DynamicLink)
     # One fresh discipline per hop — AQM state is never shared.
-    assert len(disciplines) == 2
+    assert isinstance(lot.links["hop0"].discipline, CoDelDiscipline)
+    assert isinstance(lot.links["hop1"].discipline, CoDelDiscipline)
     assert lot.links["hop0"].discipline is not lot.links["hop1"].discipline
     # Reverse links stay analytic: ACKs need no AQM.
     assert isinstance(lot.links["rev0"], Link)
@@ -262,27 +258,23 @@ def test_parking_lot_aqm_hops_are_dynamic_links():
 
 def test_multi_dumbbell_round_robins_default_endpoints():
     sim = Simulator()
-    net = MultiDumbbell(sim, n_groups=3, bandwidth_bps=mbps(20.0),
-                        core_bandwidth_bps=mbps(30.0), rtt_s=0.030,
-                        buffer_bytes=250e3, rng=make_rng(1))
+    net = _preset(sim, 250.0, preset="multi-dumbbell", n_hops=3, core_mbps=30.0)
     assert net.default_endpoints(0) == ("s0", "sink")
     assert net.default_endpoints(4) == ("s1", "sink")
     # Every flow crosses its access link and the shared core.
     names = [link.name for link in net.route_links("s2", "sink")]
     assert names == ["access2", "core"]
-    assert net.monitor is net.core
+    assert net.monitor is net.links["core"]
 
 
 def test_multi_dumbbell_conservation():
     sim = Simulator()
-    net = MultiDumbbell(sim, n_groups=2, bandwidth_bps=mbps(20.0),
-                        core_bandwidth_bps=mbps(25.0), rtt_s=0.030,
-                        buffer_bytes=100e3, rng=make_rng(1))
+    net = _preset(sim, 100.0, preset="multi-dumbbell", n_hops=2, core_mbps=25.0)
     net.add_flow(make_sender("cubic", seed=1))
     net.add_flow(make_sender("cubic", seed=2))
     sim.run(until=6.0)
     net.assert_conservation()
-    core = net.core.stats
+    core = net.links["core"].stats
     assert core.offered > 0
 
 

@@ -38,12 +38,12 @@ into ``src/repro`` frames, and how many of those calls were ``record``
 row first, then calls ``record``)."""
 
 EXPECTED = {
-    "pair_exact": (19045, 12074, 16972, 196928, 0, 0),
-    "pair_hybrid": (12289, 12712, 12955, 110331, 0, 0),
-    "pair_traced": (31119, 0, 16972, 364110, 56066, 0),
-    "many_flows": (12756, 10385, 5261, 137124, 0, 0),
-    "many_flows_traced": (23141, 0, 5261, 205998, 44440, 0),
-    "codel_parking_lot": (46541, 23035, 8087, 322767, 0, 0),
+    "pair_exact": (19045, 12074, 16972, 196929, 0, 0),
+    "pair_hybrid": (12289, 12712, 12955, 110332, 0, 0),
+    "pair_traced": (31119, 0, 16972, 364111, 56066, 0),
+    "many_flows": (12756, 10385, 5261, 137123, 0, 0),
+    "many_flows_traced": (23141, 0, 5261, 205997, 44440, 0),
+    "codel_parking_lot": (46541, 23035, 8087, 299528, 0, 0),
 }
 
 
