@@ -303,8 +303,7 @@ class UnitSuffix(Rule):
     duration must say its unit in the name (``_bps``, ``_mbps``, ``_s``,
     ``_ms``, ...): the Mbps-vs-bytes/sec-vs-pkts/MI confusion is exactly
     the class of bug a test suite rarely reaches.  Probability-per-packet
-    names (``loss_rate``) and rate *functions* (``rate_fn``) are
-    unit-free and allowed.
+    names (``loss_rate``) are unit-free and allowed.
     """
 
     id = "unit-suffix"
@@ -316,9 +315,9 @@ class UnitSuffix(Rule):
     )
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-    # loss_rate/drop_rate are per-packet probabilities, rate_fn is a
-    # function, rtt_gradient is the paper's dimensionless d(RTT)/dt slope.
-    ALLOWED_NAMES = frozenset({"loss_rate", "rate_fn", "drop_rate", "rtt_gradient"})
+    # loss_rate/drop_rate are per-packet probabilities, rtt_gradient is
+    # the paper's dimensionless d(RTT)/dt slope.
+    ALLOWED_NAMES = frozenset({"loss_rate", "drop_rate", "rtt_gradient"})
 
     def applies_to(self, ctx: LintContext) -> bool:
         if _in_test_tree(ctx):

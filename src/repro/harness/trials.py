@@ -150,6 +150,24 @@ def _count_outcomes(registry, outcomes: "list[TrialOutcome]") -> None:
             registry.counter("trials.resumed").inc()
 
 
+def _trial_values(experiment, n_trials, base_seed, jobs, policy, manifest):
+    """Run the seeds; return the successful values and, when supervised,
+    every trial's outcome (else ``None``).
+
+    Supervised (checkpointed and retried) when ``policy`` or ``manifest``
+    is set, else a plain :func:`pmap` over the seeds.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
+    if policy is not None or manifest is not None:
+        outcomes = run_trials_supervised(
+            experiment, n_trials, base_seed, jobs=jobs, policy=policy, manifest=manifest
+        )
+        return [o.value for o in outcomes if o.ok], outcomes
+    seeds = [base_seed + i for i in range(n_trials)]
+    return pmap(experiment, seeds, jobs=jobs), None
+
+
 def run_trials(
     experiment: Callable[[int], float],
     n_trials: int = 10,
@@ -178,24 +196,13 @@ def run_trials(
     ``trials.resumed`` counters across calls — sweep drivers hand one
     registry to every ``run_trials`` call and read a single snapshot.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
-    if policy is not None or manifest is not None:
-        outcomes = run_trials_supervised(
-            experiment, n_trials, base_seed, jobs=jobs, policy=policy, manifest=manifest
-        )
-        if metrics is not None:
-            _count_outcomes(metrics, outcomes)
-        return summarize([o.value for o in outcomes if o.ok])
-    seeds = [base_seed + i for i in range(n_trials)]
-    values = pmap(experiment, seeds, jobs=jobs)
+    values, outcomes = _trial_values(experiment, n_trials, base_seed, jobs, policy, manifest)
     if metrics is not None:
-        from .supervise import STATUS_OK, TrialOutcome
+        if outcomes is None:
+            from .supervise import STATUS_OK, TrialOutcome
 
-        _count_outcomes(
-            metrics,
-            [TrialOutcome(status=STATUS_OK, key="") for _ in values],
-        )
+            outcomes = [TrialOutcome(status=STATUS_OK, key="") for _ in values]
+        _count_outcomes(metrics, outcomes)
     return summarize(values)
 
 
@@ -208,18 +215,9 @@ def run_trials_multi(
     manifest: "str | Path | SweepManifest | None" = None,
 ) -> dict[str, TrialSummary]:
     """As :func:`run_trials` for experiments returning several metrics."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
-    if policy is not None or manifest is not None:
-        supervised = run_trials_supervised(
-            experiment, n_trials, base_seed, jobs=jobs, policy=policy, manifest=manifest
-        )
-        outcomes = [o.value for o in supervised if o.ok]
-    else:
-        seeds = [base_seed + i for i in range(n_trials)]
-        outcomes = pmap(experiment, seeds, jobs=jobs)
+    results, _ = _trial_values(experiment, n_trials, base_seed, jobs, policy, manifest)
     collected: dict[str, list[float]] = {}
-    for outcome in outcomes:
-        for key, value in outcome.items():
+    for result in results:
+        for key, value in result.items():
             collected.setdefault(key, []).append(value)
     return {key: summarize(values) for key, values in collected.items()}

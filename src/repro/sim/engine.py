@@ -21,7 +21,11 @@ that heap:
   one attribute-loaded comparison per packet.
 
 ``seq`` is unique per simulator, so tuple comparison never reaches the
-callback and no ``__lt__`` dispatch happens during sifting.
+callback and no ``__lt__`` dispatch happens during sifting.  One loop,
+:meth:`Simulator.run`'s ``_drain``, fires the entries one per turn in
+``(time, seq)`` order: same-time events fire in the order they were
+scheduled, and an entry scheduled while others share its time queues
+behind them.
 
 Cancellation is lazy (the entry stays in the heap until popped), but the
 simulator compacts the heap whenever cancelled events outnumber live ones,
@@ -68,21 +72,12 @@ BUDGET_WALL = tracepoint("sim.budget.exceeded", "budget", "events_fired", "max_w
 _COMPACT_MIN_HEAP = 64
 """Heap size below which compaction is not worth the heapify cost."""
 
-_BATCH_MAX_EVENTS = 1024
-"""Cap on events drained per same-timestamp batch.
-
-Bounds how long the batched dispatcher can spin at one timestamp before
-control returns to the outer loop, so the invariant checker's stall
-tripwire and the run budgets still observe a zero-dt self-rescheduling
-livelock instead of being starved by an endless batch.
-"""
-
 _WALL_CHECK_EVENTS = 1024
 """Events between host-clock reads while a ``max_wall_s`` budget is armed."""
 
 _NO_BUDGET = 1 << 62
 """Event count no run reaches: the unarmed watermark.  An int, so the
-per-batch ``fired >= check_at`` compare never mixes int and float."""
+per-event ``fired >= check_at`` compare never mixes int and float."""
 
 
 class SimulationError(RuntimeError):
@@ -185,7 +180,6 @@ class Event:
 
 # Heap entry layout: (time, seq, fn, args, event-or-None).  ``event`` is
 # None for the fast path; entries never compare past ``seq``.
-_TIME = 0
 _EVENT = 4
 
 
@@ -294,8 +288,7 @@ class Simulator:
         A ``time_s`` in the past is clamped to ``now`` (with a
         ``sim.schedule.past`` trace event): analytic fast-forward can
         compute delivery times a float-rounding hair behind the clock,
-        and the batched dispatcher assumes no entry ever lands behind
-        the batch it is draining.
+        and firing such an entry would move the clock backwards.
         """
         if time_s < self.now:
             tracer = self.tracer
@@ -330,8 +323,8 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled events from the heap and re-heapify.
 
-        In place: ``step``/``run`` hold a local reference to the heap
-        list, so rebinding ``self._heap`` here would strand them on a
+        In place: :meth:`_drain` holds a local reference to the heap
+        list, so rebinding ``self._heap`` here would strand it on a
         stale copy when an event handler cancels timers mid-run.
         """
         self._heap[:] = [
@@ -345,27 +338,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next pending event. Returns False when the queue is empty."""
-        heap = self._heap
-        inv = self.invariants
-        while heap:
-            now, _, fn, args, event = heapq.heappop(heap)
-            if event is not None:
-                if event.cancelled:
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    continue
-                # Detach so a late cancel() cannot corrupt live accounting.
-                event.sim = None
-            self.now = now
-            fn(*args)
-            self.events_fired += 1
-            if inv is not None:
-                inv.after_event(self.now)
-            return True
-        return False
-
     def run(
         self,
         until: float | None = None,
@@ -418,27 +390,24 @@ class Simulator:
         max_events: int | None,
         max_wall_s: float | None,
     ) -> None:
-        """The event loop, budgeted or not.
+        """The event loop, budgeted or not: one event per turn.
 
-        Dispatch is batched by timestamp: the first pop opens a batch,
-        then every entry sharing its time is drained in a tight inner
-        loop with one clock write and one invariant hook for the whole
-        batch.  Entries are popped before the ``until`` test (cheaper
-        than peek-then-pop); the rare overshooting entry is pushed back.
+        Each turn pops the earliest entry by ``(time, seq)``, skips it if
+        cancelled, pushes it back and stops if it lies past ``until``
+        (popping first is cheaper than peek-then-pop; the overshooting
+        entry is rare), runs the budget checks, then detaches, fires and
+        audits it.  A tripped budget pushes the entry back, so
+        ``pending()`` still counts it; detaching only after the checks
+        keeps a later ``cancel()`` of that entry counted.
 
-        Watchdogs cost one integer compare per batch: ``check_at`` is the
+        Watchdogs cost one integer compare per event: ``check_at`` is the
         fired count at which the next budget check is due (never, with no
-        budget armed).  Only a batch that actually forms tests the event
-        budget per event, so it trips at exactly ``max_events``.
+        budget armed), so the event budget trips at exactly
+        ``max_events``.
         """
         heap = self._heap
         pop = heapq.heappop
         until_t = float("inf") if until is None else until
-        cap = _BATCH_MAX_EVENTS
-        if inv is not None and inv.max_stall_events is not None:
-            # Let the stall tripwire see the clock at least once per
-            # threshold's worth of same-time events.
-            cap = min(cap, inv.max_stall_events)
         event_limit = _NO_BUDGET if max_events is None else max_events
         check_at = event_limit
         deadline = 0.0
@@ -496,31 +465,13 @@ class Simulator:
                     # Detach so a late cancel() cannot corrupt accounting.
                     event.sim = None
                 self.now = now
-                batch_start = fired
                 fn(*args)
                 fired += 1
-                # Exact equality is the point: only events sharing this
-                # timestamp belong to the batch.
-                while (
-                    heap
-                    and heap[0][_TIME] == now  # repro: noqa[no-float-eq]
-                    and fired - batch_start < cap
-                    and fired < event_limit
-                ):
-                    _, _, fn, args, event = pop(heap)
-                    if event is not None:
-                        if event.cancelled:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        event.sim = None
-                    fn(*args)
-                    fired += 1
                 if inv is not None:
-                    inv.after_event(now, fired - batch_start)
+                    inv.after_event(now)
         finally:
             # One flush per run, not one attribute store per event; every
-            # external reader observes the counter only after run()/step()
+            # external reader observes the counter only after run()
             # returns or an exception has propagated through here.
             self.events_fired += fired
 

@@ -98,15 +98,11 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Hooks (called from the engine)
     # ------------------------------------------------------------------
-    def after_event(self, now: float, events: int = 1) -> None:
-        """Per-dispatch hook: clock monotonicity + periodic sweeps.
+    def after_event(self, now: float) -> None:
+        """Per-event hook, called after each event fires at ``now``.
 
-        ``events`` is how many events the engine fired at this timestamp
-        (the batched dispatcher drains same-time entries in one pass and
-        calls this hook once per batch).  Counting the whole batch keeps
-        ``sweep_every_events`` and ``max_stall_events`` denominated in
-        events, not dispatch passes, so thresholds mean the same thing
-        in both dispatch modes.
+        Checks clock monotonicity, counts the stall tripwire (0 when the
+        clock advances, else +1) and runs the periodic sweep.
         """
         if now < self._last_now:
             raise InvariantError(
@@ -114,12 +110,9 @@ class InvariantChecker:
             )
         if self.max_stall_events is not None:
             if now > self._last_now:
-                # The batch's first event advanced the clock; the rest of
-                # the batch shares its timestamp, exactly as the
-                # per-event counter would have scored it.
-                self._stall_events = events - 1
+                self._stall_events = 0
             else:
-                self._stall_events += events
+                self._stall_events += 1
                 if self._stall_events >= self.max_stall_events:
                     raise InvariantError(
                         f"simulated clock stalled: {self._stall_events} "
@@ -127,7 +120,7 @@ class InvariantChecker:
                         "self-rescheduling livelock?)"
                     )
         self._last_now = now
-        self._events_since_sweep += events
+        self._events_since_sweep += 1
         if self._events_since_sweep >= self.sweep_every_events:
             self.check_now()
 
@@ -150,29 +143,15 @@ class InvariantChecker:
     def _check_link(self, link) -> None:
         stats = link.stats
         queued = link.queued_packets()
-        # Packets offered during a down window are counted apart from
-        # tail drops (only the analytic Link can go down; a DynamicLink's
-        # counter stays 0).  Stub links in tests may lack the field.
-        outage_drops = getattr(stats, "outage_drops", 0)
-        # Stub links in tests may carry a bare stats object without the
-        # AQM counter; real LinkStats always has it.
-        aqm_drops = getattr(stats, "aqm_drops", 0)
-        accounted = (
-            stats.delivered
-            + stats.tail_drops
-            + aqm_drops
-            + stats.random_losses
-            + outage_drops
-            + queued
-        )
+        accounted = stats.accounted(queued)
         if stats.offered != accounted:
             raise InvariantError(
                 f"packet conservation violated on {link.name!r}: "
                 f"offered={stats.offered} but delivered={stats.delivered} "
                 f"+ tail_drops={stats.tail_drops} "
-                f"+ aqm_drops={aqm_drops} "
+                f"+ aqm_drops={stats.aqm_drops} "
                 f"+ random_losses={stats.random_losses} "
-                f"+ outage_drops={outage_drops} + queued={queued} "
+                f"+ outage_drops={stats.outage_drops} + queued={queued} "
                 f"= {accounted}"
             )
         backlog = link.backlog_bytes()
@@ -188,10 +167,8 @@ class InvariantChecker:
             return
         # Against the *minimum* propagation delay the path ever had: after
         # a mid-run delay increase, samples taken earlier legitimately sit
-        # below the current base RTT.  (Stub flows in tests may only
-        # implement base_rtt.)
-        min_base_rtt = getattr(flow, "min_base_rtt", flow.base_rtt)
-        floor_s = min_base_rtt() - _RTT_EPSILON_S
+        # below the current base RTT.
+        floor_s = flow.min_base_rtt() - _RTT_EPSILON_S
         ceiling_s = self.sim.now - flow.start_time + _RTT_EPSILON_S
         for i in range(start, len(rtts)):
             rtt = rtts[i]

@@ -84,6 +84,21 @@ class LinkStats:
         self.rate_changes = 0
         self.max_backlog_bytes = 0.0
 
+    def accounted(self, queued: int) -> int:
+        """Packets the link can account for, given ``queued`` still queued.
+
+        Packet conservation: ``offered`` must equal delivered + tail-,
+        AQM- and outage-dropped + randomly lost + ``queued``.
+        """
+        return (
+            self.delivered
+            + self.tail_drops
+            + self.aqm_drops
+            + self.random_losses
+            + self.outage_drops
+            + queued
+        )
+
 
 class LinkBase:
     """What every link has: identity, counters, delay, wire loss, noise.

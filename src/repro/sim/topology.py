@@ -277,14 +277,7 @@ class Topology:
         """Raise if any hop leaks packets (offered != accounted-for)."""
         for link in self.links.values():
             stats = link.stats
-            accounted = (
-                stats.delivered
-                + stats.tail_drops
-                + stats.aqm_drops
-                + stats.random_losses
-                + stats.outage_drops
-                + link.queued_packets()
-            )
+            accounted = stats.accounted(link.queued_packets())
             if stats.offered != accounted:
                 raise TopologyError(
                     f"packet conservation violated on hop {link.name!r} "
@@ -331,8 +324,6 @@ class Dumbbell(Topology):
         discipline: QueueDiscipline | None = None,
     ):
         super().__init__(sim, rng=rng)
-        self.bandwidth_bps = bandwidth_bps
-        self.rtt_s = rtt_s
         self.bottleneck = self.add_link(
             "src",
             "dst",
@@ -354,10 +345,6 @@ class Dumbbell(Topology):
             noise=reverse_noise,
             name="reverse",
         )
-
-    def bdp_bytes(self) -> float:
-        """Bandwidth-delay product of the bottleneck in bytes."""
-        return self.bandwidth_bps * self.rtt_s / 8.0
 
     def add_flow(
         self,

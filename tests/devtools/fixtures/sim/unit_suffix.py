@@ -15,5 +15,5 @@ def _private_ok(delay):
     return delay
 
 
-def allowed(loss_rate, rate_fn, rate_bps):
-    return loss_rate, rate_fn, rate_bps
+def allowed(loss_rate, rate_bps):
+    return loss_rate, rate_bps

@@ -1,10 +1,16 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import (
+    InvariantChecker,
+    InvariantError,
+    SimBudgetExceeded,
+    SimulationError,
+    Simulator,
+)
 
 
 def test_events_fire_in_time_order():
@@ -86,14 +92,6 @@ def test_events_scheduled_during_run_are_executed():
     assert sim.now == 3.0
 
 
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert not sim.step()
-    sim.schedule(1.0, lambda: None)
-    assert sim.step()
-    assert not sim.step()
-
-
 def test_pending_counts_only_live_events():
     sim = Simulator()
     keep = sim.schedule(1.0, lambda: None)
@@ -149,8 +147,7 @@ def test_schedule_fast_validates_like_schedule():
 def test_schedule_fast_at_clamps_past_times_to_now():
     # A past timestamp is clamped to `now` (not an error): analytic
     # fast-forward can compute delivery times a rounding hair behind the
-    # clock, and the batched dispatcher relies on never seeing an entry
-    # behind the batch it is draining.
+    # clock, and firing such an entry would move the clock backwards.
     from repro.obs import CollectingTracer
 
     tracer = CollectingTracer()
@@ -205,15 +202,6 @@ def test_cancel_after_fire_keeps_accounting_exact():
     assert survivor.cancelled is False
 
 
-def test_step_runs_fast_events():
-    sim = Simulator()
-    fired = []
-    sim.schedule_fast(1.0, fired.append, "x")
-    assert sim.step()
-    assert fired == ["x"]
-    assert not sim.step()
-
-
 def test_events_fired_counter():
     sim = Simulator()
     for i in range(4):
@@ -232,3 +220,149 @@ def test_property_events_always_fire_in_nondecreasing_time(delays):
     sim.run()
     assert times == sorted(times)
     assert len(times) == len(delays)
+
+
+# ----------------------------------------------------------------------
+# Reference model of dispatch order
+# ----------------------------------------------------------------------
+# Times come from a three-value set so that ties are the rule, not the
+# exception.  An entry is (delay, fast, action); an action is ("none",),
+# ("child", fast) -- schedule a zero-delay child -- or ("cancel", k) --
+# cancel the k-th (mod count) other cancellable entry sharing the
+# entry's time.  A leg is one run(until, max_events) call, after which
+# the test may cancel entry k (mod count) from outside, as a caller
+# holding its handle would; a tripped budget leaves the entry it
+# popped queued, so that cancel must still count.
+_TIMES = (0.0, 0.5, 1.0)
+_ACTIONS = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("child"), st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+)
+_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(_TIMES), st.booleans(), _ACTIONS), min_size=1, max_size=14
+)
+_LEGS = st.lists(
+    st.tuples(
+        st.sampled_from((0.0, 0.25, 0.5, 1.0, None)),
+        st.one_of(st.none(), st.integers(1, 4)),
+        st.one_of(st.none(), st.integers(0, 13)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _cancel_targets(entries):
+    """Entry index -> the index its ("cancel", k) action cancels, if any."""
+    targets = {}
+    for i, (delay, _, action) in enumerate(entries):
+        if action[0] != "cancel":
+            continue
+        siblings = [
+            j
+            for j, (other_delay, fast, _) in enumerate(entries)
+            if j != i and not fast and other_delay == delay
+        ]
+        if siblings:
+            targets[i] = siblings[action[1] % len(siblings)]
+    return targets
+
+
+def _run_engine(entries, legs):
+    sim = Simulator()
+    fired, handles = [], {}
+    targets = _cancel_targets(entries)
+
+    def handler(label, action):
+        fired.append((label, sim.now))
+        if action[0] == "child":
+            schedule = sim.schedule_fast if action[1] else sim.schedule
+            schedule(0.0, handler, f"{label}/child", ("none",))
+        elif action[0] == "cancel" and label in targets:
+            handles[targets[label]].cancel()
+
+    for i, (delay, fast, action) in enumerate(entries):
+        if fast:
+            sim.schedule_fast(delay, handler, i, action)
+        else:
+            handles[i] = sim.schedule(delay, handler, i, action)
+    observed = []
+    for until, budget, cancel in legs + [(None, None, None)]:
+        try:
+            sim.run(until=until, max_events=budget)
+            tripped = False
+        except SimBudgetExceeded:
+            tripped = True
+        if cancel is not None and cancel % len(entries) in handles:
+            handles[cancel % len(entries)].cancel()
+        observed.append((tripped, tuple(fired), sim.now, sim.events_fired, sim.pending()))
+    return observed
+
+
+def _run_model(entries, legs):
+    """The same program on a plain list popped in (time, seq) order."""
+    queue, fired, observed = [], [], []
+    targets = _cancel_targets(entries)
+    seq_of = {}
+    now, total, seq = 0.0, 0, 0
+
+    def push(time_s, label, action):
+        nonlocal seq
+        seq += 1
+        queue.append((time_s, seq, label, action))
+        return seq
+
+    for i, (delay, _, action) in enumerate(entries):
+        seq_of[i] = push(delay, i, action)
+    for until, budget, cancel in legs + [(None, None, None)]:
+        count, tripped = 0, False
+        while queue:
+            head = min(queue)
+            if until is not None and head[0] > until:
+                break
+            if budget is not None and count >= budget:
+                tripped = True
+                break
+            queue.remove(head)
+            now, _, label, action = head
+            fired.append((label, now))
+            count += 1
+            if action[0] == "child":
+                push(now, f"{label}/child", ("none",))
+            elif action[0] == "cancel" and label in targets:
+                victim = seq_of[targets[label]]
+                queue[:] = [entry for entry in queue if entry[1] != victim]
+        total += count
+        if not tripped and until is not None and until > now:
+            now = until
+        if cancel is not None and not entries[cancel % len(entries)][1]:
+            victim = seq_of[cancel % len(entries)]
+            queue[:] = [entry for entry in queue if entry[1] != victim]
+        observed.append((tripped, tuple(fired), now, total, len(queue)))
+    return observed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES, _LEGS)
+def test_dispatch_matches_a_reference_model_under_ties(entries, legs):
+    # Firing order, clock, events_fired and pending() after every leg,
+    # including legs whose event budget trips in the middle of a tie.
+    assert _run_engine(entries, legs) == _run_model(entries, legs)
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 5, 32])
+def test_stall_tripwire_trips_on_the_event_after_the_threshold(threshold):
+    sim = Simulator(check_invariants=False)
+    sim.invariants = InvariantChecker(sim, max_stall_events=threshold)
+
+    def spin():
+        sim.schedule_fast(0.0, spin)
+
+    sim.schedule_fast(1.0, spin)  # the first event advances the clock
+    with pytest.raises(InvariantError, match="stalled"):
+        sim.run()
+    # The first event at t=1 starts the run of same-time events; the
+    # tripwire fires once `threshold` more have followed it.
+    assert sim.events_fired == threshold + 1
+    assert sim.now == 1.0

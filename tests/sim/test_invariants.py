@@ -104,7 +104,7 @@ class _StubFlow:
         self.stats = _Stats()
         self.stats.rtts = rtts
 
-    def base_rtt(self):
+    def min_base_rtt(self):
         return 0.030
 
 

@@ -23,12 +23,6 @@ def test_mbps_helper():
     assert mbps(50.0) == 50e6
 
 
-def test_dumbbell_bdp():
-    sim = Simulator()
-    dumbbell = Dumbbell(sim, mbps(50.0), 0.030, 375e3, rng=make_rng(1))
-    assert dumbbell.bdp_bytes() == pytest.approx(50e6 * 0.030 / 8)
-
-
 def test_dumbbell_reverse_path_never_bottlenecks():
     sim = Simulator()
     dumbbell = Dumbbell(sim, mbps(10.0), 0.020, 200e3, rng=make_rng(1))
