@@ -328,13 +328,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         tracer = CollectingTracer()
         _run_specs(args, tracer=tracer)
-        events = tracer.events
+        events = tracer.rows
         source = f"live run ({args.protocols})"
     total = len(events)
     events = filter_events(events, flows=flows, links=links, kinds=kinds)
     by_kind: dict[str, int] = {}
     for event in events:
-        kind = event["kind"] if args.replay else event.kind
+        kind = event["kind"] if args.replay else event[0].kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
     print_table(
         ["kind", "events"],

@@ -30,7 +30,8 @@ is produced, hashed and written a few thousand lines at a time.
 Sinks (each implements ``record`` and inherits ``emit`` from
 :class:`TraceSink`):
 
-* :class:`CollectingTracer` — in-memory list of :class:`TraceEvent`.
+* :class:`CollectingTracer` — keeps the rows in memory, uncopied;
+  its ``events`` view wraps them as :class:`TraceEvent` on first read.
 * :class:`JsonlTraceSink` — streams canonical JSONL to a file.
 * :class:`RingBufferTracer` — keeps only the last *N* events; the
   supervision layer (:mod:`repro.harness.supervise`) attaches its
@@ -142,8 +143,10 @@ class TraceEvent(tuple):
 # ----------------------------------------------------------------------
 # The canonical encoder
 # ----------------------------------------------------------------------
-def _row(event: TraceEvent | dict) -> tuple:
-    if isinstance(event, TraceEvent):
+def _row(event: tuple | dict) -> tuple:
+    """``event`` as a row: a row (a :class:`TraceEvent` is one) is
+    returned as is, a replayed dict gets a ``RECORD`` layout."""
+    if isinstance(event, tuple):
         return event
     try:
         shape = tracepoint(RECORD, *event)
@@ -167,11 +170,20 @@ def _compile(shape: Shape, types: tuple) -> Callable[[tuple], str]:
     it was compiled for and hands any other row back to :func:`_select`;
     a row with a non-finite float takes the generic encoder, as does the
     whole signature when a key or a type is anything else.
+
+    An event's float timestamp is spelled through ``T``, the last
+    ``(timestamp, text)`` any formatter made: a row that carries the
+    previous row's very float object (a packet's enqueue and dequeue
+    share ``now``) reuses its text.  The match is by identity, so
+    ``-0.0`` never takes ``0.0``'s text, and the pair is replaced in
+    one store, so a thread never reads one row's object with
+    another's text.
     """
     slots: list[tuple[Any, str, str | None]] = []  # key, template slot, argument
     floats = []
     guards = []
     is_event = shape.kind is not RECORD
+    cached = is_event and types[1] is float
     if is_event:
         slots.append(("kind", _quote(shape.kind).replace("%", "%%"), None))
     for index, key in enumerate(shape.keys, start=1):
@@ -182,6 +194,9 @@ def _compile(shape: Shape, types: tuple) -> Callable[[tuple], str]:
         guards.append(f"type(r[{index}]) is {kind_of.__name__}")
         if kind_of is str:
             slots.append((key, "%s", f"q(r[{index}])"))
+        elif cached and index == 1:
+            slots.append((key, "%s", "c[1]"))
+            floats.append("r[1]")
         elif kind_of is int or kind_of is float:
             slots.append((key, "%r", f"r[{index}]"))
             if kind_of is float:
@@ -195,12 +210,17 @@ def _compile(shape: Shape, types: tuple) -> Callable[[tuple], str]:
     template = "{%s}\n" % ",".join(
         _quote(key).replace("%", "%%") + ":" + slot for key, slot, _ in slots
     )
-    source = f"{template!r} % ({''.join(arg + ',' for _, _, arg in slots if arg)})"
+    body = [f"return {template!r} % ({''.join(arg + ',' for _, _, arg in slots if arg)})"]
     if floats:  # nan and +-inf are the only floats x with x * 0.0 != 0.0
-        source = f"({source} if ({' + '.join(floats)}) * 0.0 == 0.0 else g(r))"
+        body = [f"if ({' + '.join(floats)}) * 0.0 == 0.0:", "    " + body[0], "return g(r)"]
+    if cached:
+        body = ["c = T", "if c[0] is not r[1]:", "    c = T = (r[1], repr(r[1]))", *body]
     if guards:
-        source += f" if {' and '.join(guards)} else s(r)"
-    return eval("lambda r: " + source, _FORMATTER_GLOBALS)
+        body = [f"if {' and '.join(guards)}:", *["    " + line for line in body], "return s(r)"]
+    namespace: dict[str, Any] = {}
+    exec("def line(r):\n" + "".join(f"    {line}\n" for line in ["global T", *body]),
+         _FORMATTER_GLOBALS, namespace)
+    return namespace["line"]
 
 
 def _select(row: tuple) -> str:
@@ -217,7 +237,7 @@ def _select(row: tuple) -> str:
     return formatter(row)
 
 
-_FORMATTER_GLOBALS = {"q": _quote, "g": _generic_line, "s": _select}
+_FORMATTER_GLOBALS = {"q": _quote, "g": _generic_line, "s": _select, "T": (None, "")}
 
 
 def _chunks(rows: Iterable[tuple]) -> Iterator[str]:
@@ -239,8 +259,8 @@ def _digest(chunks: Iterable[str], handle: IO[str] | None = None) -> str:
     return hasher.hexdigest()
 
 
-def event_to_json(record: TraceEvent | dict[str, Any]) -> str:
-    """Canonical single-line JSON encoding of one event (dict).
+def event_to_json(record: tuple | dict[str, Any]) -> str:
+    """Canonical single-line JSON encoding of one event (row or dict).
 
     Sorted keys and fixed separators: the byte stream depends only on
     the event contents, never on insertion order or platform.
@@ -248,17 +268,17 @@ def event_to_json(record: TraceEvent | dict[str, Any]) -> str:
     return _select(_row(record))[:-1]
 
 
-def events_to_jsonl(events: Iterable[TraceEvent | dict]) -> str:
+def events_to_jsonl(events: Iterable[tuple | dict]) -> str:
     """Events as canonical JSONL text (one event per line)."""
     return "".join(_chunks(map(_row, events)))
 
 
-def trace_digest(events: Iterable[TraceEvent | dict]) -> str:
+def trace_digest(events: Iterable[tuple | dict]) -> str:
     """sha256 over the canonical JSONL encoding of ``events``."""
     return _digest(_chunks(map(_row, events)))
 
 
-def write_jsonl(events: Iterable[TraceEvent | dict], path: str | Path) -> str:
+def write_jsonl(events: Iterable[tuple | dict], path: str | Path) -> str:
     """Stream ``events`` to ``path`` as canonical JSONL; returns their digest."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -285,19 +305,19 @@ def kind_matches(kind: str, pattern: str) -> bool:
 
 
 def filter_events(
-    events: Iterable[TraceEvent | dict],
+    events: Iterable[tuple | dict],
     *,
     flows: Iterable[int] | None = None,
     links: Iterable[str] | None = None,
     kinds: Iterable[str] | None = None,
 ) -> list:
-    """Events (or event dicts) matching every given filter (None = no constraint)."""
+    """Rows (or event dicts) matching every given filter (None = no constraint)."""
     flow_set = None if flows is None else set(flows)
     link_set = None if links is None else set(links)
     kind_list = None if kinds is None else list(kinds)
     kept = []
     for event in events:
-        if isinstance(event, TraceEvent):
+        if isinstance(event, tuple):
             kind, flow, link = event[0].kind, event[2], event[3]
         else:
             kind, flow, link = event.get("kind", ""), event.get("flow"), event.get("link")
@@ -340,25 +360,53 @@ class TraceSink:
 
 
 class CollectingTracer(TraceSink):
-    """Keeps every event in memory (tests, ``repro trace``)."""
+    """Keeps every event in memory (tests, ``repro trace``).
+
+    :attr:`rows` is the list of the very rows the sites recorded, and
+    what :meth:`digest`, :meth:`to_jsonl` and ``len`` read.  :attr:`events`
+    is the same list once its rows are wrapped as :class:`TraceEvent`:
+    the first read wraps what is not wrapped yet, in place, so a second
+    read costs nothing.  A pickled tracer carries its rows as events.
+    """
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self._rows: list[tuple] = []
+        self._wrapped = 0  # rows[:_wrapped] are TraceEvents
 
     def record(self, row: tuple) -> None:
-        self.events.append(_new_event(TraceEvent, row))
+        self._rows.append(row)
+
+    @property
+    def rows(self) -> list[tuple]:
+        return self._rows
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        rows = self._rows
+        # One row at a time, so each row is freed as its event replaces
+        # it: a whole-list swap would hold the trace twice at its peak.
+        for index in range(self._wrapped, len(rows)):
+            rows[index] = _new_event(TraceEvent, rows[index])
+        self._wrapped = len(rows)
+        return rows
+
+    def __getstate__(self) -> dict:
+        return {
+            "_rows": [_new_event(TraceEvent, row) for row in self._rows],
+            "_wrapped": len(self._rows),
+        }
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rows)
 
     def to_dicts(self) -> list[dict]:
-        return [event.to_dict() for event in self.events]
+        return list(map(_event_dict, self._rows))
 
     def to_jsonl(self) -> str:
-        return "".join(_chunks(self.events))
+        return "".join(_chunks(self._rows))
 
     def digest(self) -> str:
-        return _digest(_chunks(self.events))
+        return _digest(_chunks(self._rows))
 
 
 class RingBufferTracer(TraceSink):

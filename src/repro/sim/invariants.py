@@ -74,11 +74,14 @@ class InvariantChecker:
         self.sim = sim
         self.sweep_every_events = sweep_every_events
         self.max_stall_events = max_stall_events
-        self._stall_events = 0
+        # The first event after attaching starts a run of same-time
+        # events (counts 0) whatever the clock reads; the backwards-clock
+        # check compares it with the clock at attach time.
+        self._stall_events = -1
         self._links: list = []
         self._flows: list["Flow"] = []
         self._rtt_checked: dict[int, int] = {}  # id(flow) -> samples audited
-        self._last_now = 0.0
+        self._last_now = sim.now
         self._events_since_sweep = 0
         self.sweeps = 0  # total full sweeps (for tests)
 

@@ -374,7 +374,7 @@ def test_digest_and_file_output_allocate_a_chunk_not_the_trace(tmp_path):
     tracemalloc.start()
     try:
         digest = tracer.digest()
-        written = write_jsonl(tracer.events, path)
+        written = write_jsonl(tracer.rows, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,3 +393,104 @@ def test_ring_snapshot_matches_the_collected_tail():
     assert ring.snapshot() == collecting.to_dicts()[-4:]
     assert [event.to_dict() for event in ring.events()] == ring.snapshot()
     assert ring.dropped == 6
+
+
+# ----------------------------------------------------------------------
+# CollectingTracer keeps the rows its sites built
+# ----------------------------------------------------------------------
+_ENQUEUE = tracepoint("test.rows.enqueue", "seq", "backlog_bytes")
+_DEQUEUE = tracepoint("test.rows.dequeue", "seq")
+_SCORED = tracepoint("test.rows.scored", "utility", "tag")
+
+
+def _recorded(n=5):
+    tracer = CollectingTracer()
+    rows = [(_ENQUEUE, 0.5 * i, 1, "hop", i, 1500.0 * i) for i in range(n)]
+    for row in rows:
+        tracer.record(row)
+    return tracer, rows
+
+
+def test_collecting_tracer_keeps_the_rows_the_sites_passed():
+    tracer, rows = _recorded()
+    tracer.emit("test.rows.dequeue", 9.0, flow=2, seq=7)
+    assert all(kept is row for kept, row in zip(tracer.rows, rows))
+    assert type(tracer.rows[-1]) is tuple and len(tracer) == len(rows) + 1
+
+
+def test_events_wraps_the_rows_in_place_once():
+    tracer, rows = _recorded()
+    events = tracer.events
+    assert events is tracer.rows
+    assert [type(event) for event in events] == [TraceEvent] * len(rows)
+    assert events == rows
+    wrapped = list(events)
+    assert tracer.events is events
+    assert all(again is first for again, first in zip(tracer.events, wrapped))
+    # A row recorded after the first read is wrapped on the next one;
+    # the events already wrapped stay the same objects.
+    tracer.record((_DEQUEUE, 9.0, None, None, 3))
+    assert tracer.events[:-1] == wrapped and all(
+        again is first for again, first in zip(tracer.events, wrapped)
+    )
+    assert type(tracer.events[-1]) is TraceEvent and tracer.events[-1].kind == "test.rows.dequeue"
+
+
+@pytest.mark.parametrize("read_events_first", [False, True])
+def test_collecting_tracer_pickles_with_its_digest(read_events_first):
+    tracer, _ = _recorded()
+    tracer.emit("test.rows.scored", 3.0, flow=1, utility=-0.0, tag=None)
+    if read_events_first:
+        tracer.events
+    digest, dicts = tracer.digest(), tracer.to_dicts()
+    clone = pickle.loads(pickle.dumps(tracer))
+    assert clone.digest() == digest and clone.to_dicts() == dicts
+    assert len(clone) == len(tracer) and clone.events is clone.rows
+    assert [type(event) for event in clone.rows] == [TraceEvent] * len(tracer)
+    # Pickling wraps a copy: the tracer's own rows stay as they were.
+    assert (type(tracer.rows[0]) is TraceEvent) is read_events_first
+
+
+_ROW_VALUES = st.one_of(
+    st.sampled_from([True, False, None, float("nan"), float("inf"), float("-inf"),
+                     _Level.HIGH, -0.0, 0.0, 2**53 + 1]),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([_ENQUEUE, _DEQUEUE, _SCORED]),
+        st.booleans(),  # reuse the previous row's timestamp object
+        st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0, 1, True]),
+        st.none() | st.integers(min_value=0, max_value=2**65) | st.just(_Level.LOW),
+        st.none() | st.text(max_size=4),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_STEPS, data=st.data())
+def test_one_digest_over_rows_events_files_and_sinks(tmp_path_factory, steps, data):
+    # -0.0 then 0.0 (equal, spelled differently), then rows of mixed
+    # shapes that often carry the previous row's very timestamp object.
+    rows = [(_DEQUEUE, -0.0, 1, None, 1), (_ENQUEUE, 0.0, 1, None, 2, 0.0)]
+    for shape, shared, time_s, flow, link in steps:
+        values = data.draw(st.tuples(*[_ROW_VALUES] * (len(shape.keys) - 3)))
+        rows.append((shape, rows[-1][1] if shared else time_s, flow, link, *values))
+    directory = tmp_path_factory.mktemp("rows")
+    tracer = CollectingTracer()
+    with JsonlTraceSink(directory / "sink.jsonl") as sink:
+        tee = TeeTracer(tracer, sink)
+        for row in rows:
+            tee.record(row)
+    digest = tracer.digest()
+    assert tracer.to_jsonl() == "".join(
+        _reference(TraceEvent.to_dict(row)) + "\n" for row in rows
+    )
+    assert trace_digest(tracer.rows) == digest == sink.digest()
+    assert write_jsonl(tracer.rows, directory / "rows.jsonl") == digest
+    assert trace_digest(read_jsonl(directory / "rows.jsonl")) == digest
+    assert trace_digest(tracer.events) == digest == tracer.digest()
+    assert (directory / "rows.jsonl").read_bytes() == sink.path.read_bytes()

@@ -351,18 +351,26 @@ def test_dispatch_matches_a_reference_model_under_ties(entries, legs):
     assert _run_engine(entries, legs) == _run_model(entries, legs)
 
 
-@pytest.mark.parametrize("threshold", [1, 2, 5, 32])
-def test_stall_tripwire_trips_on_the_event_after_the_threshold(threshold):
+@pytest.mark.parametrize(
+    "threshold, start_s",
+    [
+        pytest.param(threshold, start_s, id=f"{threshold}" if start_s else f"{threshold}-at-t0")
+        for start_s in (1.0, 0.0)
+        for threshold in (1, 2, 5, 32)
+    ],
+)
+def test_stall_tripwire_trips_on_the_event_after_the_threshold(threshold, start_s):
     sim = Simulator(check_invariants=False)
     sim.invariants = InvariantChecker(sim, max_stall_events=threshold)
 
     def spin():
         sim.schedule_fast(0.0, spin)
 
-    sim.schedule_fast(1.0, spin)  # the first event advances the clock
+    sim.schedule_fast(start_s, spin)  # at the attach-time clock, or past it
     with pytest.raises(InvariantError, match="stalled"):
         sim.run()
-    # The first event at t=1 starts the run of same-time events; the
-    # tripwire fires once `threshold` more have followed it.
+    # The first event starts the run of same-time events, whether or not
+    # it advanced the clock; the tripwire fires once `threshold` more
+    # have followed it.
     assert sim.events_fired == threshold + 1
-    assert sim.now == 1.0
+    assert sim.now == start_s
