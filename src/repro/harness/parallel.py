@@ -55,8 +55,6 @@ from __future__ import annotations
 import os
 import pickle
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from typing import Any, TypeVar
 
@@ -183,6 +181,12 @@ def dispatch_round(
     """
     if _replaying():
         raise NotCached("a process pool was asked for inside a replay")
+    # Imported here, where a pool starts: concurrent.futures pulls in
+    # multiprocessing, logging and socket, start-up cost for every
+    # process that never forks.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = ProcessPoolExecutor(
         max_workers=min(jobs, len(items)), initializer=_init_worker
     )

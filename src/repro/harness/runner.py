@@ -22,6 +22,7 @@ shape.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import asdict, dataclass, field
 
 from ..obs import MetricsRegistry, PeriodicSampler
@@ -90,11 +91,14 @@ class FlowSpec:
 class RunResult:
     """Outcome of one experiment run.
 
-    ``dumbbell`` holds the live network — the
+    ``dumbbell`` holds the finished network — the
     :class:`~repro.sim.topology.Topology` built from the run's
     ``topology`` spec (a :class:`~repro.sim.topology.Dumbbell` for the
-    default ``None``; the field keeps its historical name).  It is None
-    when the result was rebuilt from the on-disk cache (the live
+    default ``None``; the field keeps its historical name).  The run
+    closed it (:meth:`~repro.sim.topology.Topology.close`): its links,
+    their stats and the simulator's counters read as the run left
+    them, but it has no pending events and cannot be resumed.  It is
+    None when the result was rebuilt from the on-disk cache (the
     topology is not serialised, only the measurement record — every
     metric below derives from ``stats`` alone).
     """
@@ -405,25 +409,34 @@ def _run_flows_live(
             sample_period_s,
             lambda _now: backlog_hist.observe(monitor.backlog_bytes()),
         )
-    stats: list[FlowStats] = []
-    flows = []
-    for i, spec in enumerate(specs):
-        sender = make_sender(spec.protocol, seed=seed * 1000 + i, **spec.kwargs)
-        flow = network.add_flow(
-            sender,
+    flows = [
+        network.add_flow(
+            make_sender(spec.protocol, seed=seed * 1000 + i, **spec.kwargs),
             *(spec.route or ()),
             flow_id=i + 1,
             size_bytes=spec.size_bytes,
             start_time=spec.start_time,
         )
-        flows.append(flow)
-        stats.append(flow.stats)
+        for i, spec in enumerate(specs)
+    ]
+    stats: list[FlowStats] = [flow.stats for flow in flows]
     # With the whole flow set known, mark what may skip the event chain
     # (both modes; exact mode under stricter rules).  A sampled link's
     # queue is read mid-run, so no walk may run ahead of its clock.
     observed = (network.monitor,) if sample_period_s is not None else ()
     activate_fastforward(sim, flows, observed)
-    sim.run(until=duration_s, max_events=max_events, max_wall_s=max_wall_s)
+    # Held weakly through the run, so a completed flow frees itself.
+    flows = [weakref.ref(flow) for flow in flows]
+    try:
+        sim.run(until=duration_s, max_events=max_events, max_wall_s=max_wall_s)
+    finally:
+        # This run owns its network, so it ends its life here (a tripped
+        # watchdog too): reference counting alone then frees it.
+        network.close()
+        for ref in flows:
+            flow = ref()
+            if flow is not None:
+                flow.release()
     link_events = list(driver.applied) if driver is not None else []
     result = RunResult(
         config, duration_s, stats, network, specs,

@@ -50,7 +50,6 @@ import os
 import time
 import traceback as traceback_mod
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -485,6 +484,8 @@ def supervised_map(
             for i in batch:
                 settle(i, _attempt(tasks[i]))
             return []
+        from concurrent.futures.process import BrokenProcessPool  # with the pool only
+
         undecided = []
         answers = dispatch_round(_attempt, [tasks[i] for i in batch], workers)
         with closing(answers):

@@ -74,6 +74,8 @@ class SenderBase:
     def __init__(self, name: str = "sender"):
         self.name = name
         self.sim: Simulator | None = None
+        # None until bound, and again once the flow has finished
+        # (``Flow.release``): a stopped sender sends nothing.
         self.flow: Flow | None = None
         self.tracer = None
         self.started = False
@@ -98,9 +100,6 @@ class SenderBase:
         self.sim = sim
         self.flow = flow
         self.tracer = sim.tracer
-        # Per-sender jitter stream (deterministic from flow identity); used
-        # to break pathological phase-locking between paced senders.
-        self._jitter_rng = Rng(f"sender:{flow.flow_id}:{self.name}")
 
     def trace(self, shape: Shape, *values) -> None:
         """Record a ``shape`` row of ``values`` attributed to this sender's flow.
@@ -331,6 +330,12 @@ class RateSender(SenderBase):
         # solo links, the short shared-link cap otherwise).
         self.ff_burst_armed = False
         self.ff_burst_cap = 1
+
+    def bind(self, sim: Simulator, flow: Flow) -> None:
+        super().bind(sim, flow)
+        # Per-sender jitter stream (deterministic from flow identity); used
+        # to break pathological phase-locking between paced senders.
+        self._jitter_rng = Rng(f"sender:{flow.flow_id}:{self.name}")
 
     def set_rate(self, rate_bps: float, reason: str | None = None) -> None:
         """Change the pacing rate; ``reason`` tags the trace event.

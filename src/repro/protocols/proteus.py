@@ -25,7 +25,8 @@ from ..core.rate_control import RateControlConfig, RateController
 from ..core.rng import Rng
 from ..core.tracepoint import tracepoint
 from ..core.utility import HybridUtility, UtilityFunction, make_utility
-from ..sim.engine import Event
+from ..sim.engine import Event, Simulator
+from ..sim.flow import Flow
 from .base import AckInfo, RateSender
 
 MIN_MI_DURATION_S = 0.010
@@ -100,7 +101,18 @@ class ProteusSender(RateSender):
         self._overload_streak = 0
         self.mi_log: list[MonitorInterval] = []
         self.keep_mi_log = False  # opt-in; MIs are many in long runs
-        self.controller.trace_hook = self.trace  # rate.decision rows
+
+    def bind(self, sim: Simulator, flow: Flow) -> None:
+        super().bind(sim, flow)
+        tracer = self.tracer
+        if tracer is not None:
+            # rate.decision rows, as ``self.trace`` records them but with
+            # no reference back to this sender: the controller is the
+            # sender's, so a bound method would close a reference cycle.
+            flow_id = flow.flow_id
+            self.controller.trace_hook = lambda shape, *values: tracer.record(
+                (shape, sim.now, flow_id, None, *values)
+            )
 
     # ------------------------------------------------------------------
     # Application-facing API (the paper's "simple API call")

@@ -279,6 +279,10 @@ class DynamicLink(LinkBase):
         """Packets waiting in (or being served from) the explicit queue."""
         return len(self._queue)
 
+    def close(self) -> None:
+        """Forget where queued packets were going; they still count as queued."""
+        self._queue = deque((packet, None, at) for packet, _, at in self._queue)
+
     # ------------------------------------------------------------------
     # Mid-run dynamics (driven by repro.sim.dynamics.TimelineDriver)
     # ------------------------------------------------------------------

@@ -146,23 +146,18 @@ class Event:
     pending timers.  Cancellation is lazy: the heap entry stays queued but
     is skipped when popped; the owning simulator counts cancellations and
     compacts the heap when they dominate it.  Once the event has fired (or
-    been dropped by compaction) cancelling is a harmless no-op.
+    been dropped by compaction or :meth:`Simulator.close`) cancelling is a
+    harmless no-op.
+
+    The callback lives in the heap entry only, so a handle its owner keeps
+    never keeps that owner alive through a bound method of its own.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
+    __slots__ = ("time", "seq", "cancelled", "sim")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sim: "Simulator | None" = None,
-    ) -> None:
+    def __init__(self, time: float, seq: int, sim: "Simulator | None" = None) -> None:
         self.time = time
         self.seq = seq
-        self.fn = fn
-        self.args = args
         self.cancelled = False
         self.sim = sim
 
@@ -175,7 +170,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} {self.fn.__qualname__} ({state})>"
+        return f"<Event t={self.time:.6f} seq={self.seq} ({state})>"
 
 
 # Heap entry layout: (time, seq, fn, args, event-or-None).  ``event`` is
@@ -257,7 +252,7 @@ class Simulator:
                 f"cannot schedule event in the past ({time_s} < now={self.now})"
             )
         self._seq += 1
-        event = Event(time_s, self._seq, fn, args, self)
+        event = Event(time_s, self._seq, self)
         heapq.heappush(self._heap, (time_s, self._seq, fn, args, event))
         return event
 
@@ -274,7 +269,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay_s}")
         time_s = self.now + delay_s
         self._seq += 1
-        event = Event(time_s, self._seq, fn, args, self)
+        event = Event(time_s, self._seq, self)
         heapq.heappush(self._heap, (time_s, self._seq, fn, args, event))
         return event
 
@@ -474,6 +469,24 @@ class Simulator:
             # external reader observes the counter only after run()
             # returns or an exception has propagated through here.
             self.events_fired += fired
+
+    def close(self) -> None:
+        """End the simulation: drop every pending event and the invariant checker.
+
+        The clock and the event counters stay readable, but nothing is
+        left to run.  Dropped events are detached, so a late
+        :meth:`Event.cancel` is a no-op, and what the heap held (bound
+        methods of links, senders and receivers, all pointing back here)
+        is freed by reference counting.  A run that owns its network
+        calls this on return (``Topology.close``); a hand-built
+        simulator keeps its pending events until its owner closes it.
+        """
+        for entry in self._heap:
+            if entry[_EVENT] is not None:
+                entry[_EVENT].sim = None
+        self._heap.clear()
+        self._cancelled = 0
+        self.invariants = None
 
     def pending(self) -> int:
         """Number of queued live (non-cancelled) events — O(1).

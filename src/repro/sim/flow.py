@@ -447,6 +447,24 @@ class Flow:
             self.sender.stop()
             if self.on_complete is not None:
                 self.on_complete(self, self.sim.now)
+            self.release()
+
+    def release(self) -> None:
+        """Drop what only sending uses, so a finished flow frees itself.
+
+        The sender loses its back-reference and the flow its receiver and
+        forward route, which leaves no reference cycle through the flow:
+        once its last packet in flight is delivered, reference counting
+        frees the flow, its sender and its receiver.  The receiver keeps
+        the flow, so a late delivery still counts and sends its ACK.
+        Runs when a bounded flow completes; the owner of a finished run
+        calls it for every flow still alive.
+        """
+        self.sender.flow = None
+        self.receiver = None
+        self.fwd_dst = None
+        if self.sim.invariants is not None:
+            self.sim.invariants.release_flow(self)
 
     @property
     def last_seq(self) -> int:

@@ -98,6 +98,16 @@ class InvariantChecker:
         self._flows.append(flow)
         self._rtt_checked[id(flow)] = 0
 
+    def release_flow(self, flow: "Flow") -> None:
+        """Audit a finished flow's RTT samples one last time and forget it.
+
+        Called by ``Flow.release``: the flow's sender has stopped, so no
+        sample can follow.
+        """
+        self._check_flow_rtts(flow)
+        self._flows.remove(flow)
+        del self._rtt_checked[id(flow)]
+
     # ------------------------------------------------------------------
     # Hooks (called from the engine)
     # ------------------------------------------------------------------

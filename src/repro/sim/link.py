@@ -181,6 +181,13 @@ class LinkBase:
         """
         self._down = bool(down)
 
+    def close(self) -> None:
+        """End of the run: drop what leads from this link back into the network.
+
+        The analytic link keeps nothing but its delivery events, which
+        :meth:`~repro.sim.engine.Simulator.close` drops.
+        """
+
     def forward(self, packet: Packet, dst: Receiver, at_s: float) -> None:
         """Hand ``packet``, delivered at ``at_s``, to ``dst``: the one door.
 

@@ -266,6 +266,19 @@ class Topology:
             **options,
         )
 
+    def close(self) -> None:
+        """End the network's life: drop its pending events and back-references.
+
+        What is left is a finished record: the links, their stats and
+        queue counts (:meth:`assert_conservation` still holds) and the
+        simulator's clock and event counters.  It cannot be resumed.
+        Flows are not the topology's; their owner releases them
+        (``Flow.release``).
+        """
+        self.sim.close()
+        for link in self.links.values():
+            link.close()
+
     # ------------------------------------------------------------------
     # Auditing
     # ------------------------------------------------------------------

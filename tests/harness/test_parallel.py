@@ -1,6 +1,9 @@
 """Tests for the process-pool experiment executor."""
 
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 
@@ -45,6 +48,33 @@ def test_default_jobs_rejects_bad_env(monkeypatch, raw):
     monkeypatch.setenv("REPRO_JOBS", raw)
     with pytest.raises(ValueError):
         default_jobs()
+
+
+def test_pool_machinery_is_imported_only_where_a_pool_starts():
+    # concurrent.futures pulls in multiprocessing, logging and socket:
+    # start-up cost for every process that imports the harness and never
+    # forks.  A jobs=2 pmap must still fork.
+    code = """
+import os, sys
+import repro.harness.runner, repro.harness.supervise, repro.adversary
+assert "concurrent.futures.process" not in sys.modules, "imported at module level"
+from repro.harness import pmap
+
+def pid(_):
+    return os.getpid()
+
+pids = pmap(pid, range(4), jobs=2)
+assert "concurrent.futures.process" in sys.modules
+assert os.getpid() not in pids, pids
+"""
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_map_serial_matches_comprehension():

@@ -12,6 +12,7 @@ prints the whole measured table — paste it over ``EXPECTED`` and say
 why in the PR.  There is deliberately no update flag.
 """
 
+import gc
 import sys
 
 import pytest
@@ -30,20 +31,23 @@ from repro.obs import CollectingTracer
 
 CONFIG = LinkConfig(bandwidth_mbps=50.0, rtt_ms=30.0, buffer_kb=375.0)
 
-COLUMNS = ("fired", "virtual", "packets", "calls", "records", "emits")
+COLUMNS = ("fired", "virtual", "packets", "calls", "records", "emits", "cycles")
 """Events dispatched, events absorbed analytically, packets sent, calls
-into ``src/repro`` frames, and how many of those calls were ``record``
+into ``src/repro`` frames, how many of those calls were ``record``
 (the one call every stored trace event passes through) and by-name
 ``emit`` (the door for callers outside the package, which builds the
-row first, then calls ``record``)."""
+row first, then calls ``record``), and the objects the cyclic garbage
+collector finds once the result is dropped (the run goes with the
+collector disabled: a finished run must free itself by reference
+counting, so a reference cycle left in the network shows here)."""
 
 EXPECTED = {
-    "pair_exact": (19045, 12074, 16972, 196929, 0, 0),
-    "pair_hybrid": (12289, 12712, 12955, 110332, 0, 0),
-    "pair_traced": (31119, 0, 16972, 364111, 56066, 0),
-    "many_flows": (12756, 10385, 5261, 137123, 0, 0),
-    "many_flows_traced": (23141, 0, 5261, 205997, 44440, 0),
-    "codel_parking_lot": (46541, 23035, 8087, 299528, 0, 0),
+    "pair_exact": (19045, 12074, 16972, 196930, 0, 0, 0),
+    "pair_hybrid": (12289, 12712, 12955, 110334, 0, 0, 0),
+    "pair_traced": (31119, 0, 16972, 364112, 56066, 0, 0),
+    "many_flows": (12756, 10385, 5261, 137198, 0, 0, 0),
+    "many_flows_traced": (23141, 0, 5261, 206072, 44440, 0, 0),
+    "codel_parking_lot": (46541, 23035, 8087, 299534, 0, 0, 0),
 }
 
 
@@ -86,15 +90,22 @@ def _measure(run, tracer):
                 records += code.co_name == "record"
                 emits += code.co_name == "emit"
 
-    sys.setprofile(profile)
+    gc.collect()
+    gc.disable()
     try:
-        result = run(tracer)
+        sys.setprofile(profile)
+        try:
+            result = run(tracer)
+        finally:
+            sys.setprofile(None)
+        assert result.dumbbell is not None  # simulated live, not rebuilt from a cache
+        sim = result.dumbbell.sim
+        packets = sum(stats.packets_sent for stats in result.stats)
+        row = (sim.events_fired, sim.events_virtual, packets, calls, records, emits)
+        del result, sim
+        return (*row, gc.collect())
     finally:
-        sys.setprofile(None)
-    assert result.dumbbell is not None  # simulated live, not rebuilt from a cache
-    sim = result.dumbbell.sim
-    packets = sum(stats.packets_sent for stats in result.stats)
-    return (sim.events_fired, sim.events_virtual, packets, calls, records, emits)
+        gc.enable()
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +184,10 @@ def test_an_exact_mode_event_stays_under_ten_calls(measured):
 
 def test_tracing_costs_nothing_until_a_tracer_is_attached(measured):
     table, tracer = measured
-    doors = {name: row[COLUMNS.index("records"):] for name, row in table.items()}
+    doors = {
+        name: row[COLUMNS.index("records"):COLUMNS.index("cycles")]
+        for name, row in table.items()
+    }
     records, emits = doors.pop("pair_traced")
     many_records, many_emits = doors.pop("many_flows_traced")
     assert set(doors.values()) == {(0, 0)}, doors
@@ -185,5 +199,5 @@ def test_per_packet_sites_record_rows(measured):
     # Every site in the package hands over a row of a declared
     # tracepoint; by-name ``emit`` is for callers outside it.  One site
     # sliding back to keywords breaks this.
-    *_, records, emits = measured[0]["pair_traced"]
+    *_, records, emits, _cycles = measured[0]["pair_traced"]
     assert records > 0 and emits == 0
