@@ -22,7 +22,6 @@ The moving parts:
 
 from .genome import (
     ScenarioGenome,
-    TrafficSpec,
     crossover,
     mutate,
     sample_genome,
@@ -49,7 +48,6 @@ __all__ = [
     "OBJECTIVES",
     "ScenarioGenome",
     "ShrinkResult",
-    "TrafficSpec",
     "artifact_record",
     "crossover",
     "eval_item",

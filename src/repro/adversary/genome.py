@@ -3,8 +3,9 @@
 A :class:`ScenarioGenome` is pure data: one bottleneck configuration,
 a :class:`~repro.harness.scenarios.Timeline` of link dynamics, an
 optional :class:`~repro.harness.scenarios.TopologySpec`, and a mix of
-competing traffic flows (:class:`TrafficSpec`) — everything an
-evaluation run needs beyond the controller under test.  It round-trips
+competing traffic flows (:class:`~repro.harness.runner.FlowSpec`) —
+everything an evaluation run needs beyond the controller under test
+(:meth:`ScenarioGenome.run_spec`).  It round-trips
 through :meth:`ScenarioGenome.to_dict` exactly, so a genome *is* its
 cache/manifest key and an archived counterexample replays bit-identically.
 
@@ -17,9 +18,10 @@ unit, so every accepted shrink step strictly decreases it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..core.rng import Rng
+from ..harness.runner import FlowSpec, RunSpec
 from ..harness.scenarios import (
     BandwidthFlap,
     BandwidthStep,
@@ -49,36 +51,6 @@ _NOISE_RANGE = (0.0, 1.5)
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
-    """One competing cross-traffic flow in a scenario genome.
-
-    ``params`` are JSON-able keyword arguments forwarded to
-    :func:`repro.protocols.make_sender` (e.g. ``burst_packets`` for a
-    flooder); the flow's jitter seed derives from the run seed and flow
-    index inside the runner, so it is not part of the genome.
-    """
-
-    protocol: str
-    start_s: float = 0.0
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "start_s": self.start_s,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficSpec":
-        return cls(
-            protocol=str(data["protocol"]),
-            start_s=float(data.get("start_s", 0.0)),
-            params=dict(data.get("params", {})),
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioGenome:
     """A complete adversarial scenario, serializable and shrinkable."""
 
@@ -89,7 +61,9 @@ class ScenarioGenome:
     noise_severity: float = 0.0
     timeline: Timeline = Timeline(())
     topology: TopologySpec | None = None
-    traffic: tuple[TrafficSpec, ...] = ()
+    # Each flow's jitter seed derives from the run seed and its index in
+    # the runner, so it is not part of the genome.
+    traffic: tuple[FlowSpec, ...] = ()
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -114,6 +88,13 @@ class ScenarioGenome:
             label=self.label or "adversary",
         )
 
+    def run_spec(self, flows: list[FlowSpec], seed: int) -> RunSpec:
+        """``flows`` over this scenario's link, dynamics and topology (exact)."""
+        return RunSpec(
+            tuple(flows), self.link_config(), self.duration_s, seed,
+            self.timeline, self.topology, "exact",
+        )
+
     # ------------------------------------------------------------------
     # Serialization (exact JSON round-trip)
     # ------------------------------------------------------------------
@@ -127,7 +108,13 @@ class ScenarioGenome:
             "noise_severity": self.noise_severity,
             "timeline": self.timeline.to_dict(),
             "topology": None if self.topology is None else self.topology.to_dict(),
-            "traffic": [flow.to_dict() for flow in self.traffic],
+            # Not FlowSpec.to_dict: archived genomes and the manifest keys
+            # hashed from them keep this layout.
+            "traffic": [
+                {"protocol": flow.protocol, "start_s": flow.start_time,
+                 "params": dict(flow.kwargs)}
+                for flow in self.traffic
+            ],
             "label": self.label,
         }
 
@@ -150,7 +137,12 @@ class ScenarioGenome:
             ),
             topology=None if topology is None else topology_from_dict(topology),
             traffic=tuple(
-                TrafficSpec.from_dict(flow) for flow in data.get("traffic", [])
+                FlowSpec(
+                    str(flow["protocol"]),
+                    start_time=float(flow.get("start_s", 0.0)),
+                    kwargs=dict(flow.get("params", {})),
+                )
+                for flow in data.get("traffic", [])
             ),
             label=str(data.get("label", "")),
         )
@@ -238,8 +230,8 @@ def _start_key(step: TimelineStep) -> float:
     return step_start_s(step)
 
 
-def _sample_traffic(rng: Rng, duration_s: float) -> tuple[TrafficSpec, ...]:
-    flows: list[TrafficSpec] = []
+def _sample_traffic(rng: Rng, duration_s: float) -> tuple[FlowSpec, ...]:
+    flows: list[FlowSpec] = []
     for _ in range(rng.randint(0, 2)):
         protocol = rng.choice(list(HOSTILE_PROTOCOLS))
         start_s = rng.uniform(0.0, 0.4 * duration_s)
@@ -254,12 +246,12 @@ def _sample_traffic(rng: Rng, duration_s: float) -> tuple[TrafficSpec, ...]:
                 "on_s": rng.uniform(0.2, 2.0),
                 "off_s": rng.uniform(0.2, 2.0),
             }
-        flows.append(TrafficSpec(protocol=protocol, start_s=start_s, params=params))
+        flows.append(FlowSpec(protocol, start_time=start_s, kwargs=params))
     if rng.random() < 0.3:
         flows.append(
-            TrafficSpec(
-                protocol=rng.choice(list(CROSS_PRIMARY_PROTOCOLS)),
-                start_s=rng.uniform(0.0, 0.4 * duration_s),
+            FlowSpec(
+                rng.choice(list(CROSS_PRIMARY_PROTOCOLS)),
+                start_time=rng.uniform(0.0, 0.4 * duration_s),
             )
         )
     return tuple(flows)

@@ -25,7 +25,7 @@ archived artifacts round-trip the score bit-exactly.
 
 from __future__ import annotations
 
-from ..harness.runner import FlowSpec, RunResult, run_flows
+from ..harness.runner import FlowSpec, RunResult, run
 from .genome import ScenarioGenome
 
 EVAL_SCHEMA = 1
@@ -82,28 +82,8 @@ def eval_item(
     }
 
 
-def _traffic_specs(genome: ScenarioGenome) -> list[FlowSpec]:
-    return [
-        FlowSpec(
-            protocol=flow.protocol,
-            start_time=flow.start_s,
-            kwargs=dict(flow.params),
-        )
-        for flow in genome.traffic
-    ]
-
-
 def _run(genome: ScenarioGenome, specs: list[FlowSpec], seed: int, max_events: int) -> RunResult:
-    return run_flows(
-        specs,
-        genome.link_config(),
-        duration_s=genome.duration_s,
-        seed=seed,
-        timeline=genome.timeline,
-        topology=genome.topology,
-        max_events=max_events,
-        fidelity="exact",
-    )
+    return run(genome.run_spec(specs, seed), max_events=max_events)
 
 
 def average_capacity_mbps(
@@ -175,7 +155,7 @@ def evaluate_genome(item: dict) -> dict:
     threshold = float(item.get("threshold", DEFAULT_THRESHOLDS[objective]))
     max_events = int(item.get("max_events", DEFAULT_MAX_EVENTS))
 
-    base_specs = [FlowSpec(protocol=primary)] + _traffic_specs(genome)
+    base_specs = [FlowSpec(protocol=primary), *genome.traffic]
     controller_spec = FlowSpec(
         protocol=controller["protocol"],
         start_time=_CONTROLLER_START_S,

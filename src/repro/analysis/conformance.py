@@ -10,15 +10,18 @@ disagree:
 * Proteus-P (Eq. 1): ``x^t - b*x*max(dRTT/dt, 0) - c*x*L`` — a falling
   RTT earns nothing;
 * Proteus-S (Eq. 2): Proteus-P minus ``d*x*sigma(RTT)``;
+* Proteus-H (Eq. 3): Proteus-P while ``x * 1e6`` is below the switching
+  threshold in force for the flow (its latest ``threshold.change`` row),
+  Proteus-S at or above it;
 * PCC Vivace: Eq. 1 without the clamp, so a falling RTT is rewarded.
 
 ``x`` is the planned rate in Mbps.  The constants are the paper's
 (t = 0.9, b = 900, c = 11.35, d = 1500 with sigma in seconds), written
 out here instead of read from :mod:`repro.core.utility`, so a change to
 the library's defaults or formulas shows up as mismatches rather than
-being mirrored.  Proteus-H needs the rate threshold in force at each
-interval, which no row carries yet; its rows, like those of any
-protocol without a formula here, are counted as unchecked.
+being mirrored.  Rows of a protocol without a formula here, and
+Proteus-H rows of a flow with no threshold row before them, are
+counted as unchecked.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class Conformance:
     """What :func:`check_mi_utilities` found."""
 
     checked: int = 0  # mi.end rows recomputed
-    unchecked: int = 0  # mi.end rows of protocols without a formula here
+    unchecked: int = 0  # mi.end rows without a formula (or threshold) here
     mismatches: list[Mismatch] = field(default_factory=list)
 
 
@@ -85,13 +88,21 @@ def check_mi_utilities(rows: Iterable[tuple], protocols: Mapping[int, str]) -> C
     ``protocols`` raises ``KeyError``.
     """
     report = Conformance()
+    thresholds: dict[int, float] = {}  # flow -> threshold in force
     for row in rows:
         shape = row[0]
+        if shape.kind == "threshold.change":
+            thresholds[row[2]] = row[4]
+            continue
         if shape.kind != "mi.end":
             continue
         fields = dict(zip(shape.keys, row[1:]))
         protocol = protocols[fields["flow"]].lower()
         utility = _UTILITIES.get(protocol)
+        if protocol == "proteus-h" and fields["flow"] in thresholds:
+            # HybridUtility's comparison, on the planned rate in Mbps.
+            below = fields["rate_bps"] / 1e6 * 1e6 < thresholds[fields["flow"]]
+            utility = _proteus_p if below else _proteus_s
         if utility is None:
             report.unchecked += 1
             continue

@@ -1,11 +1,12 @@
 """On-disk content-addressed result cache for simulation runs.
 
 Every seeded run is deterministic, so its full measurement record is a
-pure function of (scenario config, seed, simulator source).  The cache
-exploits that: a run's :class:`~repro.sim.trace.FlowStats` records are
-stored under ``.repro-cache/`` keyed by
+pure function of (its :class:`~repro.harness.runner.RunSpec`, simulator
+source).  The cache exploits that: a run's
+:class:`~repro.sim.trace.FlowStats` records are stored under
+``.repro-cache/`` keyed by
 
-    sha256(canonical scenario payload + seed + source-tree digest)
+    payload_key(hex_floats(spec.to_dict()))  # + schema, source-tree digest
 
 where the source-tree digest hashes every ``.py`` file under the
 installed ``repro`` package.  Re-running an unchanged benchmark is a
@@ -43,7 +44,7 @@ from typing import Any, Iterable
 
 from ..sim.trace import FlowStats
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 _TMP_SEQ = itertools.count()  # per-process suffix of store_run()'s temp names
 
 # ----------------------------------------------------------------------
@@ -180,8 +181,9 @@ def decode_entry(data: bytes) -> tuple[list[FlowStats], dict | None]:
     """Inverse of :func:`encode_entry`: ``(stats, metrics snapshot or None)``.
 
     Raises ValueError, KeyError, TypeError or OverflowError unless
-    ``data`` is a schema-3 entry whose body holds exactly the bytes its
-    header's ``n_acks`` / ``n_losses`` announce.
+    ``data`` is an entry of the current :data:`SCHEMA_VERSION` whose body
+    holds exactly the bytes its header's ``n_acks`` / ``n_losses``
+    announce.
     """
     end = data.index(b"\n")  # ValueError when there is no header line
     header = json.loads(data[:end])

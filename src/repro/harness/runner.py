@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from ..obs import MetricsRegistry, PeriodicSampler
 from ..obs.trace import as_sink
@@ -42,7 +42,14 @@ from ..sim import (
 )
 from .cache import NotCached, active_cache, hex_floats
 from .parallel import ParallelExecutor
-from .scenarios import TOPOLOGIES, LinkConfig, Timeline, TopologySpec
+from .scenarios import (
+    TOPOLOGIES,
+    LinkConfig,
+    Timeline,
+    TopologySpec,
+    timeline_from_dict,
+    topology_from_dict,
+)
 
 DEFAULT_WARMUP_FRACTION = 0.35
 
@@ -77,7 +84,8 @@ class FlowSpec:
     ``("n1", "n2")`` for parking-lot cross traffic).  ``None`` uses the
     topology's default endpoints for the flow's index.  The classic
     dumbbell has one route, ``("src", "dst")``; any other raises
-    :class:`~repro.sim.topology.TopologyError`.
+    :class:`~repro.sim.topology.TopologyError`.  ``kwargs`` go to the
+    protocol constructor and must be JSON values for :meth:`to_dict`.
     """
 
     protocol: str
@@ -85,6 +93,83 @@ class FlowSpec:
     size_bytes: int | None = None
     kwargs: dict = field(default_factory=dict)
     route: tuple[str, str] | None = None
+
+    def to_dict(self) -> dict:
+        """Plain JSON; :meth:`from_dict` is its exact inverse."""
+        return {
+            "protocol": self.protocol,
+            "start_time": float(self.start_time),
+            "size_bytes": self.size_bytes,
+            "kwargs": dict(self.kwargs),
+            "route": None if self.route is None else list(self.route),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FlowSpec":
+        route = data.get("route")
+        return cls(
+            str(data["protocol"]), float(data.get("start_time", 0.0)),
+            data.get("size_bytes"), dict(data.get("kwargs", {})),
+            None if route is None else tuple(route),
+        )
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run: everything that decides its outcome, as data.
+
+    What observes or bounds a run (tracer, metrics, budgets) is not
+    part of it.  The result cache key is ``payload_key(hex_floats(
+    spec.to_dict()))``; ``fidelity`` is a mode name.  ValueError when
+    there is no flow or a flow does not start before the end: the
+    measurement window opens after the last start.
+    """
+
+    flows: tuple[FlowSpec, ...]
+    config: LinkConfig
+    duration_s: float = 30.0
+    seed: int = 1
+    timeline: Timeline | None = None
+    topology: TopologySpec | None = None
+    fidelity: str = "exact"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "flows", tuple(self.flows))
+        if not self.flows:
+            raise ValueError("need at least one flow")
+        for index, flow in enumerate(self.flows):
+            if flow.start_time >= self.duration_s:
+                raise ValueError(
+                    f"flow {index} ({flow.protocol}) starts at {flow.start_time:g} s, "
+                    f"not before the end of the run (duration {self.duration_s:g} s)"
+                )
+        Fidelity(self.fidelity)  # rejects an unknown mode
+
+    def to_dict(self) -> dict:
+        """Plain JSON whose floats round-trip exactly; see :meth:`from_dict`."""
+        return {
+            "kind": "run",
+            "flows": [flow.to_dict() for flow in self.flows],
+            "config": asdict(self.config),
+            "duration_s": float(self.duration_s),
+            "seed": self.seed,
+            "timeline": None if self.timeline is None else self.timeline.to_dict(),
+            "topology": None if self.topology is None else self.topology.to_dict(),
+            "fidelity": self.fidelity,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunSpec":
+        if data.get("kind") != "run":
+            raise ValueError(f"not a run document (kind={data.get('kind')!r})")
+        timeline, topology = data["timeline"], data["topology"]
+        return cls(
+            tuple(FlowSpec.from_dict(flow) for flow in data["flows"]),
+            LinkConfig(**data["config"]), float(data["duration_s"]), int(data["seed"]),
+            None if timeline is None else timeline_from_dict(timeline),
+            None if topology is None else topology_from_dict(topology),
+            str(data["fidelity"]),
+        )
 
 
 @dataclass
@@ -124,10 +209,7 @@ class RunResult:
 
     def measurement_window(self) -> tuple[float, float]:
         """Post-warmup window: after the last flow started plus ramp-up."""
-        last_start = max(spec.start_time for spec in self.specs)
-        remaining = self.duration_s - last_start
-        t0 = last_start + DEFAULT_WARMUP_FRACTION * remaining
-        return t0, self.duration_s
+        return _measurement_window(self.specs, self.duration_s)
 
     def throughput_mbps(self, index: int, window: tuple[float, float] | None = None) -> float:
         t0, t1 = window if window is not None else self.measurement_window()
@@ -163,6 +245,11 @@ class RunResult:
             collect_run_metrics(self, registry)
             self.metrics_snapshot = registry.snapshot()
         return self.metrics_snapshot
+
+
+def _measurement_window(flows, duration_s: float) -> tuple[float, float]:
+    last_start = max(flow.start_time for flow in flows)
+    return last_start + DEFAULT_WARMUP_FRACTION * (duration_s - last_start), duration_s
 
 
 def collect_run_metrics(result: RunResult, registry: MetricsRegistry) -> dict:
@@ -208,46 +295,6 @@ def collect_run_metrics(result: RunResult, registry: MetricsRegistry) -> dict:
             )
     registry.gauge("run.utilization").set(result.utilization(window))
     return registry.snapshot()
-
-
-def _flows_payload(
-    specs: list[FlowSpec],
-    config: LinkConfig,
-    duration_s: float,
-    seed: int,
-    timeline: Timeline | None = None,
-    fidelity: Fidelity | None = None,
-    topology: TopologySpec | None = None,
-) -> dict:
-    """Canonical cache payload for a ``run_flows`` call.
-
-    Observability arguments (tracer, metrics registry, sample period)
-    never enter the payload: they observe the run, they do not change it.
-    Execution fidelity *does*: an exact and a hybrid run of the same
-    scenario are different experiments (see :mod:`repro.sim.fidelity`).
-    So does the topology spec — the same flows over a different graph
-    are a different experiment.
-    """
-    return {
-        "kind": "run_flows",
-        "specs": [
-            {
-                "protocol": spec.protocol,
-                "start_time": float(spec.start_time).hex(),
-                "size_bytes": spec.size_bytes,
-                "kwargs": spec.kwargs,
-                "route": None if spec.route is None else list(spec.route),
-            }
-            for spec in specs
-        ],
-        "config": asdict(config),
-        "duration_s": float(duration_s).hex(),
-        "seed": seed,
-        # hex_floats: timelines differing by one ULP are different keys.
-        "timeline": None if timeline is None else hex_floats(timeline.to_dict()),
-        "fidelity": resolve_fidelity(fidelity).key(),
-        "topology": None if topology is None else hex_floats(topology.to_dict()),
-    }
 
 
 def _applied_events(timeline: Timeline, duration_s: float) -> list[LinkEvent]:
@@ -327,42 +374,31 @@ def run_flows(
     is replay-only, a run that would simulate live raises
     :class:`~repro.harness.cache.NotCached` instead.
     """
-    if not specs:
-        raise ValueError("need at least one flow")
-    for index, spec in enumerate(specs):
-        # The measurement window opens after the last start: refuse now
-        # what would be simulated in full and then fail on an empty one.
-        if spec.start_time >= duration_s:
-            raise ValueError(
-                f"flow {index} ({spec.protocol}) starts at {spec.start_time:g} s, "
-                f"not before the end of the run (duration {duration_s:g} s)"
-            )
+    spec = RunSpec(
+        specs, config, duration_s, seed, timeline, topology,
+        resolve_fidelity(fidelity).mode,
+    )
     tracer = as_sink(tracer)
-    fidelity = resolve_fidelity(fidelity)
     observing = tracer is not None or metrics is not None or sample_period_s is not None
     cache = active_cache()
     key = None
     if cache is not None:
-        key = cache.key_for(
-            _flows_payload(specs, config, duration_s, seed, timeline, fidelity, topology)
-        )
+        key = cache.key_for(hex_floats(spec.to_dict()))
         if not observing:
             cached = cache.load_run(key)
             if cached is not None:
                 cached_stats, snapshot = cached
                 events = [] if timeline is None else _applied_events(timeline, duration_s)
                 return RunResult(
-                    config, duration_s, cached_stats, None, specs,
+                    config, duration_s, cached_stats, None, list(spec.flows),
                     timeline=timeline, topology=topology, link_events=events,
                     metrics_snapshot=snapshot,
                 )
         if cache.replay_only:
             raise NotCached(key)
     result = _run_flows_live(
-        specs, config, duration_s, seed, timeline,
-        tracer=tracer, metrics=metrics, sample_period_s=sample_period_s,
-        max_events=max_events, max_wall_s=max_wall_s, fidelity=fidelity,
-        topology=topology,
+        spec, tracer=tracer, metrics=metrics, sample_period_s=sample_period_s,
+        max_events=max_events, max_wall_s=max_wall_s,
     )
     # Periodic samples depend on sample_period_s, which is not part of
     # the cache key — never store a snapshot that a later call with a
@@ -372,24 +408,38 @@ def run_flows(
     return result
 
 
-def _run_flows_live(
-    specs: list[FlowSpec],
-    config: LinkConfig,
-    duration_s: float,
-    seed: int,
-    timeline: Timeline | None = None,
+def run(
+    spec: RunSpec,
     *,
     tracer=None,
     metrics: MetricsRegistry | None = None,
     sample_period_s: float | None = None,
     max_events: int | None = None,
     max_wall_s: float | None = None,
-    fidelity: Fidelity | None = None,
-    topology: TopologySpec | None = None,
 ) -> RunResult:
-    sim = Simulator(tracer=tracer, fidelity=fidelity)
-    network = (topology or TopologySpec(preset="dumbbell")).build(
-        sim, config, make_rng(seed)
+    """Run ``spec`` through :func:`run_flows` (cache included); the
+    keywords mean what they mean there."""
+    return run_flows(
+        spec.flows, spec.config, duration_s=spec.duration_s, seed=spec.seed,
+        timeline=spec.timeline, tracer=tracer, metrics=metrics,
+        sample_period_s=sample_period_s, max_events=max_events,
+        max_wall_s=max_wall_s, fidelity=spec.fidelity, topology=spec.topology,
+    )
+
+
+def _run_flows_live(
+    spec: RunSpec,
+    *,
+    tracer=None,
+    metrics: MetricsRegistry | None = None,
+    sample_period_s: float | None = None,
+    max_events: int | None = None,
+    max_wall_s: float | None = None,
+) -> RunResult:
+    seed, timeline = spec.seed, spec.timeline
+    sim = Simulator(tracer=tracer, fidelity=resolve_fidelity(spec.fidelity))
+    network = (spec.topology or TopologySpec(preset="dumbbell")).build(
+        sim, spec.config, make_rng(seed)
     )
     driver = None
     if timeline is not None:
@@ -411,13 +461,13 @@ def _run_flows_live(
         )
     flows = [
         network.add_flow(
-            make_sender(spec.protocol, seed=seed * 1000 + i, **spec.kwargs),
-            *(spec.route or ()),
+            make_sender(flow_spec.protocol, seed=seed * 1000 + i, **flow_spec.kwargs),
+            *(flow_spec.route or ()),
             flow_id=i + 1,
-            size_bytes=spec.size_bytes,
-            start_time=spec.start_time,
+            size_bytes=flow_spec.size_bytes,
+            start_time=flow_spec.start_time,
         )
-        for i, spec in enumerate(specs)
+        for i, flow_spec in enumerate(spec.flows)
     ]
     stats: list[FlowStats] = [flow.stats for flow in flows]
     # With the whole flow set known, mark what may skip the event chain
@@ -428,7 +478,7 @@ def _run_flows_live(
     # Held weakly through the run, so a completed flow frees itself.
     flows = [weakref.ref(flow) for flow in flows]
     try:
-        sim.run(until=duration_s, max_events=max_events, max_wall_s=max_wall_s)
+        sim.run(until=spec.duration_s, max_events=max_events, max_wall_s=max_wall_s)
     finally:
         # This run owns its network, so it ends its life here (a tripped
         # watchdog too): reference counting alone then frees it.
@@ -439,8 +489,8 @@ def _run_flows_live(
                 flow.release()
     link_events = list(driver.applied) if driver is not None else []
     result = RunResult(
-        config, duration_s, stats, network, specs,
-        timeline=timeline, topology=topology, link_events=link_events,
+        spec.config, spec.duration_s, stats, network, list(spec.flows),
+        timeline=timeline, topology=spec.topology, link_events=link_events,
     )
     # Snapshot from a fresh registry so the stored record reflects only
     # this run; the caller's registry (which may span several runs) is
@@ -524,59 +574,16 @@ class PairResult:
         )
 
 
-def _pair_solo_metrics(
-    primary: str,
-    config: LinkConfig,
-    duration_s: float,
-    seed: int,
-    window: tuple[float, float],
-    timeline: Timeline | None = None,
-    tracer=None,
-    fidelity: Fidelity | None = None,
-    topology: TopologySpec | None = None,
-) -> tuple[float, float]:
-    """Solo-baseline metrics measured over the *paired* run's window."""
-    solo = run_single(
-        primary, config, duration_s=duration_s, seed=seed, timeline=timeline,
-        tracer=tracer, fidelity=fidelity, topology=topology,
-    )
+def _window_metrics(
+    spec: RunSpec, window: tuple[float, float], tracer=None
+) -> tuple[list[float], float, float]:
+    """Per-flow throughputs, utilization and flow 0's 95th-percentile RTT
+    of ``spec``'s run, all over ``window``."""
+    result = run(spec, tracer=tracer)
     return (
-        solo.throughput_mbps(0, window),
-        solo.stats[0].rtt_percentile(95, *window),
-    )
-
-
-def _pair_joint_metrics(
-    primary: str,
-    scavenger: str,
-    config: LinkConfig,
-    duration_s: float,
-    scavenger_start_s: float,
-    seed: int,
-    timeline: Timeline | None = None,
-    tracer=None,
-    fidelity: Fidelity | None = None,
-    topology: TopologySpec | None = None,
-) -> tuple[float, float, float, float]:
-    paired = run_flows(
-        [
-            FlowSpec(primary, start_time=0.0),
-            FlowSpec(scavenger, start_time=scavenger_start_s),
-        ],
-        config,
-        duration_s=duration_s,
-        seed=seed,
-        timeline=timeline,
-        tracer=tracer,
-        fidelity=fidelity,
-        topology=topology,
-    )
-    window = paired.measurement_window()
-    return (
-        paired.throughput_mbps(0, window),
-        paired.throughput_mbps(1, window),
-        paired.utilization(window),
-        paired.stats[0].rtt_percentile(95, *window),
+        result.throughputs_mbps(window),
+        result.utilization(window),
+        result.stats[0].rtt_percentile(95, *window),
     )
 
 
@@ -612,34 +619,28 @@ def run_pair(
     it).
     """
     tracer = as_sink(tracer)
-    fidelity = resolve_fidelity(fidelity)
     if scavenger_start_s is None:
         scavenger_start_s = min(5.0, duration_s / 6.0)
-    # The paired run's measurement window depends only on the flow start
-    # times (see RunResult.measurement_window), so it is known up front
-    # and both runs can be dispatched together.
-    last_start = max(0.0, scavenger_start_s)
-    window = (
-        last_start + DEFAULT_WARMUP_FRACTION * (duration_s - last_start),
-        duration_s,
+    pair = RunSpec(
+        (FlowSpec(primary), FlowSpec(scavenger, start_time=scavenger_start_s)),
+        config, duration_s, seed, timeline, topology,
+        resolve_fidelity(fidelity).mode,
     )
+    # The paired run's measurement window depends only on the flow start
+    # times, so it is known up front and both runs can be dispatched
+    # together.
+    window = _measurement_window(pair.flows, duration_s)
+    # The solo baseline is the paired run's first flow alone: the same
+    # spec, hence the same cache key, as run_single(primary, ...).
     calls = [
-        (
-            _pair_solo_metrics,
-            (primary, config, duration_s, seed, window, timeline, tracer,
-             fidelity, topology),
-        ),
-        (
-            _pair_joint_metrics,
-            (primary, scavenger, config, duration_s, scavenger_start_s, seed,
-             timeline, tracer, fidelity, topology),
-        ),
+        (_window_metrics, (replace(pair, flows=pair.flows[:1]), window, tracer)),
+        (_window_metrics, (pair, window, tracer)),
     ]
     # A tracer pins both runs to this process (jobs=1 is the exact
     # serial path): workers cannot stream into it.
-    (solo_mbps, solo_rtt), (with_scavenger, scavenger_mbps, util, paired_rtt) = (
-        ParallelExecutor(jobs if tracer is None else 1).run_all(calls)
-    )
+    solo, paired = ParallelExecutor(jobs if tracer is None else 1).run_all(calls)
+    (solo_mbps,), _, solo_rtt = solo
+    (with_scavenger, scavenger_mbps), util, paired_rtt = paired
     ratio = with_scavenger / solo_mbps if solo_mbps > 0 else 0.0
     result = PairResult(
         primary_solo_mbps=solo_mbps,
@@ -709,16 +710,18 @@ def run_streaming(
     sim = Simulator(tracer=tracer)
     dumbbell = TopologySpec(preset="dumbbell").build(sim, config, make_rng(seed))
     sessions = []
+    flows = []
     for i, video in enumerate(videos):
         sender = make_sender(protocol, seed=seed * 100 + i)
         flow = dumbbell.add_flow(sender, flow_id=i + 1, chunked=True)
+        flows.append(flow)
         level = forced_level
         if level is not None and level < 0:
             level = len(video.bitrates_bps) + level
         sessions.append(StreamingSession(sim, flow, video, forced_level=level))
-    if background:
-        for j, spec in enumerate(background):
-            sender = make_sender(spec.protocol, seed=seed * 100 + 50 + j, **spec.kwargs)
+    for j, spec in enumerate(background or ()):
+        sender = make_sender(spec.protocol, seed=seed * 100 + 50 + j, **spec.kwargs)
+        flows.append(
             dumbbell.add_flow(
                 sender,
                 *(spec.route or ()),
@@ -726,7 +729,16 @@ def run_streaming(
                 size_bytes=spec.size_bytes,
                 start_time=spec.start_time,
             )
-    sim.run(until=duration_s)
+        )
+    try:
+        sim.run(until=duration_s)
+    finally:
+        # As in run_flows: the finished network frees itself by reference
+        # counting, and no flow keeps its session through on_delivery.
+        dumbbell.close()
+        for flow in flows:
+            flow.on_delivery = None
+            flow.release()
     return [
         StreamingResult(
             video_name=s.video.name,

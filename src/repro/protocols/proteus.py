@@ -47,6 +47,9 @@ MI_END = tracepoint(
     "mi_id", "tag", "rate_bps", "duration_s", "n_sent", "n_acked", "n_lost", "utility",
     "throughput_mbps", "loss_rate", "avg_rtt_s", "rtt_gradient", "rtt_deviation_s",
 )
+# The Proteus-H switching threshold in force from this row on: the
+# initial one when a traced sender starts, then every set_threshold.
+THRESHOLD_CHANGE = tracepoint("threshold.change", "threshold_bps")
 
 
 class ProteusSender(RateSender):
@@ -136,6 +139,7 @@ class ProteusSender(RateSender):
             raise TypeError("set_threshold requires the proteus-h utility")
         old = self.utility.threshold_bps
         self.utility.set_threshold(threshold_bps)
+        self.trace(THRESHOLD_CHANGE, threshold_bps)
         if (
             self.started
             and not self.stopped
@@ -149,6 +153,8 @@ class ProteusSender(RateSender):
     # ------------------------------------------------------------------
     def on_start(self) -> None:
         super().on_start()
+        if isinstance(self.utility, HybridUtility):
+            self.trace(THRESHOLD_CHANGE, self.utility.threshold_bps)
         self._begin_mi()
 
     def stop(self) -> None:

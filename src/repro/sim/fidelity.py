@@ -112,11 +112,6 @@ class Fidelity:
     def hybrid(self) -> bool:
         return self.mode == "hybrid"
 
-    def key(self) -> dict:
-        """Canonical cache-key payload.  The burst constants above are
-        source, which the cache key's source-tree digest already covers."""
-        return {"mode": self.mode}
-
 
 EXACT = Fidelity(mode="exact")
 HYBRID = Fidelity(mode="hybrid")

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.adversary import ScenarioGenome, TrafficSpec, crossover, mutate, sample_genome
+from repro.adversary import ScenarioGenome, crossover, mutate, sample_genome
 from repro.adversary.genome import HOSTILE_PROTOCOLS, rounded_scalars
 from repro.core.rng import Rng
-from repro.harness import BandwidthStep, Outage, Timeline
+from repro.harness import BandwidthStep, FlowSpec, Outage, Timeline
 from repro.protocols import PROTOCOL_NAMES
 
 
@@ -79,7 +79,7 @@ def test_size_counts_steps_flows_and_unrounded_scalars():
         buffer_kb=100.0,
         duration_s=8.0,
         timeline=Timeline((BandwidthStep(at_s=2.0, bandwidth_mbps=5.0),)),
-        traffic=(TrafficSpec(protocol="onoff"),),
+        traffic=(FlowSpec("onoff"),),
     )
     assert busy.size() == 3
 

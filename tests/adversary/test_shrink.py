@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.adversary import ScenarioGenome, TrafficSpec, eval_item, shrink_item
+from repro.adversary import ScenarioGenome, eval_item, shrink_item
 from repro.adversary.shrink import ShrinkResult
-from repro.harness import BandwidthStep, Timeline
+from repro.harness import BandwidthStep, FlowSpec, Timeline
 
 MISTUNED = {
     "protocol": "proteus-s",
@@ -20,7 +20,7 @@ CLUTTERED = ScenarioGenome(
     buffer_kb=77.0,
     duration_s=3.0,
     timeline=Timeline((BandwidthStep(at_s=2.5, bandwidth_mbps=15.0),)),
-    traffic=(TrafficSpec(protocol="onoff", start_s=1.0, params={"on_mbps": 3.0}),),
+    traffic=(FlowSpec("onoff", start_time=1.0, kwargs={"on_mbps": 3.0}),),
 )
 
 

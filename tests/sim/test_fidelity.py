@@ -50,11 +50,6 @@ def test_resolve_fidelity_env(monkeypatch):
     assert resolve_fidelity(None) is EXACT
 
 
-def test_fidelity_cache_keys_distinguish_every_knob():
-    # ``mode`` is the only knob left.
-    assert EXACT.key() != HYBRID.key()
-
-
 # ----------------------------------------------------------------------
 # Eligibility
 # ----------------------------------------------------------------------

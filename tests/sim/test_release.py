@@ -1,9 +1,9 @@
 """End of life: finished flows and finished runs free themselves.
 
 A completed bounded flow drops what only sending uses
-(``Flow.release``), and a ``run_flows`` run closes the network it built
-(``Topology.close``), so reference counting alone frees both: nothing a
-run built waits for the cyclic garbage collector.  Every case runs with
+(``Flow.release``), and a ``run_flows`` or ``run_streaming`` run closes
+the network it built (``Topology.close``), so reference counting alone
+frees both: nothing a run built waits for the cyclic garbage collector.  Every case runs with
 the collector disabled, so an object that needs it stays alive (the
 weakref checks) or is found by the final ``gc.collect()``.
 """
@@ -14,6 +14,7 @@ import weakref
 
 import pytest
 
+from repro.apps.video import make_corpus
 from repro.harness import (
     EMULAB_DEFAULT,
     FlowSpec,
@@ -22,6 +23,7 @@ from repro.harness import (
     load_topology,
     run_flows,
     run_many,
+    run_streaming,
 )
 from repro.harness.cache import reset_cache_state
 from repro.obs import CollectingTracer
@@ -140,6 +142,22 @@ def test_a_dropped_result_leaves_no_cyclic_garbage(no_gc, no_cache, invariants, 
     sim = weakref.ref(result.dumbbell.sim)
     del result
     assert sim() is None
+    assert not _garbage()
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_a_dropped_streaming_result_leaves_no_cyclic_garbage(no_gc, invariants, traced):
+    # Sessions and their chunked flows point at each other through
+    # ``flow.on_delivery``; a scavenger shares the bottleneck.
+    videos = make_corpus(seed=1).videos_1080p[:2]
+    config = LinkConfig(bandwidth_mbps=70.0, rtt_ms=30.0, buffer_kb=900.0)
+    results = run_streaming(
+        videos, "proteus-p", config, duration_s=5.0, seed=1,
+        background=[FlowSpec("proteus-s", start_time=1.0)],
+        tracer=CollectingTracer() if traced else None,
+    )
+    assert [r.chunks_delivered > 0 for r in results] == [True, True]
+    del results
     assert not _garbage()
 
 

@@ -42,12 +42,12 @@ collector disabled: a finished run must free itself by reference
 counting, so a reference cycle left in the network shows here)."""
 
 EXPECTED = {
-    "pair_exact": (19045, 12074, 16972, 196930, 0, 0, 0),
-    "pair_hybrid": (12289, 12712, 12955, 110334, 0, 0, 0),
-    "pair_traced": (31119, 0, 16972, 364112, 56066, 0, 0),
-    "many_flows": (12756, 10385, 5261, 137198, 0, 0, 0),
-    "many_flows_traced": (23141, 0, 5261, 206072, 44440, 0, 0),
-    "codel_parking_lot": (46541, 23035, 8087, 299534, 0, 0, 0),
+    "pair_exact": (19045, 12074, 16972, 196936, 0, 0, 0),
+    "pair_hybrid": (12289, 12712, 12955, 110340, 0, 0, 0),
+    "pair_traced": (31119, 0, 16972, 364118, 56066, 0, 0),
+    "many_flows": (12756, 10385, 5261, 137204, 0, 0, 0),
+    "many_flows_traced": (23141, 0, 5261, 206078, 44440, 0, 0),
+    "codel_parking_lot": (46541, 23035, 8087, 299540, 0, 0, 0),
 }
 
 
