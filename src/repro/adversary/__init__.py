@@ -36,6 +36,7 @@ from .search import (
     CampaignConfig,
     CampaignResult,
     artifact_record,
+    load_artifact,
     replay_artifact,
     run_campaign,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "crossover",
     "eval_item",
     "evaluate_genome",
+    "load_artifact",
     "mutate",
     "replay_artifact",
     "run_campaign",

@@ -5,9 +5,11 @@ a :class:`~repro.harness.scenarios.Timeline` of link dynamics, an
 optional :class:`~repro.harness.scenarios.TopologySpec`, and a mix of
 competing traffic flows (:class:`~repro.harness.runner.FlowSpec`) —
 everything an evaluation run needs beyond the controller under test
-(:meth:`ScenarioGenome.run_spec`).  It round-trips
-through :meth:`ScenarioGenome.to_dict` exactly, so a genome *is* its
-cache/manifest key and an archived counterexample replays bit-identically.
+(:meth:`ScenarioGenome.run_spec`).  :meth:`ScenarioGenome.to_dict` is
+plain JSON — each traffic flow is its :meth:`FlowSpec.to_dict` document —
+and :meth:`ScenarioGenome.from_dict` its exact inverse, so a genome *is*
+its cache/manifest key and an archived counterexample replays
+bit-identically.
 
 Sampling, mutation and crossover draw exclusively from a seeded
 :class:`~repro.core.rng.Rng`: the same stream always proposes the same
@@ -37,7 +39,7 @@ from ..harness.scenarios import (
     topology_from_dict,
 )
 
-GENOME_SCHEMA = 1
+GENOME_SCHEMA = 2
 
 #: Hostile/competing cross-traffic protocols the sampler may draw.
 HOSTILE_PROTOCOLS = ("burst-flood", "onoff")
@@ -108,13 +110,7 @@ class ScenarioGenome:
             "noise_severity": self.noise_severity,
             "timeline": self.timeline.to_dict(),
             "topology": None if self.topology is None else self.topology.to_dict(),
-            # Not FlowSpec.to_dict: archived genomes and the manifest keys
-            # hashed from them keep this layout.
-            "traffic": [
-                {"protocol": flow.protocol, "start_s": flow.start_time,
-                 "params": dict(flow.kwargs)}
-                for flow in self.traffic
-            ],
+            "traffic": [flow.to_dict() for flow in self.traffic],
             "label": self.label,
         }
 
@@ -136,14 +132,7 @@ class ScenarioGenome:
                 data.get("timeline", {"label": "", "steps": []})
             ),
             topology=None if topology is None else topology_from_dict(topology),
-            traffic=tuple(
-                FlowSpec(
-                    str(flow["protocol"]),
-                    start_time=float(flow.get("start_s", 0.0)),
-                    kwargs=dict(flow.get("params", {})),
-                )
-                for flow in data.get("traffic", [])
-            ),
+            traffic=tuple(FlowSpec.from_dict(flow) for flow in data.get("traffic", [])),
             label=str(data.get("label", "")),
         )
 

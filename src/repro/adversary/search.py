@@ -24,6 +24,8 @@ Campaign directory layout::
     <out>/best.json            # best-scoring genome artifact
     <out>/best_shrunk.json     # shrunk reproducer (when a violation was found)
     <out>/counterexamples/     # every new-best violating genome
+
+Every file is plain JSON, whose floats ``json`` reads back exactly.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from ..harness.supervise import (
     STATUS_TIMED_OUT,
     SweepManifest,
     TrialOutcome,
-    decode_value,
-    encode_value,
     supervised_map,
 )
 from ..obs.metrics import MetricsRegistry
@@ -61,7 +61,7 @@ GENERATION = tracepoint("adversary.generation", "evaluated", "best_score")
 SHRINK = tracepoint("adversary.shrink", "from_size", "to_size", "score")
 
 CAMPAIGN_SCHEMA = 1
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 
 _FRESH_FRAC = 0.2
 _MUTATE_FRAC = 0.6  # of the non-fresh remainder; rest is crossover
@@ -200,8 +200,8 @@ def artifact_record(
 ) -> dict:
     """A replayable JSON artifact for one evaluated genome.
 
-    ``value`` is stored through the manifest's tagged float-hex encoding,
-    so ``repro attack --replay`` can compare a recomputed evaluation for
+    ``value`` is stored as plain JSON, which round-trips every float, so
+    ``repro attack --replay`` can compare a recomputed evaluation for
     bit-exact equality.
     """
     genome = ScenarioGenome.from_dict(item["genome"])
@@ -211,8 +211,8 @@ def artifact_record(
         "campaign": config.to_dict(),
         "eval_index": eval_index,
         "item": item,
-        "value": encode_value(value),
-        "score": float(value["score"]).hex(),
+        "value": value,
+        "score": value["score"],
         "violation": bool(value.get("violation")),
         "size": genome.size(),
     }
@@ -221,18 +221,27 @@ def artifact_record(
     return record
 
 
+def load_artifact(path: str | Path) -> dict:
+    """The artifact record at ``path``; ValueError unless it is an
+    adversary artifact of the current :data:`ARTIFACT_SCHEMA`."""
+    record = json.loads(Path(path).read_text())
+    if not isinstance(record, dict) or record.get("kind") != "adversary-artifact":
+        raise ValueError(f"{path} is not an adversary artifact")
+    if record.get("schema") != ARTIFACT_SCHEMA:
+        raise ValueError(f"unsupported artifact schema {record.get('schema')}")
+    return record
+
+
 def replay_artifact(path: str | Path) -> dict:
     """Re-evaluate an archived artifact and compare bit-exactly.
 
     Returns a report dict with the recorded and recomputed scores and a
     ``match`` flag — ``True`` only when the full recomputed value dict
-    equals the recorded one (floats compared after exact ``float.hex``
-    round-trip, so any drift at all fails the replay).
+    equals the recorded one (floats compared exactly, so any drift at
+    all fails the replay).
     """
-    record = json.loads(Path(path).read_text())
-    if record.get("kind") != "adversary-artifact":
-        raise ValueError(f"{path} is not an adversary artifact")
-    expected = decode_value(record["value"])
+    record = load_artifact(path)
+    expected = record["value"]
     recomputed = evaluate_genome(record["item"])
     return {
         "match": recomputed == expected,
@@ -389,15 +398,7 @@ def run_campaign(
 
     shrunk: ShrinkResult | None = None
     if best is not None:
-        best_item = eval_item(
-            best.genome,
-            objective=config.objective,
-            controller=config.controller,
-            primary=config.primary,
-            seed=config.seed,
-            threshold=config.threshold,
-            max_events=config.max_events,
-        )
+        best_item = best.outcome.payload  # its eval_item, fresh or resumed
         _write_json(
             out / "best.json",
             artifact_record(
@@ -423,7 +424,7 @@ def run_campaign(
                     parent={
                         "size": shrunk.parent_size,
                         "eval_index": best.index,
-                        "score": float(best.score).hex(),
+                        "score": best.score,
                     },
                 ),
             )

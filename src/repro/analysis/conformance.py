@@ -11,8 +11,8 @@ disagree:
   RTT earns nothing;
 * Proteus-S (Eq. 2): Proteus-P minus ``d*x*sigma(RTT)``;
 * Proteus-H (Eq. 3): Proteus-P while ``x * 1e6`` is below the switching
-  threshold in force for the flow (its latest ``threshold.change`` row),
-  Proteus-S at or above it;
+  threshold in force for the flow (its latest ``threshold.change`` row;
+  a null threshold is none, so always below), Proteus-S at or above it;
 * PCC Vivace: Eq. 1 without the clamp, so a falling RTT is rewarded.
 
 ``x`` is the planned rate in Mbps.  The constants are the paper's
@@ -88,7 +88,7 @@ def check_mi_utilities(rows: Iterable[tuple], protocols: Mapping[int, str]) -> C
     ``protocols`` raises ``KeyError``.
     """
     report = Conformance()
-    thresholds: dict[int, float] = {}  # flow -> threshold in force
+    thresholds: dict[int, float | None] = {}  # flow -> threshold in force
     for row in rows:
         shape = row[0]
         if shape.kind == "threshold.change":
@@ -101,7 +101,8 @@ def check_mi_utilities(rows: Iterable[tuple], protocols: Mapping[int, str]) -> C
         utility = _UTILITIES.get(protocol)
         if protocol == "proteus-h" and fields["flow"] in thresholds:
             # HybridUtility's comparison, on the planned rate in Mbps.
-            below = fields["rate_bps"] / 1e6 * 1e6 < thresholds[fields["flow"]]
+            threshold = thresholds[fields["flow"]]
+            below = threshold is None or fields["rate_bps"] / 1e6 * 1e6 < threshold
             utility = _proteus_p if below else _proteus_s
         if utility is None:
             report.unchecked += 1

@@ -484,6 +484,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
     from .adversary import (
         CampaignConfig,
+        artifact_record,
+        load_artifact,
         replay_artifact,
         run_campaign,
         shrink_item,
@@ -510,14 +512,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
     if args.shrink:
         try:
-            record = json.loads(Path(args.shrink).read_text())
+            record = load_artifact(args.shrink)
             result = shrink_item(record["item"])
         except (OSError, ValueError, KeyError) as exc:
             print(f"repro attack: cannot shrink {args.shrink}: {exc}", file=sys.stderr)
             return 2
         out_path = Path(args.shrink).with_suffix(".shrunk.json")
-        from .adversary import artifact_record
-
         config = CampaignConfig.from_dict(record["campaign"])
         shrunk_record = artifact_record(
             config,

@@ -6,24 +6,24 @@ source).  The cache exploits that: a run's
 :class:`~repro.sim.trace.FlowStats` records are stored under
 ``.repro-cache/`` keyed by
 
-    payload_key(hex_floats(spec.to_dict()))  # + schema, source-tree digest
+    payload_key(spec.to_dict())  # + schema, source-tree digest
 
 where the source-tree digest hashes every ``.py`` file under the
 installed ``repro`` package.  Re-running an unchanged benchmark is a
 cache hit; *any* source edit changes the digest and invalidates every
 entry cleanly (stale entries are simply never addressed again).
 
-An entry is one line of JSON (the schema, each flow's scalars as
-``float.hex()`` strings and its series lengths, the optional metrics
-snapshot) followed by the raw little-endian bytes of every flow's
-per-sample series.  Both are exact, so a cache round-trip is
-byte-identical to recomputation and the determinism digest gate
-(``repro.devtools.trace_digest``) cannot tell them apart; key payloads
-hex-encode their floats the same way.  A corrupt or truncated entry is
-a miss and is recomputed, never an error; on first detection the torn
-file is **quarantined** (moved aside to ``<key>.corrupt``) so every
-later run under the same key is a clean miss, not a
-re-read/re-parse/re-fail cycle.  Quarantines are counted in
+An entry is one line of JSON (the schema, each flow's scalars and
+series lengths, the optional metrics snapshot) followed by the raw
+little-endian bytes of every flow's per-sample series.  Both are exact
+— ``json`` writes a float as the shortest repr that reads back to the
+same double — so a cache round-trip is byte-identical to recomputation
+and the determinism digest gate (``repro.devtools.trace_digest``)
+cannot tell them apart; key payloads are plain JSON the same way.  A
+corrupt or truncated entry is a miss and is recomputed, never an error;
+on first detection the torn file is **quarantined** (moved aside to
+``<key>.corrupt``) so every later run under the same key is a clean
+miss, not a re-read/re-parse/re-fail cycle.  Quarantines are counted in
 :meth:`ResultCache.stats`.
 
 The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
@@ -44,7 +44,7 @@ from typing import Any, Iterable
 
 from ..sim.trace import FlowStats
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 _TMP_SEQ = itertools.count()  # per-process suffix of store_run()'s temp names
 
 # ----------------------------------------------------------------------
@@ -80,37 +80,16 @@ def reset_source_digest_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Entry (de)serialisation — exact: float.hex() scalars, raw series bytes
+# Entry (de)serialisation — exact: JSON scalars, raw series bytes
 # ----------------------------------------------------------------------
-def hex_floats(value: Any) -> Any:
-    """Recursively replace floats with exact ``float.hex()`` strings.
-
-    Cache payloads must address *exact* float values: two timelines that
-    differ by one ULP are different experiments.  ``json.dumps`` would
-    round-trip doubles faithfully, but routing every payload float
-    through the same hex encoding as the stored records keeps the key
-    derivation independent of JSON float formatting.  Bools and ints
-    pass through untouched.
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: hex_floats(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [hex_floats(item) for item in value]
-    return value
-
-
 def payload_key(payload: dict) -> str:
     """Content address of a canonicalised payload (incl. source digest).
 
     The single key derivation shared by the result cache and the sweep
     manifests of :mod:`repro.harness.supervise`: ``sha256`` over the
     canonical JSON of ``{schema, source-tree digest, **payload}``.
-    Callers hex-encode floats first (:func:`hex_floats`) so keys address
-    *exact* values.
+    ``json`` writes every float as its shortest exact repr, so two
+    payloads that differ by one ULP get different keys.
     """
     canonical = json.dumps(
         {"schema": SCHEMA_VERSION, "source": source_digest(), **payload},
@@ -119,14 +98,6 @@ def payload_key(payload: dict) -> str:
         default=repr,
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _opt_hex(value: float | None) -> str | None:
-    return None if value is None else float(value).hex()
-
-
-def _opt_unhex(value: str | None) -> float | None:
-    return None if value is None else float.fromhex(value)
 
 
 # Every flow's series, in body order, with the header field holding its length.
@@ -149,12 +120,12 @@ def _pack(series: array) -> bytes:
 def _flow_header(stats: FlowStats) -> dict:
     return {
         "flow_id": stats.flow_id,
-        "start_time": float(stats.start_time).hex(),
-        "end_time": _opt_hex(stats.end_time),
+        "start_time": float(stats.start_time),
+        "end_time": stats.end_time,
         "total_acked_bytes": stats.total_acked_bytes,
         "delivered_bytes": stats.delivered_bytes,
-        "first_delivery": _opt_hex(stats.first_delivery),
-        "last_delivery": _opt_hex(stats.last_delivery),
+        "first_delivery": stats.first_delivery,
+        "last_delivery": stats.last_delivery,
         "packets_sent": stats.packets_sent,
         "n_acks": len(stats.ack_times),
         "n_losses": len(stats.loss_times),
@@ -197,12 +168,12 @@ def decode_entry(data: bytes) -> tuple[list[FlowStats], dict | None]:
     stats = []
     for flow in header["stats"]:
         rebuilt = FlowStats(flow_id=flow["flow_id"])
-        rebuilt.start_time = float.fromhex(flow["start_time"])
-        rebuilt.end_time = _opt_unhex(flow["end_time"])
+        rebuilt.start_time = flow["start_time"]
+        rebuilt.end_time = flow["end_time"]
         rebuilt.total_acked_bytes = flow["total_acked_bytes"]
         rebuilt.delivered_bytes = flow["delivered_bytes"]
-        rebuilt.first_delivery = _opt_unhex(flow["first_delivery"])
-        rebuilt.last_delivery = _opt_unhex(flow["last_delivery"])
+        rebuilt.first_delivery = flow["first_delivery"]
+        rebuilt.last_delivery = flow["last_delivery"]
         rebuilt.packets_sent = flow["packets_sent"]
         for name, typecode, length_field in _SERIES:
             count = flow[length_field]

@@ -40,7 +40,7 @@ from ..sim import (
     make_rng,
     resolve_fidelity,
 )
-from .cache import NotCached, active_cache, hex_floats
+from .cache import NotCached, active_cache
 from .parallel import ParallelExecutor
 from .scenarios import (
     TOPOLOGIES,
@@ -119,10 +119,10 @@ class RunSpec:
     """One run: everything that decides its outcome, as data.
 
     What observes or bounds a run (tracer, metrics, budgets) is not
-    part of it.  The result cache key is ``payload_key(hex_floats(
-    spec.to_dict()))``; ``fidelity`` is a mode name.  ValueError when
-    there is no flow or a flow does not start before the end: the
-    measurement window opens after the last start.
+    part of it.  The result cache key is ``payload_key(spec.to_dict())``;
+    ``fidelity`` is a mode name.  ValueError when there is no flow or a
+    flow does not start before the end: the measurement window opens
+    after the last start.
     """
 
     flows: tuple[FlowSpec, ...]
@@ -383,7 +383,7 @@ def run_flows(
     cache = active_cache()
     key = None
     if cache is not None:
-        key = cache.key_for(hex_floats(spec.to_dict()))
+        key = cache.key_for(spec.to_dict())
         if not observing:
             cached = cache.load_run(key)
             if cached is not None:

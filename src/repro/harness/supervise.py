@@ -30,7 +30,7 @@ Three layers see to that:
 * **Checkpoint/resume** — outcomes are journaled to a
   :class:`SweepManifest`: an append-only JSONL file keyed by the result
   cache's content address (:func:`repro.harness.cache.payload_key`,
-  float-hex exact).  Re-running a sweep against an existing manifest
+  plain JSON, exact).  Re-running a sweep against an existing manifest
   skips every ``ok`` entry and re-attempts only failures, so a killed
   two-hour figure run resumes as a two-minute top-up.  Torn trailing
   lines (the driver was killed mid-append) are skipped on load; each
@@ -58,10 +58,10 @@ from typing import Any
 from ..core.rng import Rng
 from ..obs import RingBufferTracer, tracing
 from ..sim.engine import SimBudgetExceeded
-from .cache import hex_floats, payload_key
+from .cache import payload_key
 from .parallel import default_jobs, dispatch_round, pool_helps
 
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -138,43 +138,8 @@ class RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# Trial outcomes and their exact-value journal encoding
+# Trial outcomes
 # ----------------------------------------------------------------------
-def encode_value(value: Any) -> Any:
-    """Tagged JSON encoding of a trial value; floats via ``float.hex()``.
-
-    The tag removes ambiguity between a string that *looks* like a hex
-    float and an actual float, so a manifest round-trip is exact —
-    resumed trials are byte-identical to recomputed ones.
-    """
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return ["v", value]
-    if isinstance(value, float):
-        return ["f", value.hex()]
-    if isinstance(value, dict):
-        return ["d", {key: encode_value(item) for key, item in value.items()}]
-    if isinstance(value, (list, tuple)):
-        return ["l", [encode_value(item) for item in value]]
-    raise TypeError(
-        f"cannot journal a trial value of type {type(value).__name__}; "
-        "supervised experiments must return JSON-able scalars/dicts/lists"
-    )
-
-
-def decode_value(encoded: Any) -> Any:
-    """Inverse of :func:`encode_value` (floats bit-exact)."""
-    tag, data = encoded
-    if tag == "v":
-        return data
-    if tag == "f":
-        return float.fromhex(data)
-    if tag == "d":
-        return {key: decode_value(item) for key, item in data.items()}
-    if tag == "l":
-        return [decode_value(item) for item in data]
-    raise ValueError(f"unknown value tag {tag!r}")
-
-
 @dataclass
 class TrialOutcome:
     """The supervised result of one trial — success or structured failure.
@@ -205,14 +170,14 @@ class TrialOutcome:
         return self.status == STATUS_OK
 
     def to_record(self) -> dict:
-        """JSON-safe manifest line (exact float round-trip)."""
+        """The manifest line: plain JSON, which round-trips every float."""
         return {
             "schema": MANIFEST_SCHEMA,
             "key": self.key,
             "status": self.status,
             "seed": self.seed,
-            "payload": hex_floats(self.payload),
-            "value": None if self.value is None else encode_value(self.value),
+            "payload": self.payload,
+            "value": self.value,
             "error": self.error,
             "traceback": self.traceback,
             "attempts": self.attempts,
@@ -221,11 +186,10 @@ class TrialOutcome:
 
     @classmethod
     def from_record(cls, record: dict) -> "TrialOutcome":
-        value = record.get("value")
         return cls(
             status=record["status"],
             key=record["key"],
-            value=None if value is None else decode_value(value),
+            value=record.get("value"),
             seed=record.get("seed"),
             payload=record.get("payload"),
             error=record.get("error"),
@@ -432,7 +396,7 @@ def supervised_map(
         if len(payloads) != n:
             raise ValueError(f"{len(payloads)} payloads for {n} items")
     seed_list = seeds if seeds is not None else [p.get("seed") for p in payloads]
-    keys = [payload_key(hex_floats(payload)) for payload in payloads]
+    keys = [payload_key(payload) for payload in payloads]
     policy = policy or RetryPolicy()
     max_attempts = policy.max_attempts()
     journal = (

@@ -13,6 +13,7 @@ selected by the application).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from ..core.monitor import MonitorInterval
@@ -49,6 +50,7 @@ MI_END = tracepoint(
 )
 # The Proteus-H switching threshold in force from this row on: the
 # initial one when a traced sender starts, then every set_threshold.
+# None (JSON null) is no threshold: the utility's infinite one.
 THRESHOLD_CHANGE = tracepoint("threshold.change", "threshold_bps")
 
 
@@ -139,7 +141,7 @@ class ProteusSender(RateSender):
             raise TypeError("set_threshold requires the proteus-h utility")
         old = self.utility.threshold_bps
         self.utility.set_threshold(threshold_bps)
-        self.trace(THRESHOLD_CHANGE, threshold_bps)
+        self._trace_threshold()
         if (
             self.started
             and not self.stopped
@@ -154,8 +156,12 @@ class ProteusSender(RateSender):
     def on_start(self) -> None:
         super().on_start()
         if isinstance(self.utility, HybridUtility):
-            self.trace(THRESHOLD_CHANGE, self.utility.threshold_bps)
+            self._trace_threshold()
         self._begin_mi()
+
+    def _trace_threshold(self) -> None:
+        threshold = self.utility.threshold_bps
+        self.trace(THRESHOLD_CHANGE, None if threshold == math.inf else threshold)
 
     def stop(self) -> None:
         super().stop()

@@ -11,6 +11,8 @@ import json
 import pytest
 
 from repro.adversary import CampaignConfig, replay_artifact, run_campaign
+from repro.adversary.search import ARTIFACT_SCHEMA
+from repro.cli import main
 from repro.obs import MetricsRegistry
 
 # Deliberately mis-tuned Proteus-S: gutting the latency-gradient (b) and
@@ -109,6 +111,23 @@ def test_replay_detects_tampered_artifact(tmp_path):
     record["item"]["genome"]["bandwidth_mbps"] += 1.0
     path.write_text(json.dumps(record))
     assert replay_artifact(path)["match"] is False
+
+
+def test_an_artifact_of_another_schema_is_refused(tmp_path, capsys):
+    run_campaign(tiny_config(), tmp_path / "camp", jobs=1, shrink=False)
+    path = tmp_path / "camp" / "best.json"
+    record = json.loads(path.read_text())
+    assert record["schema"] == ARTIFACT_SCHEMA
+    record["schema"] = 1
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match="^unsupported artifact schema 1$"):
+        replay_artifact(path)
+    for flag in ("--replay", "--shrink"):
+        assert main(["attack", flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.rstrip().endswith("unsupported artifact schema 1")
+    assert not path.with_suffix(".shrunk.json").exists()
 
 
 def test_campaign_metrics_and_summary(tmp_path):

@@ -1,11 +1,13 @@
 """The traced MI utilities of real runs conform to the paper's equations."""
 
+import json
+
 import pytest
 
 from repro.analysis.conformance import Conformance, Mismatch, check_mi_utilities
 from repro.apps.video import make_corpus
 from repro.harness import EMULAB_DEFAULT, FlowSpec, LinkConfig, run_flows, run_streaming
-from repro.obs import CollectingTracer
+from repro.obs import CollectingTracer, JsonlTraceSink
 from repro.protocols.proteus import MI_END, THRESHOLD_CHANGE
 
 
@@ -76,8 +78,21 @@ def test_traced_proteus_h_utilities_follow_the_threshold_in_force():
         if row[0] is THRESHOLD_CHANGE:
             threshold[row[2]] = row[4]
         elif row[0] is MI_END:
-            sides.add(row[rate] < threshold[row[2]])
+            sides.add(threshold[row[2]] is None or row[rate] < threshold[row[2]])
     assert sides == {True, False}
+
+
+def test_a_traced_proteus_h_run_writes_strict_json(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    path = tmp_path / "trace.jsonl"
+    with JsonlTraceSink(path) as sink:
+        run_flows([FlowSpec("proteus-h")], EMULAB_DEFAULT, duration_s=1.0, seed=1, tracer=sink)
+    rows = [json.loads(line, parse_constant=refuse) for line in path.read_text().splitlines()]
+    # No threshold yet: the utility's infinite one is written as null.
+    first = next(row for row in rows if row["kind"] == "threshold.change")
+    assert first == {"flow": 1, "kind": "threshold.change", "t": 0.0, "threshold_bps": None}
 
 
 def test_a_proteus_h_row_scores_by_the_latest_threshold():
@@ -85,7 +100,7 @@ def test_a_proteus_h_row_scores_by_the_latest_threshold():
     p = x**0.9 - 900 * x * 0.001
     s = p - 1500 * x * 0.002
     inputs = dict(gradient=0.001, deviation=0.002)
-    for threshold, utility in ((20e6, p), (5e6, s), (10e6, s), (float("inf"), p)):
+    for threshold, utility in ((20e6, p), (5e6, s), (10e6, s), (float("inf"), p), (None, p)):
         rows = [
             (THRESHOLD_CHANGE, 0.0, 1, None, 1e6),
             (THRESHOLD_CHANGE, 1.0, 1, None, threshold),

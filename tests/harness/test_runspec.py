@@ -7,6 +7,7 @@ file is the run it was written from: the same cache key and, through
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,11 @@ from repro.harness import (
     EMULAB_DEFAULT,
     TIMELINES,
     TOPOLOGIES,
+    BandwidthStep,
     FlowSpec,
     LinkConfig,
     RunSpec,
+    Timeline,
     disable_cache,
     enable_cache,
     load_topology,
@@ -30,7 +33,7 @@ from repro.harness import (
     run_many,
     run_pair,
 )
-from repro.harness.cache import hex_floats, payload_key, reset_cache_state
+from repro.harness.cache import payload_key, reset_cache_state
 from repro.protocols import PROTOCOL_NAMES
 from repro.sim.fidelity import FIDELITY_MODES
 
@@ -38,7 +41,7 @@ CONFIG = LinkConfig(bandwidth_mbps=50.0, rtt_ms=30.0, buffer_kb=375.0)
 
 
 def _key(spec: RunSpec) -> str:
-    return payload_key(hex_floats(spec.to_dict()))
+    return payload_key(spec.to_dict())
 
 
 def _through_json(spec: RunSpec) -> RunSpec:
@@ -123,6 +126,16 @@ def test_exact_and_hybrid_specs_get_different_keys():
     exact = RunSpec((FlowSpec("cubic"),), CONFIG, duration_s=5.0, fidelity="exact")
     hybrid = RunSpec((FlowSpec("cubic"),), CONFIG, duration_s=5.0, fidelity="hybrid")
     assert _key(exact) != _key(hybrid)
+
+
+def test_event_times_one_ulp_apart_get_different_keys():
+    def at(at_s: float) -> RunSpec:
+        timeline = Timeline((BandwidthStep(at_s=at_s, bandwidth_mbps=10.0),))
+        return RunSpec((FlowSpec("cubic"),), CONFIG, duration_s=5.0, timeline=timeline)
+
+    at_s = 2.0 + 1 / 3
+    assert _key(at(at_s)) != _key(at(math.nextafter(at_s, math.inf)))
+    assert _key(at(at_s)) == _key(_through_json(at(at_s)))
 
 
 def test_a_spec_refuses_what_cannot_run():

@@ -4,6 +4,7 @@ recovery, and manifest checkpoint/resume."""
 import json
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -18,9 +19,7 @@ from repro.harness.supervise import (
     RetryPolicy,
     SweepManifest,
     TrialOutcome,
-    decode_value,
     default_retries,
-    encode_value,
     run_matrix,
     summarize_outcomes,
     supervised_map,
@@ -155,30 +154,42 @@ def test_backoff_is_deterministic_and_capped():
 
 
 # ----------------------------------------------------------------------
-# Value encoding (manifest round-trips must be exact)
+# Manifest round trips must be exact
 # ----------------------------------------------------------------------
-def test_encode_decode_round_trip_exact():
-    value = {
+def _exact_value(x: float) -> dict:
+    return {
+        "x": x,
         "ratio": 0.1 + 0.2,  # a float that formatting would mangle
+        "zero": -0.0,
+        "big": float("inf"),
         "count": 3,
         "label": "0x1.8p+0",  # a string that *looks* like a hex float
         "flags": [True, False, None],
         "nested": {"xs": [1.5, 2.5]},
     }
-    decoded = decode_value(encode_value(value))
-    assert decoded == value
-    assert isinstance(decoded["label"], str)
-    assert decoded["ratio"].hex() == (0.1 + 0.2).hex()
 
 
-def test_encode_rejects_unsupported_types():
-    with pytest.raises(TypeError):
-        encode_value(object())
+def test_a_resumed_outcome_equals_the_fresh_one(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    items = [1.5, 1e-300]
+    payloads = [{"kind": "exact", "x": x, "xs": [x, -0.0]} for x in items]
 
+    def outcomes() -> list[dict]:
+        found = supervised_map(
+            _exact_value, items, payloads=payloads, seeds=[1, 2], jobs=1,
+            policy=NO_RETRY, manifest=manifest,
+        )
+        return [asdict(outcome) for outcome in found]
 
-def test_decode_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        decode_value(["q", 1])
+    fresh = outcomes()
+    resumed = outcomes()
+    assert [o["resumed"] for o in fresh + resumed] == [False, False, True, True]
+    for outcome in fresh + resumed:
+        del outcome["resumed"]
+    assert resumed == fresh
+    # -0.0 stays negative and every float stays a float of the same value.
+    assert json.dumps(resumed, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+    assert resumed[0]["payload"] == {"kind": "exact", "x": 1.5, "xs": [1.5, -0.0]}
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +396,7 @@ def test_manifest_lines_are_canonical_json(tmp_path):
     assert len(lines) == 2
     for line in lines:
         record = json.loads(line)
-        assert record["schema"] == 1
+        assert record["schema"] == 2
         assert json.dumps(record, sort_keys=True, separators=(",", ":")) == line
 
 
