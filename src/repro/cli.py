@@ -2,22 +2,25 @@
 
 Usage (also available as ``python -m repro``):
 
-    python -m repro single --protocol proteus-p --bandwidth 50 --rtt 30
+    python -m repro run --protocols proteus-p --bandwidth 50 --rtt 30
+    python -m repro run --protocols cubic,proteus-s --trace t.jsonl
+    python -m repro run --protocols cubic --metrics m.json --sample 0.5
+    python -m repro trace t.jsonl --kind mi --flow 2 --limit 5
     python -m repro pair --primary cubic --scavenger proteus-s
-    python -m repro fairness --protocol proteus-s --flows 4
-    python -m repro trace --protocols cubic,proteus-s --kind mi --out t.jsonl
-    python -m repro metrics --protocols cubic --sample 0.5
     python -m repro protocols
 
 Every command prints a small table; ``--json`` / ``--csv`` write the
-underlying data for plotting.  ``trace`` and ``metrics`` are the
-observability entry points (see ``docs/OBSERVABILITY.md``).
+underlying data for plotting.  ``run --trace`` / ``run --metrics`` and
+``trace`` are the observability entry points (see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,17 +28,21 @@ from .analysis import jains_index
 from .harness import (
     TIMELINES,
     TOPOLOGIES,
+    FlowSpec,
     LinkConfig,
     Timeline,
     TopologySpec,
     load_timeline,
     load_topology,
     print_table,
-    run_homogeneous,
+    run_flows,
     run_pair,
-    run_single,
 )
-from .harness.export import write_run_json, write_throughput_series_csv
+from .harness.export import (
+    run_result_summary,
+    write_run_json,
+    write_throughput_series_csv,
+)
 from .protocols import PROTOCOL_NAMES
 from .sim.dynamics import DynamicsError
 
@@ -48,6 +55,23 @@ def _one_line_errors(args: argparse.Namespace):
         yield
     except (ValueError, DynamicsError) as exc:
         raise SystemExit(f"repro {args.command}: {exc}") from exc
+
+
+@contextmanager
+def _environ(name: str, value: str | None):
+    """``os.environ[name] = value`` while a command runs (None leaves it
+    as it is); pool workers started inside inherit it, and the old value
+    is back when the command returns."""
+    before = os.environ.get(name)
+    if value is not None:
+        os.environ[name] = value
+    try:
+        yield
+    finally:
+        if before is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = before
 
 
 def _link_from_args(args: argparse.Namespace) -> LinkConfig:
@@ -79,7 +103,7 @@ def _topology_from_args(args: argparse.Namespace) -> TopologySpec | None:
         raise SystemExit(f"repro: {exc}") from exc
 
 
-def _add_core_link_args(
+def _add_link_args(
     parser: argparse.ArgumentParser, default_duration: float = 30.0
 ) -> None:
     parser.add_argument("--bandwidth", type=float, default=50.0, help="Mbps")
@@ -110,10 +134,6 @@ def _add_core_link_args(
         "--duration", type=float, default=default_duration, help="seconds"
     )
     parser.add_argument("--seed", type=int, default=1)
-
-
-def _add_link_args(parser: argparse.ArgumentParser) -> None:
-    _add_core_link_args(parser)
     parser.add_argument("--json", type=str, default=None, help="write summary JSON")
     parser.add_argument(
         "--csv", type=str, default=None, help="write throughput series CSV"
@@ -144,34 +164,89 @@ def _print_link_events(result) -> None:
     )
 
 
-def cmd_single(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
+    """One run: a flow per ``--protocols`` entry, starts ``--stagger``
+    apart, then a per-flow table over the measurement window."""
+    from .obs import CollectingTracer, MetricsRegistry, write_jsonl
+
+    names = [name.strip() for name in args.protocols.split(",") if name.strip()]
+    if not names:
+        raise SystemExit(f"repro run: no protocols in {args.protocols!r}")
+    for name in names:
+        if name.lower() not in PROTOCOL_NAMES and name.lower() != "fixed":
+            raise SystemExit(
+                f"repro run: unknown protocol {name!r}; "
+                f"known: {', '.join(PROTOCOL_NAMES)}"
+            )
+    if args.sample is not None and not args.metrics:
+        raise SystemExit("repro run: --sample needs --metrics")
+    tracer = CollectingTracer() if args.trace else None
+    registry = MetricsRegistry() if args.metrics else None
     with _one_line_errors(args):
         config = _link_from_args(args)
-        result = run_single(
-            args.protocol,
+        result = run_flows(
+            [FlowSpec(name, start_time=i * args.stagger) for i, name in enumerate(names)],
             config,
             duration_s=args.duration,
             seed=args.seed,
             timeline=_timeline_from_args(args),
             topology=_topology_from_args(args),
+            tracer=tracer,
+            metrics=registry,
+            sample_period_s=args.sample,
         )
-    window = result.measurement_window()
-    stats = result.stats[0]
+    summary = run_result_summary(result)
+    flows = summary["flows"]
+    t0, t1 = summary["measurement_window_s"]
     print_table(
-        ["metric", "value"],
+        ["flow", "protocol", "Mbps", "p95 RTT (ms)", "min RTT (ms)", "losses"],
         [
-            ("throughput (Mbps)", f"{result.throughput_mbps(0, window):.2f}"),
-            ("utilization", f"{result.utilization(window):.3f}"),
-            ("p95 RTT (ms)", f"{stats.rtt_percentile(95, *window) * 1e3:.1f}"),
-            ("min RTT (ms)", f"{stats.min_rtt() * 1e3:.1f}"),
-            ("losses", stats.loss_count()),
+            (
+                flow["flow_id"],
+                flow["protocol"],
+                f"{flow['throughput_mbps']:.2f}",
+                f"{flow['p95_rtt_ms']:.1f}" if "p95_rtt_ms" in flow else "-",
+                f"{flow['min_rtt_ms']:.1f}" if "min_rtt_ms" in flow else "-",
+                flow["losses"],
+            )
+            for flow in flows
         ],
-        title=f"{args.protocol} alone on {config.bandwidth_mbps:g} Mbps / "
-        f"{config.rtt_ms:g} ms / {config.buffer_kb:g} KB",
+        title=f"{args.protocols} on {config.bandwidth_mbps:g} Mbps / "
+        f"{config.rtt_ms:g} ms / {config.buffer_kb:g} KB, window {t0:g}-{t1:g} s",
+    )
+    print(
+        f"utilization {summary['utilization']:.3f}, Jain's index "
+        f"{jains_index([flow['throughput_mbps'] for flow in flows]):.3f}"
     )
     _print_link_events(result)
+    if tracer is not None:
+        print(f"digest: {write_jsonl(tracer.rows, args.trace)}")
+        print(f"wrote {args.trace} ({len(tracer.rows)} events)")
+    if registry is not None:
+        _write_metrics(args, registry.snapshot())
     _export(args, result)
     return 0
+
+
+def _write_metrics(args: argparse.Namespace, snapshot: dict) -> None:
+    """Print a metrics snapshot as a series table and write it as JSON."""
+    import json
+
+    rows: list[tuple[str, str]] = []
+    for key, value in snapshot["counters"].items():
+        rows.append((key, str(value)))
+    for key, value in snapshot["gauges"].items():
+        rows.append((key, "-" if value is None else f"{value:.6g}"))
+    for key, hist in snapshot["histograms"].items():
+        mean = hist["sum"] / hist["count"] if hist["count"] else 0.0
+        rows.append(
+            (key, f"n={hist['count']} mean={mean:.6g} max={hist.get('max', 0):.6g}")
+        )
+    print_table(["series", "value"], rows, title=f"metrics for {args.protocols}")
+    path = Path(args.metrics)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
+    print(f"wrote {args.metrics}")
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
@@ -197,33 +272,6 @@ def cmd_pair(args: argparse.Namespace) -> int:
         ],
         title=f"{args.primary} (primary) vs {args.scavenger} (scavenger)",
     )
-    return 0
-
-
-def cmd_fairness(args: argparse.Namespace) -> int:
-    with _one_line_errors(args):
-        config = _link_from_args(args)
-        result = run_homogeneous(
-            args.protocol,
-            args.flows,
-            config,
-            stagger_s=args.stagger,
-            measure_s=args.duration,
-            seed=args.seed,
-            timeline=_timeline_from_args(args),
-            topology=_topology_from_args(args),
-        )
-    shares = result.throughputs_mbps()
-    rows = [(f"flow {i + 1}", f"{thr:.2f}") for i, thr in enumerate(shares)]
-    rows.append(("Jain's index", f"{jains_index(shares):.3f}"))
-    rows.append(("utilization", f"{result.utilization():.3f}"))
-    print_table(
-        ["flow", "Mbps"],
-        rows,
-        title=f"{args.flows} x {args.protocol} on {config.bandwidth_mbps:g} Mbps",
-    )
-    _print_link_events(result)
-    _export(args, result)
     return 0
 
 
@@ -270,117 +318,31 @@ def cmd_protocols(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _specs_from_args(args: argparse.Namespace) -> list:
-    """FlowSpecs from a ``--protocols`` comma list with staggered starts."""
-    from .harness import FlowSpec
-
-    names = [name.strip() for name in args.protocols.split(",") if name.strip()]
-    if not names:
-        raise SystemExit(f"repro {args.command}: no protocols in {args.protocols!r}")
-    for name in names:
-        if name.lower() not in PROTOCOL_NAMES and name.lower() != "fixed":
-            raise SystemExit(
-                f"repro {args.command}: unknown protocol {name!r}; "
-                f"known: {', '.join(PROTOCOL_NAMES)}"
-            )
-    return [
-        FlowSpec(name, start_time=i * args.stagger) for i, name in enumerate(names)
-    ]
-
-
-def _run_specs(args: argparse.Namespace, **observers):
-    """``run_flows`` for the ``--protocols`` commands; bad input is one line."""
-    from .harness import run_flows
-
-    with _one_line_errors(args):
-        return run_flows(
-            _specs_from_args(args),
-            _link_from_args(args),
-            duration_s=args.duration,
-            seed=args.seed,
-            timeline=_timeline_from_args(args),
-            topology=_topology_from_args(args),
-            **observers,
-        )
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Record (or replay) a trace and filter/summarise/export it."""
-    from .obs import (
-        CollectingTracer,
-        event_to_json,
-        filter_events,
-        read_jsonl,
-        trace_digest,
-        write_jsonl,
-    )
+    """Filter, summarise and export a trace file ``repro run --trace`` wrote."""
+    from .obs import event_to_json, filter_events, read_jsonl, trace_digest, write_jsonl
 
-    flows = args.flow or None
-    links = args.link or None
-    kinds = args.kind or None
-    if args.replay:
-        try:
-            events: list = read_jsonl(args.replay)
-        except (OSError, ValueError) as exc:
-            print(f"repro trace: cannot read {args.replay}: {exc}", file=sys.stderr)
-            return 2
-        source = args.replay
-    else:
-        tracer = CollectingTracer()
-        _run_specs(args, tracer=tracer)
-        events = tracer.rows
-        source = f"live run ({args.protocols})"
+    try:
+        events = read_jsonl(args.file)
+    except (OSError, ValueError) as exc:
+        print(f"repro trace: cannot read {args.file}: {exc}", file=sys.stderr)
+        return 2
     total = len(events)
-    events = filter_events(events, flows=flows, links=links, kinds=kinds)
-    by_kind: dict[str, int] = {}
-    for event in events:
-        kind = event["kind"] if args.replay else event[0].kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
+    events = filter_events(events, flows=args.flow, links=args.link, kinds=args.kind)
+    by_kind = Counter(event["kind"] for event in events)
     print_table(
         ["kind", "events"],
         [(kind, str(count)) for kind, count in sorted(by_kind.items())]
         + [("total (matched/all)", f"{len(events)}/{total}")],
-        title=f"trace of {source}",
+        title=f"trace of {args.file}",
     )
     # One encoding pass feeds both the digest and the --out file.
     digest = write_jsonl(events, args.out) if args.out else trace_digest(events)
     print(f"digest: {digest}")
-    for event in events[: args.limit or 0]:
+    for event in events[: args.limit]:
         print(event_to_json(event))
     if args.out:
         print(f"wrote {args.out} ({len(events)} events)")
-    return 0
-
-
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Run a scenario with a metrics registry attached and print it."""
-    import json as json_mod
-
-    from .obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    _run_specs(args, metrics=registry, sample_period_s=args.sample)
-    snapshot = registry.snapshot()
-    rows: list[tuple[str, str]] = []
-    for key, value in snapshot["counters"].items():
-        rows.append((key, str(value)))
-    for key, value in snapshot["gauges"].items():
-        rows.append((key, "-" if value is None else f"{value:.6g}"))
-    for key, hist in snapshot["histograms"].items():
-        mean = hist["sum"] / hist["count"] if hist["count"] else 0.0
-        rows.append(
-            (key, f"n={hist['count']} mean={mean:.6g} max={hist.get('max', 0):.6g}")
-        )
-    print_table(
-        ["series", "value"], rows, title=f"metrics for {args.protocols}"
-    )
-    if args.json:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json_mod.dumps(snapshot, indent=2, sort_keys=True))
-        print(f"wrote {args.json}")
     return 0
 
 
@@ -398,8 +360,6 @@ def _csv_floats(raw: str | None, default: tuple[float, ...]) -> tuple[float, ...
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Supervised, resumable Fig-8 matrix sweep (see docs/ROBUSTNESS.md)."""
-    import os
-
     from .harness.scenarios import (
         MATRIX_BANDWIDTHS_MBPS,
         MATRIX_BUFFER_BDP,
@@ -413,12 +373,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summarize_outcomes,
     )
 
-    if args.max_events is not None:
-        # Watchdog budget for every simulation in this sweep (workers
-        # inherit the environment).
-        os.environ["REPRO_MAX_EVENTS"] = str(args.max_events)
     manifest = args.resume or args.manifest
-    with _one_line_errors(args):
+    # Watchdog budget for every simulation in this sweep.
+    budget = None if args.max_events is None else str(args.max_events)
+    with _environ("REPRO_MAX_EVENTS", budget), _one_line_errors(args):
         configs = config_matrix(
             _csv_floats(args.bandwidths, MATRIX_BANDWIDTHS_MBPS),
             _csv_floats(args.rtts, MATRIX_RTTS_MS),
@@ -480,7 +438,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     """Adversarial scenario search (see docs/ADVERSARY.md)."""
     import json
-    import os
 
     from .adversary import (
         CampaignConfig,
@@ -491,11 +448,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
         shrink_item,
     )
 
-    if args.replay:
+    if args.rerun:
         try:
-            report = replay_artifact(args.replay)
+            report = replay_artifact(args.rerun)
         except (OSError, ValueError, KeyError) as exc:
-            print(f"repro attack: cannot replay {args.replay}: {exc}", file=sys.stderr)
+            print(f"repro attack: cannot replay {args.rerun}: {exc}", file=sys.stderr)
             return 2
         print_table(
             ["metric", "value"],
@@ -506,7 +463,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 ("violation", str(report["violation"])),
                 ("bit-exact match", str(report["match"])),
             ],
-            title=f"replay of {args.replay}",
+            title=f"replay of {args.rerun}",
         )
         return 0 if report["match"] else 1
 
@@ -540,10 +497,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if not args.no_cache:
-        # Identical genomes (and shrink re-evaluations) hit the result
-        # cache; workers inherit the environment.
-        os.environ.setdefault("REPRO_CACHE", "1")
     controller_params = {}
     if args.controller_params:
         try:
@@ -563,14 +516,17 @@ def cmd_attack(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         threshold=args.threshold,
     )
+    # Identical genomes (and shrink re-evaluations) hit the result cache.
+    cache = None if args.no_cache else os.environ.get("REPRO_CACHE", "1")
     try:
-        result = run_campaign(
-            config,
-            args.out,
-            jobs=args.jobs,
-            shrink=not args.no_shrink,
-            resume=args.resume,
-        )
+        with _environ("REPRO_CACHE", cache):
+            result = run_campaign(
+                config,
+                args.out,
+                jobs=args.jobs,
+                shrink=not args.no_shrink,
+                resume=args.resume,
+            )
     except (FileExistsError, ValueError) as exc:
         print(f"repro attack: {exc}", file=sys.stderr)
         return 2
@@ -673,23 +629,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_single = sub.add_parser("single", help="one flow alone on a bottleneck")
-    p_single.add_argument("--protocol", default="proteus-p", choices=PROTOCOL_NAMES)
-    _add_link_args(p_single)
-    p_single.set_defaults(fn=cmd_single)
+    p_run = sub.add_parser(
+        "run", help="one run: a flow per protocol over a link, optionally traced"
+    )
+    p_run.add_argument(
+        "--protocols",
+        default="cubic,proteus-s",
+        metavar="CSV",
+        help="comma-separated protocols, one flow each (staggered starts)",
+    )
+    p_run.add_argument(
+        "--stagger", type=float, default=1.0, help="seconds between flow starts"
+    )
+    _add_link_args(p_run, default_duration=10.0)
+    p_run.add_argument(
+        "--trace", default=None, metavar="JSONL",
+        help="record every trace event as canonical JSONL and print its digest",
+    )
+    p_run.add_argument(
+        "--metrics", default=None, metavar="JSON",
+        help="attach a metrics registry, print it and write its snapshot",
+    )
+    p_run.add_argument(
+        "--sample", type=float, default=None, metavar="SECONDS",
+        help="with --metrics: also sample bottleneck backlog every SECONDS "
+        "of sim time",
+    )
+    p_run.set_defaults(fn=cmd_run)
 
     p_pair = sub.add_parser("pair", help="scavenger vs primary")
     p_pair.add_argument("--primary", default="cubic", choices=PROTOCOL_NAMES)
     p_pair.add_argument("--scavenger", default="proteus-s", choices=PROTOCOL_NAMES)
     _add_link_args(p_pair)
     p_pair.set_defaults(fn=cmd_pair)
-
-    p_fair = sub.add_parser("fairness", help="n same-protocol flows")
-    p_fair.add_argument("--protocol", default="proteus-s", choices=PROTOCOL_NAMES)
-    p_fair.add_argument("--flows", type=int, default=4)
-    p_fair.add_argument("--stagger", type=float, default=5.0)
-    _add_link_args(p_fair)
-    p_fair.set_defaults(fn=cmd_fairness)
 
     p_many = sub.add_parser(
         "many",
@@ -760,18 +732,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace",
-        help="record or replay a trace with filters (see docs/OBSERVABILITY.md)",
+        help="filter a trace file 'repro run --trace' wrote "
+        "(see docs/OBSERVABILITY.md)",
     )
-    p_trace.add_argument(
-        "--protocols",
-        default="cubic,proteus-s",
-        metavar="CSV",
-        help="comma-separated protocols, one flow each (staggered starts)",
-    )
-    p_trace.add_argument(
-        "--stagger", type=float, default=1.0, help="seconds between flow starts"
-    )
-    _add_core_link_args(p_trace, default_duration=5.0)
+    p_trace.add_argument("file", metavar="JSONL", help="the recorded trace")
     p_trace.add_argument(
         "--flow", type=int, action="append", metavar="ID",
         help="keep only this flow id (repeatable)",
@@ -793,34 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="JSONL",
         help="write matching events as canonical JSONL",
     )
-    p_trace.add_argument(
-        "--replay", default=None, metavar="JSONL",
-        help="filter a previously recorded trace file instead of running",
-    )
     p_trace.set_defaults(fn=cmd_trace)
-
-    p_metrics = sub.add_parser(
-        "metrics",
-        help="run a scenario with a metrics registry attached",
-    )
-    p_metrics.add_argument(
-        "--protocols",
-        default="cubic,proteus-s",
-        metavar="CSV",
-        help="comma-separated protocols, one flow each (staggered starts)",
-    )
-    p_metrics.add_argument(
-        "--stagger", type=float, default=1.0, help="seconds between flow starts"
-    )
-    _add_core_link_args(p_metrics, default_duration=10.0)
-    p_metrics.add_argument(
-        "--sample", type=float, default=None, metavar="SECONDS",
-        help="also sample bottleneck backlog every SECONDS of sim time",
-    )
-    p_metrics.add_argument(
-        "--json", default=None, metavar="PATH", help="write the snapshot JSON"
-    )
-    p_metrics.set_defaults(fn=cmd_metrics)
 
     p_attack = sub.add_parser(
         "attack",
@@ -864,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue the campaign recorded in --out (bit-identical result)",
     )
     p_attack.add_argument(
-        "--replay", default=None, metavar="ARTIFACT",
+        "--replay", dest="rerun", default=None, metavar="ARTIFACT",
         help="re-evaluate an archived artifact and verify bit-exact equality",
     )
     p_attack.add_argument(

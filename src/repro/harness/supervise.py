@@ -308,6 +308,29 @@ def trial_payload(experiment: Callable, seed: int, extra: dict | None = None) ->
     return payload
 
 
+def _not_plain_json(value: Any, path: str = "value") -> str | None:
+    """Where ``value`` stops being plain JSON, or None when it is all
+    plain JSON: dicts with string keys, lists, str, int, float, bool,
+    None.  Only such a value comes back from a manifest unchanged."""
+    if value is None or isinstance(value, (str, int, float)):
+        return None
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            fault = _not_plain_json(item, f"{path}[{i}]")
+            if fault is not None:
+                return fault
+        return None
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                return f"{path} has key {key!r} of type {type(key).__name__}"
+            fault = _not_plain_json(item, f"{path}[{key!r}]")
+            if fault is not None:
+                return fault
+        return None
+    return f"{path} is of type {type(value).__name__}"
+
+
 def _attempt(task: tuple[Callable[[Any], Any], Any, int]) -> tuple:
     """Execute ``fn(item)`` once, in whichever process this is called in.
 
@@ -361,7 +384,10 @@ def supervised_map(
     With ``manifest`` set, every fresh outcome is journaled and items
     whose key is already recorded with a status in ``resume_statuses``
     are *not* re-run: their outcomes are rebuilt from the journal
-    (``resumed=True``, bit-identical values).  The default treats only
+    (``resumed=True``, bit-identical values).  A fresh value that is not
+    plain JSON (say a tuple, or a dict with an int key) would not come
+    back as it went in, so it is settled as a final ``failed`` outcome
+    that names where it stops being JSON.  The default treats only
     ``ok`` as final — failed entries are re-attempted, which is right
     for transiently-failing sweeps.  Callers whose workload is
     *deterministic* (the adversary search) widen this to ``failed`` and
@@ -425,6 +451,13 @@ def supervised_map(
 
     def settle(i: int, answer: tuple) -> None:
         status, value, error, tb, trace, final = answer
+        if journal is not None and status == STATUS_OK:
+            fault = _not_plain_json(value)
+            if fault is not None:
+                # The journal could not write it, or would give back
+                # another value on resume: a final failure instead.
+                status, value, final = STATUS_FAILED, None, True
+                error = f"not plain JSON, cannot be journaled: {fault}"
         attempts[i] += 1
         if final or attempts[i] >= max_attempts:
             outcomes[i] = TrialOutcome(

@@ -315,7 +315,7 @@ def test_cli_single_accepts_timeline_file(tmp_path, capsys):
     path.write_text(json.dumps(timeline.to_dict()))
     rc = cli_main(
         [
-            "single", "--protocol", "cubic", "--bandwidth", "10",
+            "run", "--protocols", "cubic", "--bandwidth", "10",
             "--buffer", "75", "--duration", "3", "--timeline", str(path),
         ]
     )
@@ -328,7 +328,7 @@ def test_cli_single_accepts_timeline_file(tmp_path, capsys):
 def test_cli_accepts_preset_timeline(capsys):
     rc = cli_main(
         [
-            "single", "--protocol", "cubic", "--bandwidth", "10",
+            "run", "--protocols", "cubic", "--bandwidth", "10",
             "--buffer", "75", "--duration", "2", "--timeline", "step-down",
         ]
     )
@@ -337,4 +337,4 @@ def test_cli_accepts_preset_timeline(capsys):
 
 def test_cli_rejects_unknown_timeline():
     with pytest.raises(SystemExit, match="unknown timeline"):
-        cli_main(["single", "--timeline", "no-such-preset", "--duration", "2"])
+        cli_main(["run", "--timeline", "no-such-preset", "--duration", "2"])

@@ -4,7 +4,7 @@ Covers the tentpole's end-to-end guarantees: tracepoints fire from the
 engine, links, and senders during real runs; trace digests are
 byte-identical regardless of ``REPRO_JOBS``; the supervision layer's
 ring-buffer flight recorder lands on failure records; and the
-``repro trace`` / ``repro metrics`` subcommands work.
+``repro run --trace`` / ``--metrics`` and ``repro trace`` work.
 """
 
 import json
@@ -289,43 +289,71 @@ def _double(seed: int) -> float:
 # CLI subcommands
 # ----------------------------------------------------------------------
 def test_cli_trace_record_filter_and_replay(tmp_path, capsys):
-    out = tmp_path / "trace.jsonl"
+    recorded = tmp_path / "trace.jsonl"
     code = main(
         [
-            "trace",
+            "run",
             "--protocols", "cubic,proteus-s",
             "--duration", "2",
-            "--kind", "mi",
-            "--flow", "2",
-            "--out", str(out),
+            "--trace", str(recorded),
         ]
     )
     assert code == 0
-    recorded = capsys.readouterr().out
-    assert "digest:" in recorded and "mi.start" in recorded
+    shown = capsys.readouterr().out
+    (digest_line,) = [line for line in shown.splitlines() if line.startswith("digest:")]
+    assert digest_line == f"digest: {trace_digest(read_jsonl(recorded))}"
+
+    out = tmp_path / "mi.jsonl"
+    code = main(
+        ["trace", str(recorded), "--kind", "mi", "--flow", "2", "--out", str(out)]
+    )
+    assert code == 0
+    assert "mi.start" in capsys.readouterr().out
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert lines and all(e["kind"].startswith("mi") and e["flow"] == 2 for e in lines)
 
-    code = main(["trace", "--replay", str(out), "--kind", "mi.start", "--limit", "2"])
+    code = main(["trace", str(out), "--kind", "mi.start", "--limit", "2"])
     assert code == 0
     replayed = capsys.readouterr().out
     assert "mi.start" in replayed and "mi.discard" not in replayed
 
 
+def test_cli_run_trace_is_the_sink_recording(tmp_path, capsys):
+    # `run --trace` writes CollectingTracer rows after the run; a
+    # JsonlTraceSink streams the same run's rows: the same bytes.
+    recorded = tmp_path / "trace.jsonl"
+    argv = ["run", "--protocols", "cubic,proteus-s", "--duration", "3",
+            "--trace", str(recorded)]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    with JsonlTraceSink(tmp_path / "sink.jsonl") as sink:
+        run_flows(
+            [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)],
+            CONFIG, duration_s=3.0, seed=1, tracer=sink,
+        )
+    assert recorded.read_bytes() == (tmp_path / "sink.jsonl").read_bytes()
+    assert f"digest: {sink.digest()}" in shown.splitlines()
+
+
 def test_cli_trace_rejects_unknown_protocol():
     with pytest.raises(SystemExit):
-        main(["trace", "--protocols", "notaprotocol", "--duration", "1"])
+        main(["run", "--protocols", "notaprotocol", "--duration", "1"])
+
+
+def test_cli_trace_reports_an_unreadable_file(tmp_path, capsys):
+    assert main(["trace", str(tmp_path / "missing.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("repro trace: cannot read ")
 
 
 def test_cli_metrics(tmp_path, capsys):
     out = tmp_path / "metrics.json"
     code = main(
         [
-            "metrics",
+            "run",
             "--protocols", "cubic",
             "--duration", "2",
             "--sample", "0.5",
-            "--json", str(out),
+            "--metrics", str(out),
         ]
     )
     assert code == 0

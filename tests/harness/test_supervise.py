@@ -192,6 +192,44 @@ def test_a_resumed_outcome_equals_the_fresh_one(tmp_path):
     assert resumed[0]["payload"] == {"kind": "exact", "x": 1.5, "xs": [1.5, -0.0]}
 
 
+def _object_keyed_if_zero(x: int):
+    return {1.5: object()} if x == 0 else {"x": x}
+
+
+def test_a_value_json_cannot_write_fails_alone(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    outcomes = supervised_map(
+        _object_keyed_if_zero, [1, 0, 1], jobs=1, policy=NO_RETRY,
+        manifest=manifest,
+    )
+    assert [o.status for o in outcomes] == [STATUS_OK, STATUS_FAILED, STATUS_OK]
+    assert outcomes[1].value is None and outcomes[1].attempts == 1
+    assert "value has key 1.5 of type float" in outcomes[1].error
+    lines = [json.loads(line) for line in manifest.read_text().splitlines()]
+    assert [line["status"] for line in lines] == ["ok", "failed", "ok"]
+
+
+def _int_keyed(_x: int) -> dict:
+    return {1: 2.5}
+
+
+def test_a_value_resume_would_change_is_refused(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    for _ in range(2):
+        (outcome,) = supervised_map(
+            _int_keyed, [0], jobs=1, policy=NO_RETRY, manifest=manifest,
+            resume_statuses=(STATUS_OK, STATUS_FAILED),
+        )
+        assert outcome.status == STATUS_FAILED and outcome.value is None
+        assert "value has key 1 of type int" in outcome.error
+    assert outcome.resumed
+    nested = supervised_map(
+        lambda x: {"a": [1, (2, 3)]}, [0], jobs=1, policy=NO_RETRY,
+        manifest=tmp_path / "n.jsonl",
+    )
+    assert nested[0].error.endswith("value['a'][1] is of type tuple")
+
+
 # ----------------------------------------------------------------------
 # supervised_map: failure isolation
 # ----------------------------------------------------------------------

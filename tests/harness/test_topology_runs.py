@@ -361,7 +361,7 @@ def test_topology_runs_identical_across_worker_counts():
 # ----------------------------------------------------------------------
 def test_cli_single_accepts_topology_preset(capsys):
     rc = cli_main(
-        ["single", "--protocol", "cubic", "--duration", "2",
+        ["run", "--protocols", "cubic", "--duration", "2",
          "--topology", "parking-lot"]
     )
     assert rc == 0
@@ -370,7 +370,7 @@ def test_cli_single_accepts_topology_preset(capsys):
 
 def test_cli_rejects_unknown_topology():
     with pytest.raises(SystemExit):
-        cli_main(["single", "--topology", "no-such-topology", "--duration", "2"])
+        cli_main(["run", "--topology", "no-such-topology", "--duration", "2"])
 
 
 def test_cli_many_smoke(capsys):
