@@ -58,6 +58,25 @@ def _one_line_errors(args: argparse.Namespace):
 
 
 @contextmanager
+def _recording(path: str | None):
+    """A :class:`~repro.obs.JsonlTraceSink` streaming to ``path`` while a
+    run goes (``None`` when there is no path); a run that raises leaves
+    no file behind."""
+    if path is None:
+        yield None
+        return
+    from .obs import JsonlTraceSink
+
+    with JsonlTraceSink(path) as sink:
+        try:
+            yield sink
+        except BaseException:
+            sink.close()
+            sink.path.unlink(missing_ok=True)
+            raise
+
+
+@contextmanager
 def _environ(name: str, value: str | None):
     """``os.environ[name] = value`` while a command runs (None leaves it
     as it is); pool workers started inside inherit it, and the old value
@@ -167,7 +186,7 @@ def _print_link_events(result) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     """One run: a flow per ``--protocols`` entry, starts ``--stagger``
     apart, then a per-flow table over the measurement window."""
-    from .obs import CollectingTracer, MetricsRegistry, write_jsonl
+    from .obs import MetricsRegistry
 
     names = [name.strip() for name in args.protocols.split(",") if name.strip()]
     if not names:
@@ -180,9 +199,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
     if args.sample is not None and not args.metrics:
         raise SystemExit("repro run: --sample needs --metrics")
-    tracer = CollectingTracer() if args.trace else None
     registry = MetricsRegistry() if args.metrics else None
-    with _one_line_errors(args):
+    with _one_line_errors(args), _recording(args.trace) as tracer:
         config = _link_from_args(args)
         result = run_flows(
             [FlowSpec(name, start_time=i * args.stagger) for i, name in enumerate(names)],
@@ -220,8 +238,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     _print_link_events(result)
     if tracer is not None:
-        print(f"digest: {write_jsonl(tracer.rows, args.trace)}")
-        print(f"wrote {args.trace} ({len(tracer.rows)} events)")
+        print(f"digest: {tracer.digest()}")
+        print(f"wrote {args.trace} ({tracer.count} events)")
     if registry is not None:
         _write_metrics(args, registry.snapshot())
     _export(args, result)

@@ -23,7 +23,7 @@ row of a declared tracepoint with ``record(row)``; the by-name ``emit``,
 which builds the same row, is the door for callers outside it.  Each (shape, value types) pair compiles a
 formatter with the keys already sorted and escaped and the type check
 built in, and whatever it cannot reproduce byte for byte (non-finite
-floats, bool/None/nested values, ``int``/``float`` subclasses,
+floats, bool and nested values, ``int``/``float`` subclasses,
 non-string or colliding keys) goes through ``json.JSONEncoder``.  Text
 is produced, hashed and written a few thousand lines at a time.
 
@@ -165,38 +165,29 @@ def _compile(shape: Shape, types: tuple) -> Callable[[tuple], str]:
     """Line formatter for the rows of ``shape`` whose values have ``types``.
 
     Emits what the C encoder emits for exact ``int``/``float``/``str``
-    (``repr`` and ``encode_basestring_ascii``) into a template whose
-    keys are already sorted and escaped.  The formatter checks the types
-    it was compiled for and hands any other row back to :func:`_select`;
-    a row with a non-finite float takes the generic encoder, as does the
-    whole signature when a key or a type is anything else.
-
-    An event's float timestamp is spelled through ``T``, the last
-    ``(timestamp, text)`` any formatter made: a row that carries the
-    previous row's very float object (a packet's enqueue and dequeue
-    share ``now``) reuses its text.  The match is by identity, so
-    ``-0.0`` never takes ``0.0``'s text, and the pair is replaced in
-    one store, so a thread never reads one row's object with
-    another's text.
+    and ``None`` (``repr``, ``encode_basestring_ascii`` and ``null``)
+    into a template whose keys are already sorted and escaped.  The
+    formatter checks the types it was compiled for and hands any other
+    row back to :func:`_select`; a row with a non-finite float takes the
+    generic encoder, as does the whole signature when a key or a type is
+    anything else.
     """
     slots: list[tuple[Any, str, str | None]] = []  # key, template slot, argument
     floats = []
     guards = []
     is_event = shape.kind is not RECORD
-    cached = is_event and types[1] is float
     if is_event:
         slots.append(("kind", _quote(shape.kind).replace("%", "%%"), None))
     for index, key in enumerate(shape.keys, start=1):
         kind_of = types[index]
-        if kind_of is NoneType and is_event and index in (2, 3):
+        if kind_of is NoneType:
             guards.append(f"r[{index}] is None")
-            continue  # no flow / no link: the key is absent, not null
+            if not (is_event and index in (2, 3)):  # no flow / link: no key
+                slots.append((key, "null", None))
+            continue
         guards.append(f"type(r[{index}]) is {kind_of.__name__}")
         if kind_of is str:
             slots.append((key, "%s", f"q(r[{index}])"))
-        elif cached and index == 1:
-            slots.append((key, "%s", "c[1]"))
-            floats.append("r[1]")
         elif kind_of is int or kind_of is float:
             slots.append((key, "%r", f"r[{index}]"))
             if kind_of is float:
@@ -213,12 +204,10 @@ def _compile(shape: Shape, types: tuple) -> Callable[[tuple], str]:
     body = [f"return {template!r} % ({''.join(arg + ',' for _, _, arg in slots if arg)})"]
     if floats:  # nan and +-inf are the only floats x with x * 0.0 != 0.0
         body = [f"if ({' + '.join(floats)}) * 0.0 == 0.0:", "    " + body[0], "return g(r)"]
-    if cached:
-        body = ["c = T", "if c[0] is not r[1]:", "    c = T = (r[1], repr(r[1]))", *body]
     if guards:
         body = [f"if {' and '.join(guards)}:", *["    " + line for line in body], "return s(r)"]
     namespace: dict[str, Any] = {}
-    exec("def line(r):\n" + "".join(f"    {line}\n" for line in ["global T", *body]),
+    exec("def line(r):\n" + "".join(f"    {line}\n" for line in body),
          _FORMATTER_GLOBALS, namespace)
     return namespace["line"]
 
@@ -237,7 +226,7 @@ def _select(row: tuple) -> str:
     return formatter(row)
 
 
-_FORMATTER_GLOBALS = {"q": _quote, "g": _generic_line, "s": _select, "T": (None, "")}
+_FORMATTER_GLOBALS = {"q": _quote, "g": _generic_line, "s": _select}
 
 
 def _chunks(rows: Iterable[tuple]) -> Iterator[str]:
@@ -293,7 +282,7 @@ def read_jsonl(path: str | Path) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Filtering (shared by ``repro trace`` record and replay paths)
+# Filtering (rows, or the event dicts ``repro trace`` reads from a file)
 # ----------------------------------------------------------------------
 def kind_matches(kind: str, pattern: str) -> bool:
     """True when ``pattern`` names ``kind`` or one of its namespaces.
@@ -360,7 +349,7 @@ class TraceSink:
 
 
 class CollectingTracer(TraceSink):
-    """Keeps every event in memory (tests, ``repro trace``).
+    """Keeps every event in memory (tests, in-process analysis).
 
     :attr:`rows` is the list of the very rows the sites recorded, and
     what :meth:`digest`, :meth:`to_jsonl` and ``len`` read.  :attr:`events`

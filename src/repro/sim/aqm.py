@@ -33,10 +33,16 @@ from collections import deque
 from typing import Protocol
 
 from .engine import Simulator
-from .link import DEQUEUE, DROP, DROP_TAIL, ENQUEUE, LinkBase, Receiver
+from .link import DROP, DROP_TAIL, ENQUEUE, LinkBase, Receiver
 from .noise import NoiseModel
 from .packet import Packet
 from ..core.rng import Rng
+from ..core.tracepoint import tracepoint
+
+# A DynamicLink decides a packet's departure when it serves it: its
+# ``link.enqueue`` row leaves ``depart_s``/``deliver_at_s`` null and this
+# row, written at the serializer finish, carries them.
+DEQUEUE = tracepoint("link.dequeue", "node", "seq", "depart_s", "deliver_at_s")
 
 
 class QueueDiscipline(Protocol):
@@ -329,7 +335,7 @@ class DynamicLink(LinkBase):
         if tracer is not None:
             tracer.record(
                 (ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq,
-                 packet.size_bytes, self._queue_bytes)
+                 packet.size_bytes, self._queue_bytes, None, None)
             )
         if not self._serving:
             self._serve_next()

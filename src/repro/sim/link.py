@@ -32,8 +32,12 @@ from ..core.rng import Rng
 from ..core.tracepoint import tracepoint
 
 # Per-packet tracepoints; a site's row carries the values in this order.
-ENQUEUE = tracepoint("link.enqueue", "node", "seq", "size_bytes", "backlog_bytes")
-DEQUEUE = tracepoint("link.dequeue", "node", "seq", "depart_s", "deliver_at_s")
+# One ``link.enqueue`` row per admitted packet: ``depart_s`` is its
+# serializer finish and ``deliver_at_s`` its arrival, ``None`` when the
+# wire loses it.  A DynamicLink decides both later: ``None`` and ``None``.
+ENQUEUE = tracepoint(
+    "link.enqueue", "node", "seq", "size_bytes", "backlog_bytes", "depart_s", "deliver_at_s"
+)
 DROP = tracepoint("link.drop", "node", "reason", "seq")
 DROP_TAIL = tracepoint("link.drop", "node", "reason", "seq", "backlog_bytes")
 
@@ -356,10 +360,6 @@ class Link(LinkBase):
             stats.max_backlog_bytes = occupancy
 
         self._busy_until = busy = (busy if busy > now else now) + size * 8.0 / bw
-        if tracer is not None:
-            tracer.record(
-                (ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq, size, occupancy)
-            )
 
         if self.loss_model is not None:
             lost = self.loss_model.is_lost(self.rng)
@@ -369,6 +369,8 @@ class Link(LinkBase):
             # The packet still consumed transmitter time, but never arrives.
             stats.random_losses += 1
             if tracer is not None:
+                tracer.record((ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq,
+                               size, occupancy, busy, None))
                 tracer.record(
                     (DROP, now, packet.flow_id, self.name, self.node, "wire", packet.seq)
                 )
@@ -384,9 +386,8 @@ class Link(LinkBase):
         self._last_delivery = deliver_at
         stats.delivered += 1
         if tracer is not None:
-            tracer.record(
-                (DEQUEUE, now, packet.flow_id, self.name, self.node, packet.seq, busy, deliver_at)
-            )
+            tracer.record((ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq,
+                           size, occupancy, busy, deliver_at))
         return deliver_at
 
     def send(self, packet: Packet, dst: Receiver) -> bool:

@@ -57,9 +57,9 @@ def test_by_name_emit_fails(planted_src, capsys):
 def test_row_shorter_than_its_tracepoint_fails(planted_src, capsys):
     target = planted_src / "repro" / "sim" / "link.py"
     source = target.read_text()
-    site = "(ENQUEUE, now, packet.flow_id, self.name, self.node, packet.seq, size, occupancy)"
-    assert site in source
-    target.write_text(source.replace(site, site.replace(", occupancy", "")))
+    site = "size, occupancy, busy, deliver_at))"
+    assert source.count(site) == 1
+    target.write_text(source.replace(site, site.replace(", deliver_at", "")))
     assert main(["check", "src"]) == 1
     assert "trace-arity-mismatch" in capsys.readouterr().out
 

@@ -26,6 +26,7 @@ from repro.obs import (
     tracing,
     write_jsonl,
 )
+from repro.sim.aqm import DynamicLink
 
 CONFIG = EMULAB_DEFAULT
 
@@ -48,7 +49,6 @@ def test_trace_covers_engine_link_and_sender():
         "sim.run.begin",
         "sim.run.end",
         "link.enqueue",
-        "link.dequeue",
         "mi.start",
         "mi.end",
         "rate.change",
@@ -58,6 +58,60 @@ def test_trace_covers_engine_link_and_sender():
     # Events are attributed: link events carry a link, MI events a flow.
     assert any(e.link == "bottleneck" for e in tracer.events)
     assert any(e.flow == 2 and e.kind == "mi.start" for e in tracer.events)
+    # The analytic link's one row per admission carries its departure;
+    # only an event-based link writes a row when it serves the packet.
+    assert "link.dequeue" not in kinds
+    codel = CollectingTracer()
+    run_flows([FlowSpec("cubic")], CONFIG, duration_s=1.0, seed=2, tracer=codel,
+              topology=load_topology("dumbbell-codel"))
+    assert any(e.kind == "link.dequeue" and e.link == "bottleneck" for e in codel.events)
+
+
+@pytest.mark.parametrize("topology", [None, "dumbbell-codel"], ids=["dumbbell", "dumbbell-codel"])
+def test_link_rows_match_link_stats(topology):
+    # A lossy analytic link writes one `link.enqueue` per admitted
+    # packet, with a null `deliver_at_s` (and a `wire` drop right after)
+    # when the wire loses it; a DynamicLink leaves both times null at
+    # admission and writes `link.dequeue` for each packet it delivers.
+    tracer = CollectingTracer()
+    result = run_flows(
+        [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=0.5)],
+        CONFIG.with_loss(0.01), duration_s=2.0, seed=3, tracer=tracer,
+        topology=topology and load_topology(topology),
+    )
+    rows = tracer.to_dicts()
+    dynamic = {name for name, link in result.dumbbell.links.items()
+               if isinstance(link, DynamicLink)}
+    assert bool(dynamic) == (topology is not None)
+    for name, link in result.dumbbell.links.items():
+        stats = link.stats
+        enqueued = [r for r in rows if r["kind"] == "link.enqueue" and r["link"] == name]
+        dequeued = [r for r in rows if r["kind"] == "link.dequeue" and r["link"] == name]
+        if name in dynamic:
+            assert enqueued and all(
+                r["depart_s"] is None and r["deliver_at_s"] is None for r in enqueued
+            )
+            assert len(dequeued) == stats.delivered
+            continue
+        assert len(enqueued) == stats.delivered + stats.random_losses
+        assert sum(r["deliver_at_s"] is not None for r in enqueued) == stats.delivered
+        assert all(r["depart_s"] <= r["deliver_at_s"] for r in enqueued if r["deliver_at_s"])
+        assert not dequeued
+    wire = [
+        index for index, r in enumerate(rows)
+        if r["kind"] == "link.drop" and r["reason"] == "wire" and r["link"] not in dynamic
+    ]
+    assert len(wire) == sum(
+        link.stats.random_losses for name, link in result.dumbbell.links.items()
+        if name not in dynamic
+    )
+    assert bool(wire) == (topology is None)  # dumbbell-codel's lossy hop is dynamic
+    for index in wire:
+        drop, before = rows[index], rows[index - 1]
+        assert before["kind"] == "link.enqueue" and before["deliver_at_s"] is None
+        assert [before[k] for k in ("t", "flow", "link", "seq")] == [
+            drop[k] for k in ("t", "flow", "link", "seq")
+        ]
 
 
 def test_global_tracer_is_picked_up():
@@ -187,7 +241,9 @@ def test_an_emit_only_tracer_receives_every_event_by_name():
     orders = {}
     for kind, _, _, _, fields in mine.calls:
         orders.setdefault(kind, set()).add(tuple(fields))
-    assert orders["link.enqueue"] == {("node", "seq", "size_bytes", "backlog_bytes")}
+    assert orders["link.enqueue"] == {
+        ("node", "seq", "size_bytes", "backlog_bytes", "depart_s", "deliver_at_s")
+    }
     assert orders["mi.start"] == {("mi_id", "tag", "rate_bps", "duration_s")}
     mi = ("mi_id", "tag", "rate_bps", "duration_s", "n_sent", "n_acked", "n_lost", "utility")
     terms = ("throughput_mbps", "loss_rate", "avg_rtt_s", "rtt_gradient", "rtt_deviation_s")
@@ -319,8 +375,8 @@ def test_cli_trace_record_filter_and_replay(tmp_path, capsys):
 
 
 def test_cli_run_trace_is_the_sink_recording(tmp_path, capsys):
-    # `run --trace` writes CollectingTracer rows after the run; a
-    # JsonlTraceSink streams the same run's rows: the same bytes.
+    # `run --trace` streams through a JsonlTraceSink: the file and the
+    # printed digest are those of a sink recording of the same run.
     recorded = tmp_path / "trace.jsonl"
     argv = ["run", "--protocols", "cubic,proteus-s", "--duration", "3",
             "--trace", str(recorded)]
