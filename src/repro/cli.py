@@ -337,30 +337,66 @@ def cmd_protocols(_args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Filter, summarise and export a trace file ``repro run --trace`` wrote."""
-    from .obs import event_to_json, filter_events, read_jsonl, trace_digest, write_jsonl
+    """Filter, summarise and export a trace file ``repro run --trace`` wrote.
 
-    try:
-        events = read_jsonl(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"repro trace: cannot read {args.file}: {exc}", file=sys.stderr)
+    One pass over the file's lines: each matching event is counted and
+    fed to the digest (and the ``--out`` file) as it is read, and only
+    the first ``--limit`` of them are kept, so memory does not grow with
+    the trace.
+    """
+    from .obs import event_to_json, trace_digest, write_jsonl
+    from .obs.trace import event_filter, iter_jsonl
+
+    if args.limit < 0:
+        print(f"repro trace: --limit must be at least 0, got {args.limit}", file=sys.stderr)
         return 2
-    total = len(events)
-    events = filter_events(events, flows=args.flow, links=args.link, kinds=args.kind)
-    by_kind = Counter(event["kind"] for event in events)
+    keep = event_filter(flows=args.flow, links=args.link, kinds=args.kind)
+    by_kind: Counter[str] = Counter()
+    head: list[dict] = []
+    total = 0
+    unreadable: Exception | None = None
+
+    def matches():
+        nonlocal total, unreadable
+        try:
+            for event in iter_jsonl(args.file):
+                total += 1
+                if keep(event):
+                    by_kind[event["kind"]] += 1
+                    if len(head) < args.limit:
+                        head.append(event)
+                    yield event
+        except (OSError, ValueError) as exc:
+            unreadable = exc
+
+    # The --out file is written beside its target and renamed into place
+    # once the whole trace has been read: a bad line leaves no torn file,
+    # and an --out naming the input does not truncate it mid-read.
+    out = Path(args.out) if args.out else None
+    tmp = None if out is None else out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        # One encoding pass feeds both the digest and the --out file.
+        digest = trace_digest(matches()) if tmp is None else write_jsonl(matches(), tmp)
+        if tmp is not None and unreadable is None:
+            tmp.replace(out)
+    finally:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+    if unreadable is not None:
+        print(f"repro trace: cannot read {args.file}: {unreadable}", file=sys.stderr)
+        return 2
+    matched = sum(by_kind.values())
     print_table(
         ["kind", "events"],
         [(kind, str(count)) for kind, count in sorted(by_kind.items())]
-        + [("total (matched/all)", f"{len(events)}/{total}")],
+        + [("total (matched/all)", f"{matched}/{total}")],
         title=f"trace of {args.file}",
     )
-    # One encoding pass feeds both the digest and the --out file.
-    digest = write_jsonl(events, args.out) if args.out else trace_digest(events)
     print(f"digest: {digest}")
-    for event in events[: args.limit]:
+    for event in head:
         print(event_to_json(event))
     if args.out:
-        print(f"wrote {args.out} ({len(events)} events)")
+        print(f"wrote {args.out} ({matched} events)")
     return 0
 
 

@@ -39,9 +39,12 @@ def trace_digest(stats: FlowStats) -> str:
     ):
         hasher.update(f"|{label}:".encode())
         _feed_floats(hasher, series)
+    # Each ACK's bytes, as the difference of consecutive running totals.
     hasher.update(b"|acked_bytes:")
-    for nbytes in stats.acked_bytes:
-        hasher.update(f"{nbytes};".encode())
+    previous = 0
+    for total in stats.acked_total:
+        hasher.update(f"{total - previous};".encode())
+        previous = total
     return hasher.hexdigest()
 
 

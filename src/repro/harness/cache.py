@@ -33,6 +33,7 @@ The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -44,7 +45,7 @@ from typing import Any, Iterable
 
 from ..sim.trace import FlowStats
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 _TMP_SEQ = itertools.count()  # per-process suffix of store_run()'s temp names
 
 # ----------------------------------------------------------------------
@@ -103,7 +104,7 @@ def payload_key(payload: dict) -> str:
 # Every flow's series, in body order, with the header field holding its length.
 _SERIES = (
     ("ack_times", "d", "n_acks"),
-    ("acked_bytes", "q", "n_acks"),
+    ("acked_total", "q", "n_acks"),
     ("rtts", "d", "n_acks"),
     ("loss_times", "d", "n_losses"),
 )
@@ -154,7 +155,8 @@ def decode_entry(data: bytes) -> tuple[list[FlowStats], dict | None]:
     Raises ValueError, KeyError, TypeError or OverflowError unless
     ``data`` is an entry of the current :data:`SCHEMA_VERSION` whose body
     holds exactly the bytes its header's ``n_acks`` / ``n_losses``
-    announce.
+    announce, and whose every ``acked_total`` series ends at its flow's
+    ``total_acked_bytes``.
     """
     end = data.index(b"\n")  # ValueError when there is no header line
     header = json.loads(data[:end])
@@ -185,6 +187,9 @@ def decode_entry(data: bytes) -> tuple[list[FlowStats], dict | None]:
                 series.byteswap()
             setattr(rebuilt, name, series)
             offset += 8 * count
+        totals = rebuilt.acked_total
+        if (totals[-1] if totals else 0) != rebuilt.total_acked_bytes:
+            raise ValueError("acked_total does not end at total_acked_bytes")
         stats.append(rebuilt)
     if offset != len(body):
         raise ValueError("entry body is longer than its header says")
@@ -226,6 +231,7 @@ class ResultCache:
         if root is None:
             root = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
         self.root = Path(root)
+        self._dir = os.fspath(self.root) + os.sep
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -252,19 +258,19 @@ class ResultCache:
         """Content address of a canonicalised scenario payload."""
         return payload_key(payload)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        """``root/<k[:2]>/<k>.json`` as a string (a hit joins no Path)."""
+        return f"{self._dir}{key[:2]}{os.sep}{key}.json"
 
-    def _quarantine(self, key: str) -> None:
-        """Move a corrupt entry aside to ``<key>.corrupt``.
+    def _quarantine(self, path: str) -> None:
+        """Move the corrupt entry at ``path`` aside to ``<key>.corrupt``.
 
         The original path then reads as a clean miss (and a recompute
         heals it with a fresh store); the quarantined file is kept for
         post-mortems rather than deleted.
         """
-        path = self._path(key)
         try:
-            path.replace(path.with_suffix(".corrupt"))
+            os.replace(path, path[: -len(".json")] + ".corrupt")
         except OSError:
             return  # already gone (e.g. a racing run quarantined it)
         self.quarantined += 1
@@ -276,15 +282,17 @@ class ResultCache:
         ``(stats, snapshot)`` on a hit (``snapshot`` None when none was
         stored); None on a miss or a corrupt entry, which is quarantined.
         """
+        path = self._path(key)
         try:
-            data = self._path(key).read_bytes()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             self.misses += 1
             return None  # missing or unreadable: a plain miss
         try:
             run = decode_entry(data)
         except (KeyError, TypeError, ValueError, OverflowError):
-            self._quarantine(key)
+            self._quarantine(path)
             self.misses += 1
             return None  # corrupt entry: quarantined, fall back to recompute
         self.hits += 1
@@ -298,13 +306,15 @@ class ResultCache:
     ) -> None:
         """Store a run's stats and (optionally) its metrics snapshot."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{key}.{os.getpid()}-{next(_TMP_SEQ)}.tmp")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = f"{path[: -len('.json')]}.{os.getpid()}-{next(_TMP_SEQ)}.tmp"
         try:
-            tmp.write_bytes(encode_entry(stats, metrics))
-            tmp.replace(path)
+            with open(tmp, "wb") as handle:
+                handle.write(encode_entry(stats, metrics))
+            os.replace(tmp, path)
         finally:
-            tmp.unlink(missing_ok=True)  # still there only if the write failed
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)  # still there only if the write failed
         self.stores += 1
 
 

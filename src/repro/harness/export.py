@@ -13,6 +13,7 @@ import json
 from collections.abc import Sequence
 from pathlib import Path
 
+from ..sim.trace import sorted_percentile
 from .runner import RunResult
 
 
@@ -45,10 +46,10 @@ def run_result_summary(result: RunResult) -> dict:
             "losses": stats.loss_count(),
             "delivered_bytes": stats.delivered_bytes,
         }
-        rtts = stats.rtt_samples(*window)
+        rtts = stats.sorted_rtts(*window)
         if rtts:
-            entry["min_rtt_ms"] = min(rtts) * 1e3
-            entry["p95_rtt_ms"] = stats.rtt_percentile(95, *window) * 1e3
+            entry["min_rtt_ms"] = rtts[0] * 1e3
+            entry["p95_rtt_ms"] = sorted_percentile(rtts, 95) * 1e3
         flows.append(entry)
     summary = {
         "config": {

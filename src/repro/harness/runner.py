@@ -40,6 +40,7 @@ from ..sim import (
     make_rng,
     resolve_fidelity,
 )
+from ..sim.trace import sorted_percentile
 from .cache import NotCached, active_cache
 from .parallel import ParallelExecutor
 from .scenarios import (
@@ -150,7 +151,7 @@ class RunSpec:
         return {
             "kind": "run",
             "flows": [flow.to_dict() for flow in self.flows],
-            "config": asdict(self.config),
+            "config": self.config.to_dict(),
             "duration_s": float(self.duration_s),
             "seed": self.seed,
             "timeline": None if self.timeline is None else self.timeline.to_dict(),
@@ -268,12 +269,10 @@ def collect_run_metrics(result: RunResult, registry: MetricsRegistry) -> dict:
         registry.gauge("flow.throughput_mbps", **labels).set(
             result.throughput_mbps(i, window)
         )
-        rtts = stats.rtt_samples(*window)
+        rtts = stats.sorted_rtts(*window)
         if rtts:
-            registry.gauge("flow.min_rtt_s", **labels).set(min(rtts))
-            registry.gauge("flow.p95_rtt_s", **labels).set(
-                stats.rtt_percentile(95, *window)
-            )
+            registry.gauge("flow.min_rtt_s", **labels).set(rtts[0])
+            registry.gauge("flow.p95_rtt_s", **labels).set(sorted_percentile(rtts, 95))
     network = result.dumbbell
     if network is not None:
         # Every shared link of the topology graph, in insertion order

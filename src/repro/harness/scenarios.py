@@ -89,6 +89,19 @@ class LinkConfig:
     def buffer_bdp(self) -> float:
         return self.buffer_bytes / self.bdp_bytes
 
+    def to_dict(self) -> dict:
+        """The fields by name, in declaration order (``asdict`` without
+        its deep copy: every field is a number or a string)."""
+        return {
+            "bandwidth_mbps": self.bandwidth_mbps,
+            "rtt_ms": self.rtt_ms,
+            "buffer_kb": self.buffer_kb,
+            "loss_rate": self.loss_rate,
+            "noise_severity": self.noise_severity,
+            "reverse_noise_severity": self.reverse_noise_severity,
+            "label": self.label,
+        }
+
     def with_buffer_kb(self, buffer_kb: float) -> "LinkConfig":
         return replace(self, buffer_kb=buffer_kb)
 

@@ -575,7 +575,7 @@ def run_matrix(
             item = {
                 "primary": primary,
                 "scavenger": scavenger,
-                "config": asdict(config),
+                "config": config.to_dict(),
                 "duration_s": duration_s,
                 "seed": seed,
             }

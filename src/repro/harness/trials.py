@@ -90,11 +90,14 @@ def summarize(values: Sequence[float], ci_resamples: int = 2000, seed: int = 0) 
         # CI is bit-identical (pinned by the regression test).  choices()
         # picks population[floor(random() * n)], so drawing the positions
         # once and gathering them is the same sequence of values.
+        # Scaling by 1/n is monotone, so sorting the totals and scaling
+        # the two order statistics reported gives the same bits as
+        # scaling every total first.
         draws = iter(_resample_plan(n, ci_resamples, seed)(ordered))
         inv_n = 1.0 / n
-        means = sorted(total * inv_n for total in map(sum, zip(*[draws] * n)))
-        ci_low = means[int(0.025 * ci_resamples)]
-        ci_high = means[int(0.975 * ci_resamples)]
+        totals = sorted(map(sum, zip(*[draws] * n)))
+        ci_low = totals[int(0.025 * ci_resamples)] * inv_n
+        ci_high = totals[int(0.975 * ci_resamples)] * inv_n
     mid = n // 2
     median = ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
     return TrialSummary(

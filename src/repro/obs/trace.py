@@ -275,10 +275,17 @@ def write_jsonl(events: Iterable[tuple | dict], path: str | Path) -> str:
         return _digest(_chunks(map(_row, events)), handle)
 
 
+def iter_jsonl(path: str | Path) -> Iterator[dict]:
+    """The event dicts of a JSONL trace file, parsed one line at a time."""
+    with Path(path).open() as handle:
+        for line in handle:
+            if line.strip():
+                yield json.loads(line)
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     """Load a JSONL trace file back into event dicts."""
-    with Path(path).open() as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+    return list(iter_jsonl(path))
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +300,32 @@ def kind_matches(kind: str, pattern: str) -> bool:
     return kind == pattern or kind.startswith(pattern + ".")
 
 
+def event_filter(
+    *,
+    flows: Iterable[int] | None = None,
+    links: Iterable[str] | None = None,
+    kinds: Iterable[str] | None = None,
+) -> Callable[[tuple | dict], bool]:
+    """Predicate: does a row (or event dict) match every given filter
+    (None = no constraint)?"""
+    flow_set = None if flows is None else set(flows)
+    link_set = None if links is None else set(links)
+    kind_list = None if kinds is None else list(kinds)
+
+    def keep(event: tuple | dict) -> bool:
+        if isinstance(event, tuple):
+            kind, flow, link = event[0].kind, event[2], event[3]
+        else:
+            kind, flow, link = event.get("kind", ""), event.get("flow"), event.get("link")
+        if flow_set is not None and flow not in flow_set:
+            return False
+        if link_set is not None and link not in link_set:
+            return False
+        return kind_list is None or any(kind_matches(kind, pattern) for pattern in kind_list)
+
+    return keep
+
+
 def filter_events(
     events: Iterable[tuple | dict],
     *,
@@ -301,25 +334,7 @@ def filter_events(
     kinds: Iterable[str] | None = None,
 ) -> list:
     """Rows (or event dicts) matching every given filter (None = no constraint)."""
-    flow_set = None if flows is None else set(flows)
-    link_set = None if links is None else set(links)
-    kind_list = None if kinds is None else list(kinds)
-    kept = []
-    for event in events:
-        if isinstance(event, tuple):
-            kind, flow, link = event[0].kind, event[2], event[3]
-        else:
-            kind, flow, link = event.get("kind", ""), event.get("flow"), event.get("link")
-        if flow_set is not None and flow not in flow_set:
-            continue
-        if link_set is not None and link not in link_set:
-            continue
-        if kind_list is not None and not any(
-            kind_matches(kind, pattern) for pattern in kind_list
-        ):
-            continue
-        kept.append(event)
-    return kept
+    return list(filter(event_filter(flows=flows, links=links, kinds=kinds), events))
 
 
 # ----------------------------------------------------------------------

@@ -213,9 +213,10 @@ class SenderBase:
                 self.srtt = 0.875 * srtt + 0.125 * rtt
             stats = self.flow.stats
             stats.ack_times.append(now)
-            stats.acked_bytes.append(size)
+            total = stats.total_acked_bytes + size
+            stats.total_acked_bytes = total
+            stats.acked_total.append(total)
             stats.rtts.append(rtt)
-            stats.total_acked_bytes += size
             self.on_ack(info)
         # else: stale ACK for a packet already declared lost — ignored.
         self._after_event()

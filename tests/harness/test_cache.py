@@ -179,14 +179,15 @@ EDGE_DOUBLES = [0.0, -0.0, 5e-324, -2.2e-308, float("inf"), float("-inf"), float
 )
 def test_series_roundtrip_is_bit_exact(acks, losses):
     stats = FlowStats(flow_id=3)
-    for ack_time, nbytes, rtt in acks:
+    for ack_time, total, rtt in acks:
         stats.ack_times.append(ack_time)
-        stats.acked_bytes.append(nbytes)
+        stats.acked_total.append(total)
         stats.rtts.append(rtt)
+    stats.total_acked_bytes = stats.acked_total[-1] if acks else 0
     stats.loss_times.extend(losses)
     # Through the same bytes store_run writes to disk.
     [rebuilt], _ = decode_entry(encode_entry([stats]))
-    for name in ("ack_times", "acked_bytes", "rtts", "loss_times"):
+    for name in ("ack_times", "acked_total", "rtts", "loss_times"):
         series = getattr(rebuilt, name)
         assert series.typecode == getattr(stats, name).typecode
         assert series.tobytes() == getattr(stats, name).tobytes()
@@ -195,7 +196,7 @@ def test_series_roundtrip_is_bit_exact(acks, losses):
 def test_packed_series_byte_order_is_pinned():
     # The on-disk layout is part of the contract: little-endian IEEE-754
     # doubles / int64, on every host, each flow's series in the order
-    # ack_times, acked_bytes, rtts, loss_times after the header line.
+    # ack_times, acked_total, rtts, loss_times after the header line.
     assert _pack(array("d", [1.0])) == struct.pack("<d", 1.0)
     assert _pack(array("q", [1, -2])) == struct.pack("<2q", 1, -2)
     assert _pack(array("d")) == b""
@@ -204,7 +205,8 @@ def test_packed_series_byte_order_is_pinned():
     stats.record_ack(0.75, -7, 0.04)
     stats.record_loss(0.6)
     header, body = encode_entry([stats, FlowStats(flow_id=2)]).split(b"\n", 1)
-    assert body == struct.pack("<2d2q2dd", 0.5, 0.75, 1500, -7, 0.03, 0.04, 0.6)
+    # acked_total holds the running totals: 1500, then 1500 - 7.
+    assert body == struct.pack("<2d2q2dd", 0.5, 0.75, 1500, 1493, 0.03, 0.04, 0.6)
     flows = json.loads(header)["stats"]
     assert [(f["n_acks"], f["n_losses"]) for f in flows] == [(2, 1), (0, 0)]
 
@@ -220,6 +222,10 @@ def _drop_one_ack(record: dict) -> None:
     record["stats"][0]["n_acks"] -= 1
 
 
+def _inflate_total(record: dict) -> None:
+    record["stats"][0]["total_acked_bytes"] += 1
+
+
 # Each rewrites the entry file in place.
 CORRUPTIONS = {
     "body-one-byte-short": lambda entry: entry.write_bytes(entry.read_bytes()[:-1]),
@@ -229,6 +235,7 @@ CORRUPTIONS = {
         entry.read_bytes().split(b"\n", 1)[0]
     ),
     "schema-2-header": lambda entry: _edit_header(entry, lambda r: r.update(schema=2)),
+    "total-disagrees-with-acked-total": lambda entry: _edit_header(entry, _inflate_total),
 }
 
 
@@ -288,7 +295,8 @@ cache = ResultCache(sys.argv[1])
 key = sys.argv[2]
 stats = FlowStats(flow_id=1)
 stats.ack_times = array("d", range(8000))
-stats.acked_bytes = array("q", range(8000))
+stats.acked_total = array("q", range(8000))
+stats.total_acked_bytes = 7999
 stats.rtts = array("d", range(8000))
 for _ in range(1500):
     cache.store_run(key, [stats])

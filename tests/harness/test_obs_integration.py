@@ -8,6 +8,7 @@ ring-buffer flight recorder lands on failure records; and the
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,59 @@ def test_cli_trace_rejects_unknown_protocol():
 def test_cli_trace_reports_an_unreadable_file(tmp_path, capsys):
     assert main(["trace", str(tmp_path / "missing.jsonl")]) == 2
     assert capsys.readouterr().err.startswith("repro trace: cannot read ")
+
+
+def _synthetic_trace(path: Path, n_lines: int) -> list[dict]:
+    kinds = ("link.enqueue", "mi.start", "link.drop", "mi.end", "rate.decision")
+    events = [
+        {"t": i * 1e-4, "kind": kinds[i % len(kinds)], "flow": 1 + i % 3,
+         "link": "bottleneck", "seq": i, "size_bytes": 1500, "backlog_bytes": 15.0 * i}
+        for i in range(n_lines)
+    ]
+    write_jsonl(events, path)
+    return events
+
+
+def test_cli_trace_streams_the_file(tmp_path, capsys):
+    # `repro trace` holds no more of the file than one encoding chunk
+    # and its --limit head: loading ~40 000 events as dicts took tens of
+    # MiB, the streamed pass stays under a few.
+    recorded = tmp_path / "big.jsonl"
+    events = _synthetic_trace(recorded, 40_000)
+    expected = [e for e in events if e["kind"].startswith("mi.") and e["flow"] == 2]
+    out = tmp_path / "mi.jsonl"
+    argv = ["trace", str(recorded), "--kind", "mi", "--flow", "2", "--limit", "3",
+            "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"repro trace peaked at {peak / 2**20:.1f} MiB"
+    shown = capsys.readouterr().out.splitlines()
+    digest = write_jsonl(expected, tmp_path / "reference.jsonl")
+    assert out.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    assert f"digest: {digest}" in shown
+    assert [line for line in shown if line.startswith("{")] == [
+        json.dumps(e, sort_keys=True, separators=(",", ":")) for e in expected[:3]
+    ]
+    assert shown[-1] == f"wrote {out} ({len(expected)} events)"
+
+
+def test_cli_trace_bad_line_leaves_no_out_file_and_out_may_name_the_input(tmp_path, capsys):
+    recorded = tmp_path / "trace.jsonl"
+    events = _synthetic_trace(recorded, 50)
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(recorded.read_bytes() + b"{ not json\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["trace", str(torn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("repro trace: cannot read ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["torn.jsonl", "trace.jsonl"]
+    # Filtering a file onto itself reads all of it before replacing it.
+    assert main(["trace", str(recorded), "--kind", "mi.end", "--out", str(recorded)]) == 0
+    assert read_jsonl(recorded) == [e for e in events if e["kind"] == "mi.end"]
+    assert main(["trace", str(recorded), "--limit", "-1"]) == 2
 
 
 def test_cli_metrics(tmp_path, capsys):

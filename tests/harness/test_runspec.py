@@ -6,6 +6,7 @@ file is the run it was written from: the same cache key and, through
 ``run``, the same simulation as the ``run_flows`` call it describes.
 """
 
+import dataclasses
 import json
 import math
 
@@ -112,6 +113,8 @@ def test_a_spec_survives_json_exactly(spec):
     assert again == spec
     assert again.to_dict() == spec.to_dict()
     assert _key(again) == _key(spec)
+    # LinkConfig.to_dict spells out every field, in asdict's order.
+    assert json.dumps(spec.to_dict()["config"]) == json.dumps(dataclasses.asdict(spec.config))
 
 
 def test_integer_and_float_times_name_one_run():

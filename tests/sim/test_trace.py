@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.devtools import stats_digest
+from repro.harness.cache import decode_entry, encode_entry
 from repro.sim import FlowStats
 
 
@@ -118,3 +120,51 @@ def test_property_windowed_throughput_sums_to_total(events):
         total_bytes
     )
     assert stats.total_acked_bytes == total_bytes
+
+
+def _reference_bytes(acks, t0, t1, *, right_closed=True):
+    """Bytes of the ACKs in [t0, t1] (or [t0, t1)), summed one by one."""
+    return sum(
+        nbytes for t, nbytes in acks if t0 <= t and (t <= t1 if right_closed else t < t1)
+    )
+
+
+def _reference_series(acks, bin_s, t0, t1):
+    series = []
+    t = t0
+    while t < t1:
+        end = min(t + bin_s, t1)
+        total = _reference_bytes(acks, t, end, right_closed=end >= t1)
+        series.append((0.5 * (t + end), total * 8.0 / (end - t) / 1e6))
+        t = end
+    return series
+
+
+# ACK times on a coarse grid so that ties are common; sizes may be 0 or
+# negative (the record takes whatever the sender reports).
+ack_lists = st.lists(
+    st.tuples(st.integers(0, 40).map(lambda q: q / 4.0), st.integers(-1500, 9000)),
+    max_size=60,
+).map(sorted)
+# From before the first ACK to past the last one (t = 10 s).
+window_edges = st.one_of(st.integers(-8, 56).map(lambda q: q / 4.0), st.floats(-2.0, 14.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(acks=ack_lists, t0=window_edges, t1=window_edges, bin_s=st.floats(0.1, 4.0))
+def test_property_running_totals_match_a_per_ack_sum(acks, t0, t1, bin_s):
+    stats = FlowStats(flow_id=4)
+    for t, nbytes in acks:
+        stats.record_ack(t, nbytes, rtt_s=0.03)
+    assert len(stats.acked_total) == len(acks)
+    assert stats.total_acked_bytes == sum(nbytes for _, nbytes in acks)
+    if t1 <= t0:
+        with pytest.raises(ValueError):
+            stats.throughput_bps(t0, t1)
+        assert stats.throughput_series(bin_s, t0, t1) == []
+    else:
+        assert stats.throughput_bps(t0, t1) == _reference_bytes(acks, t0, t1) * 8.0 / (t1 - t0)
+        assert stats.throughput_series(bin_s, t0, t1) == _reference_series(acks, bin_s, t0, t1)
+    [rebuilt], _ = decode_entry(encode_entry([stats]))
+    assert rebuilt.acked_total == stats.acked_total
+    assert stats_digest([rebuilt]) == stats_digest([stats])

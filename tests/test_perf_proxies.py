@@ -42,12 +42,12 @@ collector disabled: a finished run must free itself by reference
 counting, so a reference cycle left in the network shows here)."""
 
 EXPECTED = {
-    "pair_exact": (19045, 12074, 16972, 196936, 0, 0, 0),
-    "pair_hybrid": (12289, 12712, 12955, 110340, 0, 0, 0),
-    "pair_traced": (31119, 0, 16972, 339900, 31848, 0, 0),
-    "many_flows": (12756, 10385, 5261, 137204, 0, 0, 0),
-    "many_flows_traced": (23141, 0, 5261, 185077, 23439, 0, 0),
-    "codel_parking_lot": (46541, 23035, 8087, 299540, 0, 0, 0),
+    "pair_exact": (19045, 12074, 16972, 196938, 0, 0, 0),
+    "pair_hybrid": (12289, 12712, 12955, 110342, 0, 0, 0),
+    "pair_traced": (31119, 0, 16972, 339902, 31848, 0, 0),
+    "many_flows": (12756, 10385, 5261, 137408, 0, 0, 0),
+    "many_flows_traced": (23141, 0, 5261, 185281, 23439, 0, 0),
+    "codel_parking_lot": (46541, 23035, 8087, 299542, 0, 0, 0),
 }
 
 
