@@ -192,7 +192,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not names:
         raise SystemExit(f"repro run: no protocols in {args.protocols!r}")
     for name in names:
-        if name.lower() not in PROTOCOL_NAMES and name.lower() != "fixed":
+        if name.lower() not in PROTOCOL_NAMES:
             raise SystemExit(
                 f"repro run: unknown protocol {name!r}; "
                 f"known: {', '.join(PROTOCOL_NAMES)}"

@@ -6,7 +6,7 @@ source).  The cache exploits that: a run's
 :class:`~repro.sim.trace.FlowStats` records are stored under
 ``.repro-cache/`` keyed by
 
-    payload_key(spec.to_dict())  # + schema, source-tree digest
+    payload_key(spec.to_dict())  # after schema, source-tree digest
 
 where the source-tree digest hashes every ``.py`` file under the
 installed ``repro`` package.  Re-running an unchanged benchmark is a
@@ -34,6 +34,7 @@ The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -45,7 +46,7 @@ from typing import Any, Iterable
 
 from ..sim.trace import FlowStats
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 _TMP_SEQ = itertools.count()  # per-process suffix of store_run()'s temp names
 
 # ----------------------------------------------------------------------
@@ -83,22 +84,28 @@ def reset_source_digest_cache() -> None:
 # ----------------------------------------------------------------------
 # Entry (de)serialisation — exact: JSON scalars, raw series bytes
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
+def _key_prefix(schema: int, source: str) -> Any:
+    """A ``sha256`` that has hashed the schema version and source digest."""
+    return hashlib.sha256(f"{schema}\0{source}\0".encode())
+
+
 def payload_key(payload: dict) -> str:
     """Content address of a canonicalised payload (incl. source digest).
 
     The single key derivation shared by the result cache and the sweep
     manifests of :mod:`repro.harness.supervise`: ``sha256`` over the
-    canonical JSON of ``{schema, source-tree digest, **payload}``.
+    schema version and the source-tree digest, then the canonical JSON
+    of ``payload``.  The prefix is hashed once per (schema, source) and
+    each key copies that state, so a key encodes only its payload.
     ``json`` writes every float as its shortest exact repr, so two
     payloads that differ by one ULP get different keys.
     """
-    canonical = json.dumps(
-        {"schema": SCHEMA_VERSION, "source": source_digest(), **payload},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=repr,
+    hasher = _key_prefix(SCHEMA_VERSION, source_digest()).copy()
+    hasher.update(
+        json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr).encode()
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hasher.hexdigest()
 
 
 # Every flow's series, in body order, with the header field holding its length.

@@ -25,7 +25,9 @@ formatter with the keys already sorted and escaped and the type check
 built in, and whatever it cannot reproduce byte for byte (non-finite
 floats, bool and nested values, ``int``/``float`` subclasses,
 non-string or colliding keys) goes through ``json.JSONEncoder``.  Text
-is produced, hashed and written a few thousand lines at a time.
+is produced, hashed and written at most ``_CHUNK_LINES`` (256) lines at
+a time, so encoding a recorded trace holds a few hundred lines beyond
+its rows.
 
 Sinks (each implements ``record`` and inherits ``emit`` from
 :class:`TraceSink`):
@@ -59,7 +61,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Protocol, runtime_chec
 
 from ..core.tracepoint import RECORD, Shape, tracepoint
 
-_CHUNK_LINES = 4096
+_CHUNK_LINES = 256
 _generic_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _new_event = tuple.__new__
 

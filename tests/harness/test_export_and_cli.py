@@ -221,6 +221,8 @@ def test_cli_reports_a_flow_starting_after_the_run_in_one_line(observer, tmp_pat
         pytest.param(["run", "--bandwidth", "0"], id="single --bandwidth 0"),
         ["pair", "--rtt", "-5"],
         pytest.param(["run", "--protocols", ","], id="fairness --flows 0"),
+        # `fixed` needs a rate, which the command line cannot give it.
+        ["run", "--protocols", "fixed"],
         ["many", "--flows", "0"],
         ["sweep", "--bandwidths", "0"],
         pytest.param(["run", "--loss", "1.5"], id="single --loss 1.5"),

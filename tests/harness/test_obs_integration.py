@@ -143,6 +143,32 @@ def test_run_pair_serial_when_traced():
 
 
 # ----------------------------------------------------------------------
+# What a recorded trace costs in memory
+# ----------------------------------------------------------------------
+def test_a_recorded_trace_costs_its_rows_and_its_digest_a_chunk():
+    # The benchmark's pair_traced run: everything the traced run leaves
+    # allocated once its result is dropped is the tracer's rows (~218 B
+    # each), and hashing them holds one encoded chunk on top.
+    tracemalloc.start()
+    try:
+        tracer = CollectingTracer()
+        result = run_flows(
+            [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)],
+            CONFIG, duration_s=6.0, seed=1, tracer=tracer,
+        )
+        del result
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tracer.digest()
+        encoding = tracemalloc.get_traced_memory()[1] - retained
+    finally:
+        tracemalloc.stop()
+    assert len(tracer) > 50_000
+    assert retained <= 256 * len(tracer), f"{retained / len(tracer):.1f} B per row"
+    assert encoding <= 0.5 * 2**20, f"digest() allocated {encoding} B beyond the rows"
+
+
+# ----------------------------------------------------------------------
 # Deterministic digests across parallelism
 # ----------------------------------------------------------------------
 def _traced_digest(seed: int) -> str:

@@ -141,6 +141,33 @@ def test_event_times_one_ulp_apart_get_different_keys():
     assert _key(at(at_s)) == _key(_through_json(at(at_s)))
 
 
+def test_a_key_changes_with_the_source_the_schema_and_every_spec_field(monkeypatch):
+    from repro.harness import cache as cache_mod
+
+    base = RunSpec((FlowSpec("cubic"),), CONFIG, duration_s=5.0, seed=1)
+    changed = {
+        "flows": (FlowSpec("proteus-s"),),
+        "config": CONFIG.with_buffer_kb(75.0),
+        "duration_s": 6.0,
+        "seed": 2,
+        "timeline": TIMELINES["step-down"](),
+        "topology": TOPOLOGIES["parking-lot"](),
+        "fidelity": "hybrid",
+    }
+    assert set(changed) == {field.name for field in dataclasses.fields(RunSpec)}
+    key = _key(base)
+    keys = {key} | {_key(dataclasses.replace(base, **{f: v})) for f, v in changed.items()}
+    assert len(keys) == 1 + len(changed)
+    # The hashed (schema, source) prefix follows both after it was primed.
+    monkeypatch.setattr(cache_mod, "_SOURCE_DIGEST", "0" * 64)
+    other_source = _key(base)
+    monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", cache_mod.SCHEMA_VERSION + 1)
+    other_schema = _key(base)
+    assert len({key, other_source, other_schema}) == 3
+    monkeypatch.undo()
+    assert _key(base) == key
+
+
 def test_a_spec_refuses_what_cannot_run():
     with pytest.raises(ValueError, match="at least one flow"):
         RunSpec((), CONFIG)

@@ -1,13 +1,18 @@
 """Unit tests for scenario definitions."""
 
+import statistics
+from functools import cache
+
 import pytest
 
 from repro.harness import (
     EMULAB_DEFAULT,
     EMULAB_SHALLOW,
     FIG2_LINK,
+    FlowSpec,
     LinkConfig,
     config_matrix,
+    run_flows,
     wifi_sites,
 )
 
@@ -89,3 +94,47 @@ def test_wifi_sites_shape():
     assert all(c.make_noise() is not None for c in configs)
     # Clean configs have no noise model.
     assert EMULAB_DEFAULT.make_noise() is None
+
+
+# ----------------------------------------------------------------------
+# The WiFi substitution against DESIGN.md §2's words: "typical deviation
+# ≈ 5 ms, spikes of tens of ms", measured end to end (both directions'
+# noise, after the links' FIFO compression) by one 1 Mbps flow on each
+# site's 40 Mbps / 30 ms path, far below the rate where a queue forms.
+# ----------------------------------------------------------------------
+SITES = wifi_sites(n_paths=1)
+
+
+@cache
+def _rtt_deviation_ms(site: int) -> tuple[float, float]:
+    """(median RTT deviation per 100 ms window, largest RTT above the
+    path's minimum), in ms, over 30 s of a low-load flow."""
+    result = run_flows(
+        [FlowSpec("fixed", kwargs={"rate_bps": 1e6})], SITES[site], duration_s=30.0, seed=1
+    )
+    stats = result.stats[0]
+    windows = (stats.rtt_samples(i / 10, (i + 1) / 10) for i in range(300))
+    deviations = [statistics.pstdev(rtts) for rtts in windows if len(rtts) >= 2]
+    return (
+        1e3 * statistics.median(deviations),
+        1e3 * (max(stats.rtts) - min(stats.rtts)),
+    )
+
+
+@pytest.mark.parametrize("site", range(len(SITES)))
+def test_wifi_sites_rtt_spikes_tens_of_ms(site):
+    spike_ms = _rtt_deviation_ms(site)[1]
+    assert 10.0 <= spike_ms <= 100.0, f"largest RTT excursion {spike_ms:.1f} ms"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the noise model is milder than the paper's words end to end: the "
+    "median 100 ms-window RTT deviation is 0.68, 1.05, 1.55 and 2.16 ms at "
+    "noise severities 0.6, 0.9, 1.3 and 1.8 (ROADMAP item 7(c))",
+)
+@pytest.mark.parametrize("site", range(len(SITES)))
+def test_wifi_sites_typical_rtt_deviation_is_about_5_ms(site):
+    typical_ms = _rtt_deviation_ms(site)[0]
+    assert 2.5 <= typical_ms <= 10.0, f"median window deviation {typical_ms:.2f} ms"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.protocols import FixedRateSender, WindowSender, make_sender
+from repro.adversary.genome import HOSTILE_PROTOCOLS
+from repro.protocols import PROTOCOL_NAMES, FixedRateSender, WindowSender, make_sender
 from repro.protocols.base import AckInfo, MIN_RTO_S
 from repro.sim import Dumbbell, Simulator, make_rng, mbps
 
@@ -249,9 +250,7 @@ def test_fixed_rate_sender_rate_stays_immutable():
 
 
 @pytest.mark.parametrize(
-    "proto",
-    ["cubic", "reno", "bbr", "bbr-s", "copa", "vivace", "ledbat", "ledbat-25",
-     "proteus-p", "proteus-s", "proteus-h"],
+    "proto", [name for name in PROTOCOL_NAMES if name not in HOSTILE_PROTOCOLS]
 )
 def test_every_protocol_moves_data(proto):
     sim, dumbbell = build(bandwidth_mbps=20.0)
